@@ -26,7 +26,10 @@ test:
 
 # Hot-path microbenchmarks: the scheduler (BenchmarkEngine*, internal/sim),
 # the end-to-end invocation path (BenchmarkRunInvocation*, root package, one
-# sub-benchmark per collector), the whole-suite batch-execution path
+# sub-benchmark per collector), the experiment engine's result cache (one fop
+# LBO grid re-aggregated from a warm cache, BenchmarkEngineWarmCache, and
+# simulated into a write-only one with the write-behind drain timed,
+# BenchmarkEngineColdCache), the whole-suite batch-execution path
 # (BenchmarkFullSuite, workers=1 vs workers=8), and the fleet layer
 # (BenchmarkFleetSweep; BenchmarkFleetScale, the 16→1024 replica ladder whose
 # 1024-replica rung the gate holds at 0 allocs/op — the driving loop must stay
@@ -35,7 +38,8 @@ test:
 # FleetSweep and FleetTelemetry get their own -benchtime so each self-iterates
 # to a stable ns/op instead of one cold N=1 sample (a single ~30ms sweep op
 # varies ~30% run to run; 300ms amortizes it), while the minutes-scale
-# FullSuite stays at -benchtime=1x and FleetScale at 3 fleet runs per sample.
+# FullSuite stays at -benchtime=1x and FleetScale and EngineColdCache at 3
+# runs per sample.
 # Each benchmark runs five times and benchjson records the per-metric median,
 # so the committed BENCH_sim.json baseline is median-of-five — directly
 # comparable to the median-of-five gate runs and robust to scheduler noise on
@@ -45,6 +49,10 @@ bench:
 	( go test -run='^$$' -bench='BenchmarkEngine' -benchmem -benchtime=300ms \
 		-count=5 ./internal/sim && \
 	  go test -run='^$$' -bench='BenchmarkRunInvocation' -benchmem -count=5 . && \
+	  go test -run='^$$' -bench='BenchmarkEngineWarmCache' -benchmem \
+		-benchtime=300ms -count=5 . && \
+	  go test -run='^$$' -bench='BenchmarkEngineColdCache' -benchmem \
+		-benchtime=3x -count=5 . && \
 	  go test -run='^$$' -bench='BenchmarkFullSuite' -benchtime=1x -count=5 . && \
 	  go test -run='^$$' -bench='BenchmarkFleetSweep' -benchtime=300ms -count=5 \
 		./internal/fleet && \
@@ -66,6 +74,10 @@ bench-gate:
 	( go test -run='^$$' -bench='BenchmarkEngine' -benchmem -benchtime=300ms \
 		-count=5 ./internal/sim && \
 	  go test -run='^$$' -bench='BenchmarkRunInvocation' -benchmem -count=5 . && \
+	  go test -run='^$$' -bench='BenchmarkEngineWarmCache' -benchmem \
+		-benchtime=300ms -count=5 . && \
+	  go test -run='^$$' -bench='BenchmarkEngineColdCache' -benchmem \
+		-benchtime=3x -count=5 . && \
 	  go test -run='^$$' -bench='BenchmarkFullSuite' -benchtime=1x -count=5 . && \
 	  go test -run='^$$' -bench='BenchmarkFleetSweep' -benchtime=300ms -count=5 \
 		./internal/fleet && \

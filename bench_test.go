@@ -507,6 +507,33 @@ func BenchmarkEngineWarmCache(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineColdCache is BenchmarkEngineWarmCache's cold counterpart:
+// the same fop LBO grid, every invocation simulated and written to a
+// write-only cache. Engine.Close and Cache.Close sit inside the timed loop,
+// so each op pays for the whole write-behind drain — every record encoded
+// and on disk — not just the enqueue.
+func BenchmarkEngineColdCache(b *testing.B) {
+	dir := b.TempDir()
+	for i := 0; i < b.N; i++ {
+		cache, err := OpenResultCache(dir, CacheWriteOnly)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := NewEngine(EngineOptions{Cache: cache})
+		opt := benchSweep()
+		opt.Engine = eng
+		if _, _, err := MeasureLBO(workload.Fop, opt); err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := cache.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRunInvocation measures the invocation hot path end to end: one
 // complete closed-loop run (2 iterations x 1000 events) per collector, with
 // -benchmem. The pooled continuation frames and the collector's

@@ -29,16 +29,20 @@ const (
 // re-runs next time).
 const writeDepth = 128
 
-// Cache is the content-addressed, invocation-level result store: one
-// persist archive per job key, sharded two-hex-characters deep
-// (dir/ab/abcdef….json) so large plans do not pile thousands of files into
-// one directory. Writes are atomic (write-then-rename in persist), so a
-// killed run leaves only complete archives behind — which is what makes
-// plans resumable.
+// Cache is the content-addressed, invocation-level result store: one file
+// per job key, sharded two-hex-characters deep so large plans do not pile
+// thousands of files into one directory. Invocation results are binary
+// persist records (dir/ab/abcdef….inv: a compact JSON header plus the GC
+// log as fixed-width columns — see persist.EncodeInvocation); min-heap and
+// generic results are small JSON archives (dir/ab/abcdef….json). Writes are
+// atomic (write-then-rename in persist), so a killed run leaves only
+// complete files behind — which is what makes plans resumable. A cache
+// written before invocation records went binary holds only .json
+// invocation archives, which are never read: those jobs re-simulate once.
 //
 // Invocation writes are write-behind: putInvocation parks the record in a
-// pending map and hands the serialization to a single writer goroutine, so
-// pool workers completing jobs concurrently never contend on disk I/O or on
+// pending map and hands the encoding to a single writer goroutine, so pool
+// workers completing jobs concurrently never contend on disk I/O or on
 // each other. Reads consult the pending map first, making the deferral
 // invisible; write errors latch and surface at Flush (which Engine.Close
 // calls), degrading a full disk to a cold next run rather than a failed
@@ -104,8 +108,14 @@ func sweepTemps(dir string) {
 // Dir returns the cache's root directory.
 func (c *Cache) Dir() string { return c.dir }
 
+// path is where the JSON archive of a min-heap or generic job lives.
 func (c *Cache) path(k Key) string {
 	return filepath.Join(c.dir, k.Shard(), string(k)+".json")
+}
+
+// invPath is where the binary record of an invocation job lives.
+func (c *Cache) invPath(k Key) string {
+	return filepath.Join(c.dir, k.Shard(), string(k)+".inv")
 }
 
 // writer is the write-behind goroutine: it drains the queue, serializing
@@ -120,7 +130,7 @@ func (c *Cache) writer() {
 			w.ack <- err
 			continue
 		}
-		err := persist.SaveInvocation(c.path(w.key), w.rec)
+		err := persist.SaveInvocation(c.invPath(w.key), w.rec)
 		c.mu.Lock()
 		if cur, ok := c.pending[w.key]; ok && cur == w.rec {
 			delete(c.pending, w.key)
@@ -160,7 +170,7 @@ func (c *Cache) Close() error {
 
 // getInvocation loads the cached record for the key, if present and valid.
 // Records still queued behind the write-behind path are served from memory,
-// so callers never observe the deferral. Unreadable or stale archives are
+// so callers never observe the deferral. Unreadable or stale records are
 // treated as misses, never as failures: the job simply re-runs and
 // overwrites them.
 func (c *Cache) getInvocation(k Key) (*persist.InvocationRecord, bool) {
@@ -173,7 +183,7 @@ func (c *Cache) getInvocation(k Key) (*persist.InvocationRecord, bool) {
 		return rec, true
 	}
 	c.mu.Unlock()
-	rec, err := persist.LoadInvocation(c.path(k))
+	rec, err := persist.LoadInvocation(c.invPath(k))
 	if err != nil || rec.Key != string(k) {
 		return nil, false
 	}

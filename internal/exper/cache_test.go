@@ -1,11 +1,15 @@
 package exper
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"chopin/internal/persist"
+	"chopin/internal/workload"
 )
 
 func testRecord(k Key) *persist.InvocationRecord {
@@ -35,7 +39,7 @@ func TestOpenCacheSweepsOrphanedTemps(t *testing.T) {
 
 	// Plant debris at both levels a torn write can leave it.
 	orphans := []string{
-		c.path(k) + ".tmp",
+		c.invPath(k) + ".tmp",
 		filepath.Join(dir, "ff", "fedcba.json.tmp"),
 		filepath.Join(dir, "stray.tmp"),
 	}
@@ -63,49 +67,168 @@ func TestOpenCacheSweepsOrphanedTemps(t *testing.T) {
 	}
 }
 
-// TestTruncatedArchiveIsMiss writes a valid archive, tears it at every
-// prefix length that could arise from a partial write, and checks each torn
-// state registers as a cache miss the job layer can heal by re-running —
-// never an error, never a bogus hit.
+// logRecord runs one small real invocation, so the record carries a GC log
+// with events and pauses.
+func logRecord(t *testing.T, k Key) *persist.InvocationRecord {
+	t.Helper()
+	res, err := workload.Run(testBench(t), smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Log.Events) == 0 || len(res.Log.Pauses) == 0 {
+		t.Fatalf("run logged %d events, %d pauses", len(res.Log.Events), len(res.Log.Pauses))
+	}
+	return &persist.InvocationRecord{Key: string(k), Workload: "fop", Collector: "G1", HeapMB: 100, Seed: 1, Result: res}
+}
+
+// tearPoints are the prefix lengths at which a torn write can cut a binary
+// invocation record, one inside or at the end of each section of the frame
+// (see persist.EncodeInvocation). Points past the record's end are dropped:
+// an OOM-only record ends with its header.
+func tearPoints(whole []byte) map[string]int {
+	hdrEnd := 16 + int(binary.LittleEndian.Uint64(whole[8:16]))
+	pts := map[string]int{
+		"empty":         0,
+		"mid-magic":     4,
+		"magic":         8,
+		"mid-hdr-len":   12,
+		"header-length": 16,
+		"mid-header":    16 + (hdrEnd-16)/2,
+		"header":        hdrEnd,
+		"last-byte":     len(whole) - 1,
+	}
+	if hdrEnd < len(whole) {
+		logStart := hdrEnd
+		events := int(binary.LittleEndian.Uint64(whole[logStart+8:]))
+		pausesAt := logStart + 16 + 72*events
+		pts["stall"] = logStart + 8
+		pts["mid-event-count"] = logStart + 12
+		pts["event-count"] = logStart + 16
+		pts["mid-event"] = logStart + 16 + 36
+		pts["events"] = pausesAt
+		pts["mid-pause-count"] = pausesAt + 4
+		pts["pause-count"] = pausesAt + 8
+	}
+	for name, n := range pts {
+		if n >= len(whole) {
+			delete(pts, name)
+		}
+	}
+	return pts
+}
+
+// TestTruncatedArchiveIsMiss writes valid records — an OOM-only one and one
+// carrying a real GC log — tears each at every section boundary a partial
+// write could stop at, and checks each torn state registers as a cache miss
+// the job layer can heal by re-running — never an error, never a bogus hit.
 func TestTruncatedArchiveIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir, ReadWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := Key("0011223344556677")
-	if err := c.putInvocation(k, testRecord(k)); err != nil {
-		t.Fatal(err)
+	oomKey, logKey := Key("0011223344556677"), Key("7766554433221100")
+	for _, rec := range []*persist.InvocationRecord{testRecord(oomKey), logRecord(t, logKey)} {
+		k := Key(rec.Key)
+		if err := c.putInvocation(k, rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		whole, err := os.ReadFile(c.invPath(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := c.getInvocation(k)
+		if !ok || !reflect.DeepEqual(got, rec) {
+			t.Fatalf("%s: intact record should hit with the stored content", k)
+		}
+
+		pts := tearPoints(whole)
+		if rec.Result != nil && len(pts) != 15 {
+			t.Fatalf("%s: %d tear points, want all 15: %v", k, len(pts), pts)
+		}
+		for name, n := range pts {
+			if err := os.WriteFile(c.invPath(k), whole[:n], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := c.getInvocation(k); ok {
+				t.Fatalf("%s: record torn at %s (%d of %d bytes) served as a hit", k, name, n, len(whole))
+			}
+		}
+
+		// The miss is recoverable: a re-run's put repairs the entry in place.
+		if err := c.putInvocation(k, rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.getInvocation(k); !ok {
+			t.Fatalf("%s: rewritten record should hit again", k)
+		}
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	whole, err := os.ReadFile(c.path(k))
+}
+
+// TestPreBinaryJSONArchiveIsMiss: a cache written before invocation records
+// went binary holds one indented JSON archive per invocation at
+// <hh>/<key>.json. Such an archive — where it lies, or copied to the record
+// path — must read as a miss, never as a hit, an error or a panic, and the
+// re-run's binary record must replace it.
+func TestPreBinaryJSONArchiveIsMiss(t *testing.T) {
+	d := testBench(t)
+	job, err := NewJob(d, smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.getInvocation(k); !ok {
-		t.Fatal("intact archive should hit")
+	k := job.Key()
+	old, err := json.MarshalIndent(struct {
+		Version    int                       `json:"version"`
+		Kind       string                    `json:"kind"`
+		Invocation *persist.InvocationRecord `json:"invocation"`
+	}{2, "invocation", logRecord(t, k)}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for _, n := range []int{0, 1, len(whole) / 2, len(whole) - 1} {
-		if err := os.WriteFile(c.path(k), whole[:n], 0o644); err != nil {
+	dir := t.TempDir()
+	c, err := OpenCache(dir, ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, p := range []string{c.path(k), c.invPath(k)} {
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := c.getInvocation(k); ok {
-			t.Fatalf("archive truncated to %d bytes served as a hit", n)
+		if err := os.WriteFile(p, old, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+	if _, ok := c.getInvocation(k); ok {
+		t.Fatal("pre-binary JSON archive served as a hit")
+	}
 
-	// The miss is recoverable: a re-run's put repairs the entry in place.
-	if err := c.putInvocation(k, testRecord(k)); err != nil {
+	cold := New(Options{Cache: c})
+	if _, err := cold.Run(d, smallCfg()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Flush(); err != nil {
+	if err := cold.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.getInvocation(k); !ok {
-		t.Fatal("rewritten archive should hit again")
+	if s := cold.Stats(); s.Executed != 1 || s.CacheHits != 0 {
+		t.Fatalf("re-run stats = %+v, want one execution and no hit", s)
+	}
+	if _, err := persist.LoadInvocation(c.invPath(k)); err != nil {
+		t.Fatalf("re-run did not replace the JSON archive with a binary record: %v", err)
+	}
+	warm := New(Options{Cache: c})
+	defer warm.Close()
+	if _, err := warm.Run(d, smallCfg()); err != nil {
+		t.Fatal(err)
+	}
+	if s := warm.Stats(); s.Executed != 0 || s.CacheHits != 1 {
+		t.Fatalf("warm stats = %+v, want a pure cache hit", s)
 	}
 }
 
@@ -120,7 +243,7 @@ func TestWrongKeyArchiveIsMiss(t *testing.T) {
 	}
 	k := Key("8899aabbccddeeff")
 	other := Key("1122334455667788")
-	if err := persist.SaveInvocation(c.path(k), testRecord(other)); err != nil {
+	if err := persist.SaveInvocation(c.invPath(k), testRecord(other)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.getInvocation(k); ok {

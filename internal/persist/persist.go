@@ -1,12 +1,20 @@
-// Package persist saves and reloads experiment results as JSON, so
-// expensive sweeps can be archived and figures re-rendered offline — the
-// role running-ng's results directory plays for the paper's artifact.
+// Package persist saves and reloads experiment results, so expensive
+// sweeps can be archived and figures re-rendered offline — the role
+// running-ng's results directory plays for the paper's artifact.
 //
-// Schema v2 extends the archive with two invocation-level kinds that back
-// the experiment engine's content-addressed result cache (internal/exper):
-// "invocation" (one simulator run, keyed by the canonical job hash) and
-// "minheap" (one measured per-benchmark minimum heap). v1 archives of the
-// original kinds load transparently through the migration path.
+// Sweep results (LBO grids, geomeans, characterizations) and the experiment
+// engine's small cache records ("minheap": one measured per-benchmark
+// minimum heap; "generic": one opaque job payload) are versioned JSON
+// archives. Schema v2 added the cache kinds; v1 archives of the original
+// kinds load transparently through the migration path.
+//
+// The engine's invocation records — one simulator run each, keyed by the
+// canonical job hash and carrying the run's full GC log — are not JSON but
+// a framed binary record (invocation.go). The log's events and pauses are
+// nearly all of a record's bytes; as fixed-width columns instead of
+// indented JSON, the 162 records of the reduced paper plan perfbench runs
+// shrink from 195 MB to 40 MB, and encode and decode in tens of
+// milliseconds instead of seconds (DESIGN.md §5).
 package persist
 
 import (
@@ -17,7 +25,6 @@ import (
 
 	"chopin/internal/lbo"
 	"chopin/internal/nominal"
-	"chopin/internal/workload"
 )
 
 // Archive is the top-level saved document.
@@ -25,33 +32,14 @@ type Archive struct {
 	// Version guards the schema; bump on incompatible change.
 	Version int `json:"version"`
 	// Kind describes the payload: "lbo-grid", "geomean", "characterization",
-	// "invocation", "minheap", "generic".
+	// "minheap", "generic".
 	Kind string `json:"kind"`
 
 	Grid             *lbo.Grid                 `json:"grid,omitempty"`
 	Geomean          []lbo.GeomeanPoint        `json:"geomean,omitempty"`
 	Characterization *nominal.Characterization `json:"characterization,omitempty"`
-	Invocation       *InvocationRecord         `json:"invocation,omitempty"`
 	MinHeap          *MinHeapRecord            `json:"min_heap,omitempty"`
 	Generic          *GenericRecord            `json:"generic,omitempty"`
-}
-
-// InvocationRecord is one cached simulator invocation: the complete Result
-// of running a workload under one RunConfig, or the fact that the
-// configuration ran out of memory. Key is the canonical content hash of the
-// (descriptor, RunConfig) pair that produced it, so a record is valid for
-// exactly the job that would reproduce it.
-type InvocationRecord struct {
-	Key       string  `json:"key"`
-	Workload  string  `json:"workload"`
-	Collector string  `json:"collector"`
-	HeapMB    float64 `json:"heap_mb"`
-	Seed      uint64  `json:"seed"`
-	// OOM records that the invocation failed with OutOfMemory — a cacheable
-	// outcome (the 1x rows of tight sweeps), distinct from transient errors,
-	// which are never cached.
-	OOM    bool             `json:"oom,omitempty"`
-	Result *workload.Result `json:"result,omitempty"`
 }
 
 // MinHeapRecord is one cached minimum-heap measurement: the validated GMD
@@ -74,7 +62,7 @@ type GenericRecord struct {
 }
 
 const (
-	// currentVersion is the archive schema. v2 added the invocation-cache
+	// currentVersion is the archive schema. v2 added the engine's cache
 	// kinds; earlier versions migrate on load.
 	currentVersion = 2
 	oldestVersion  = 1
@@ -98,11 +86,6 @@ func SaveCharacterization(path string, c *nominal.Characterization) error {
 	return write(path, Archive{Version: currentVersion, Kind: "characterization", Characterization: c})
 }
 
-// SaveInvocation writes one cached invocation result.
-func SaveInvocation(path string, r *InvocationRecord) error {
-	return write(path, Archive{Version: currentVersion, Kind: "invocation", Invocation: r})
-}
-
 // SaveMinHeap writes one cached minimum-heap measurement.
 func SaveMinHeap(path string, r *MinHeapRecord) error {
 	return write(path, Archive{Version: currentVersion, Kind: "minheap", MinHeap: r})
@@ -114,15 +97,19 @@ func SaveGeneric(path string, r *GenericRecord) error {
 }
 
 func write(path string, a Archive) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
 	data, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	// Write-then-rename so concurrent engine workers never observe a
-	// half-written archive.
+	return writeFile(path, data)
+}
+
+// writeFile publishes data at path write-then-rename, so concurrent engine
+// workers never observe a half-written archive or record.
+func writeFile(path string, data []byte) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("persist: %w", err)
@@ -141,10 +128,10 @@ func migrate(path string, a *Archive) error {
 		switch a.Version {
 		case 1:
 			// v1 -> v2: the envelope is unchanged for the original kinds;
-			// the invocation-cache kinds did not exist yet, so a v1 archive
-			// claiming one is corrupt rather than old.
+			// the cache kinds did not exist yet, so a v1 archive claiming
+			// one is corrupt rather than old.
 			switch a.Kind {
-			case "invocation", "minheap", "generic":
+			case "minheap", "generic":
 				return fmt.Errorf("persist: %s: kind %q requires version 2, archive claims version 1", path, a.Kind)
 			}
 			a.Version = 2
@@ -185,13 +172,6 @@ func Load(path string) (*Archive, error) {
 	case "characterization":
 		if a.Characterization == nil {
 			return nil, fmt.Errorf("persist: %s: characterization archive without payload", path)
-		}
-	case "invocation":
-		if a.Invocation == nil {
-			return nil, fmt.Errorf("persist: %s: invocation archive without record", path)
-		}
-		if !a.Invocation.OOM && a.Invocation.Result == nil {
-			return nil, fmt.Errorf("persist: %s: invocation archive with neither result nor OOM", path)
 		}
 	case "minheap":
 		if a.MinHeap == nil {
@@ -248,18 +228,6 @@ func LoadCharacterization(path string) (*nominal.Characterization, error) {
 		return nil, fmt.Errorf("persist: %s holds %q, want characterization", path, a.Kind)
 	}
 	return a.Characterization, nil
-}
-
-// LoadInvocation reads a cached invocation archive.
-func LoadInvocation(path string) (*InvocationRecord, error) {
-	a, err := Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if a.Kind != "invocation" {
-		return nil, fmt.Errorf("persist: %s holds %q, want invocation", path, a.Kind)
-	}
-	return a.Invocation, nil
 }
 
 // LoadMinHeap reads a cached minimum-heap archive.
