@@ -99,6 +99,16 @@ bench-scaling:
 	go test -run='^$$' -bench='BenchmarkFullSuite' -benchtime=1x -count=5 . \
 		| go run ./cmd/benchjson -out /dev/null -scaling-min auto
 
+# Native fuzzing of the decoders of bytes a run did not just write: the binary
+# invocation cache record (FuzzDecodeInvocation) and the JSONL telemetry
+# stream (FuzzDecodeStream). go test -fuzz takes one target per run, so each
+# gets its own fixed time budget. The committed seed corpora under
+# testdata/fuzz also run as ordinary tests in tier1.
+.PHONY: fuzz
+fuzz:
+	go test -run='^$$' -fuzz='^FuzzDecodeInvocation$$' -fuzztime=60s ./internal/persist
+	go test -run='^$$' -fuzz='^FuzzDecodeStream$$' -fuzztime=60s ./internal/obs
+
 # CPU and heap profiles for the invocation hot path; inspect with
 # `go tool pprof cpu.pprof` / `go tool pprof -sample_index=alloc_objects
 # mem.pprof`.

@@ -1,11 +1,15 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"testing"
 
 	"chopin/internal/exper"
 	"chopin/internal/obs"
+	"chopin/internal/obs/span"
+	"chopin/internal/obs/traceview"
 	"chopin/internal/sim"
 	"chopin/internal/workload"
 )
@@ -257,8 +261,10 @@ func TestTraceDeterministic(t *testing.T) {
 // BenchmarkFleetTelemetry prices the request-tracing layer. recorder-off is
 // the baseline every non-observed fleet run pays (and must stay within noise
 // of the pre-tracing fleet driver); recorder-on shows the cost of full
-// capture; hook-disabled isolates the one-branch discipline — with no
-// recorder the tracer is a nil pointer and every hot-path hook must cost
+// capture; jsonl-roundtrip is the whole `fleet -telemetry` → `obsreport
+// -fleet -trace-out` path in memory (JSONL encode, DecodeStream, BuildFleet,
+// Perfetto render); hook-disabled isolates the one-branch discipline — with
+// no recorder the tracer is a nil pointer and every hot-path hook must cost
 // zero allocations (the bench gate fails on any, since the committed
 // baseline records zero).
 func BenchmarkFleetTelemetry(b *testing.B) {
@@ -277,6 +283,30 @@ func BenchmarkFleetTelemetry(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var buf obs.Buffer
 			if _, err := Run(workload.MicroPauseProbe, cfg, &buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("jsonl-roundtrip", func(b *testing.B) {
+		b.ReportAllocs()
+		var stream bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			stream.Reset()
+			rec := obs.NewJSONL(&stream)
+			if _, err := Run(workload.MicroPauseProbe, cfg, rec); err != nil {
+				b.Fatal(err)
+			}
+			if err := rec.Close(); err != nil {
+				b.Fatal(err)
+			}
+			var events []obs.Event
+			if _, err := obs.DecodeStream(&stream, func(e obs.Event) error {
+				events = append(events, e)
+				return nil
+			}); err != nil {
+				b.Fatal(err)
+			}
+			if err := traceview.WriteFleetChrome(io.Discard, span.BuildFleet(events)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,10 +16,14 @@ import (
 // increasing sequence number, and Close terminates the stream with a
 // run_end event, so decoders can tell a clean stream from a truncated one
 // and detect dropped events (DecodeStream).
+//
+// Each line is assembled by schema-specific appends (appendEvent) rather
+// than reflection, and is byte-for-byte what json.Encoder.Encode writes for
+// the Event: the stream format is the encoding/json one.
 type JSONL struct {
 	mu   sync.Mutex
 	bw   *bufio.Writer
-	enc  *json.Encoder
+	line []byte       // reused per event
 	sync func() error // underlying writer's Sync, when it has one
 	err  error        // first write error; subsequent records are dropped
 	seen int64
@@ -29,8 +34,7 @@ type JSONL struct {
 // has a Sync method (*os.File does), Close also syncs it, so a completed
 // stream survives a host crash immediately after the run.
 func NewJSONL(w io.Writer) *JSONL {
-	bw := bufio.NewWriterSize(w, 64<<10)
-	j := &JSONL{bw: bw, enc: json.NewEncoder(bw)}
+	j := &JSONL{bw: bufio.NewWriterSize(w, 64<<10)}
 	if s, ok := w.(interface{ Sync() error }); ok {
 		j.sync = s.Sync
 	}
@@ -56,7 +60,15 @@ func (j *JSONL) record(e Event) {
 		return
 	}
 	e.Seq = j.seen + 1
-	if err := j.enc.Encode(e); err != nil {
+	line, ok := appendEvent(j.line[:0], &e)
+	j.line = line
+	if !ok {
+		// The error encoding/json gives for the NaN or ±Inf is the one kept.
+		_, err := json.Marshal(e)
+		j.err = fmt.Errorf("obs: writing event: %w", err)
+		return
+	}
+	if _, err := j.bw.Write(line); err != nil {
 		j.err = fmt.Errorf("obs: writing event: %w", err)
 		return
 	}
@@ -104,11 +116,51 @@ func (j *JSONL) Close() error {
 }
 
 // DecodeJSONL reads a JSONL event stream, calling fn for each event. Blank
-// lines are skipped; a malformed line aborts with its line number, since a
+// lines are skipped; a malformed line aborts with its event number, since a
 // telemetry file is machine-written and corruption means truncation.
+//
+// Lines in the canonical shape the JSONL sink writes — one object per line,
+// no whitespace, known keys only, plain-ASCII strings, JSON numbers and
+// integers in the integer fields — are parsed directly (lineParser). At the
+// first line that is not canonical (a newer schema's field, whitespace,
+// escapes, a torn tail, an overlong line) the rest of the stream, that line
+// included, decodes through encoding/json, so what is accepted and every
+// error are exactly encoding/json's (a *json.SyntaxError's Offset counts
+// from the line where encoding/json took over).
 func DecodeJSONL(r io.Reader, fn func(Event) error) error {
-	dec := json.NewDecoder(r)
+	br := bufio.NewReaderSize(r, 64<<10)
+	var p lineParser
 	for n := 1; ; n++ {
+		line, err := br.ReadSlice('\n')
+		if err == nil {
+			var e Event
+			if p.parse(line, &e) {
+				if err := fn(e); err != nil {
+					return err
+				}
+				continue
+			}
+		}
+		// Hand this line and the rest of the stream to encoding/json.
+		rest := []io.Reader{bytes.NewReader(bytes.Clone(line))}
+		switch err {
+		case nil, bufio.ErrBufferFull:
+			rest = append(rest, br)
+		case io.EOF:
+		default:
+			// encoding/json reports a read error once the bytes before it
+			// are used up, and never reads again.
+			rest = append(rest, failedReader{err})
+		}
+		return decodeJSON(io.MultiReader(rest...), n, fn)
+	}
+}
+
+// decodeJSON is DecodeJSONL's encoding/json path: it decodes every value in
+// r, numbering events from n.
+func decodeJSON(r io.Reader, n int, fn func(Event) error) error {
+	dec := json.NewDecoder(r)
+	for ; ; n++ {
 		var e Event
 		if err := dec.Decode(&e); err != nil {
 			if err == io.EOF {
@@ -121,6 +173,11 @@ func DecodeJSONL(r io.Reader, fn func(Event) error) error {
 		}
 	}
 }
+
+// failedReader is the remainder of a stream whose read failed.
+type failedReader struct{ err error }
+
+func (r failedReader) Read([]byte) (int, error) { return 0, r.err }
 
 // StreamInfo summarizes the integrity of a decoded telemetry stream.
 type StreamInfo struct {
@@ -170,33 +227,44 @@ func (s StreamInfo) Err() error {
 // skipped — never handed to fn — so a stream written by a newer schema
 // degrades to partial decoding instead of failure.
 func DecodeStream(r io.Reader, fn func(Event) error) (StreamInfo, error) {
-	var info StreamInfo
-	var lastSeq int64
+	var a streamAudit
 	err := DecodeJSONL(r, func(e Event) error {
-		info.Events++
-		info.Clean = e.Kind == KindRunEnd // only counts if nothing follows
-		switch {
-		case e.Seq == 0:
-			info.Unsequenced++
-		case e.Seq <= lastSeq:
-			info.OutOfOrder++
-		default:
-			if lastSeq != 0 && e.Seq != lastSeq+1 {
-				info.Gaps += e.Seq - lastSeq - 1
-			}
-			lastSeq = e.Seq
-		}
-		if e.Kind == KindUnknown {
-			info.Unknown++
+		if !a.add(&e) || fn == nil {
 			return nil
 		}
-		if fn != nil {
-			return fn(e)
-		}
-		return nil
+		return fn(e)
 	})
 	if err != nil {
-		info.Clean = false
+		a.info.Clean = false
 	}
-	return info, err
+	return a.info, err
+}
+
+// streamAudit accumulates DecodeStream's StreamInfo one event at a time.
+type streamAudit struct {
+	info    StreamInfo
+	lastSeq int64
+}
+
+// add audits e and reports whether its kind is known, i.e. whether it
+// should reach the decode callback.
+func (a *streamAudit) add(e *Event) bool {
+	a.info.Events++
+	a.info.Clean = e.Kind == KindRunEnd // only counts if nothing follows
+	switch {
+	case e.Seq == 0:
+		a.info.Unsequenced++
+	case e.Seq <= a.lastSeq:
+		a.info.OutOfOrder++
+	default:
+		if a.lastSeq != 0 && e.Seq != a.lastSeq+1 {
+			a.info.Gaps += e.Seq - a.lastSeq - 1
+		}
+		a.lastSeq = e.Seq
+	}
+	if e.Kind == KindUnknown {
+		a.info.Unknown++
+		return false
+	}
+	return true
 }

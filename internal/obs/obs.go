@@ -185,12 +185,7 @@ func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 // as KindUnknown instead of failing, so old readers skip new event kinds
 // rather than rejecting the whole stream (DecodeStream counts them).
 func (k *Kind) UnmarshalText(b []byte) error {
-	kk, err := ParseKind(string(b))
-	if err != nil {
-		*k = KindUnknown
-		return nil
-	}
-	*k = kk
+	*k = kindNamed(b)
 	return nil
 }
 

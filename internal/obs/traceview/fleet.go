@@ -3,14 +3,15 @@ package traceview
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"chopin/internal/obs/span"
 )
 
 // Fleet renderers: one track per replica — STW bars, load, traced requests —
 // as Chrome trace-event JSON for Perfetto, and as a terminal timeline. The
-// JSON is hand-assembled like WriteChromeTrace, so field order is stable and
-// a golden file can lock the format byte-for-byte.
+// JSON is assembled with the same append helpers as WriteChromeTrace, so
+// field order is stable and a golden file can lock the format byte-for-byte.
 
 // Fleet-layer thread IDs, appended after the per-replica span tracks
 // (gc=1 … sched=4).
@@ -26,103 +27,73 @@ const (
 // counter tracks for in-flight, goodput and SLO burn rate from the metric
 // windows.
 func WriteFleetChrome(w io.Writer, fts []*span.FleetTrace) error {
-	bw := &errWriter{w: w}
-	bw.str(`{"traceEvents":[`)
-	first := true
-	emit := func(line string) {
-		if !first {
-			bw.str(",\n")
-		} else {
-			bw.str("\n")
-		}
-		first = false
-		bw.str(line)
-	}
-
+	c := newChrome(w)
 	pid := 0
 	for _, ft := range fts {
 		base := pid
 		pids := map[int]int{} // replica index -> pid
+		label := runLabel(ft.Run, "fleet", ft.Benchmark, ft.Collector) + " replica "
 		for _, rt := range ft.Replicas {
 			pid++
 			pids[rt.Index] = pid
-			label := ft.Run
-			if label == "" {
-				label = "fleet"
-			}
-			if ft.Benchmark != "" || ft.Collector != "" {
-				label = fmt.Sprintf("%s (%s/%s)", label, ft.Benchmark, ft.Collector)
-			}
-			label = fmt.Sprintf("%s replica %d", label, rt.Index)
-			emit(fmt.Sprintf(`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%s}}`,
-				pid, jstr(label)))
-			for _, track := range trackOrder {
-				emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%s}}`,
-					pid, trackTIDs[track], jstr(track)))
-			}
-			emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"requests"}}`,
-				pid, tidRequests))
-			emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"routes"}}`,
-				pid, tidRoutes))
-
-			for _, s := range rt.Tree.Spans {
-				args := fmt.Sprintf(`{"span_id":%d,"parent":%d,"cycle":%d`, s.ID, s.Parent, s.Cycle)
-				if s.Cause != 0 {
-					args += fmt.Sprintf(`,"cause":%d`, s.Cause)
-				}
-				if s.Open {
-					args += `,"truncated":true`
-				}
-				args += "}"
-				emit(fmt.Sprintf(`{"name":%s,"cat":%s,"ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":%s}`,
-					jstr(s.Name), jstr(s.Track), usec(s.Start), usec(s.DurNS()), pid, trackTIDs[s.Track], args))
-			}
-			for _, m := range rt.Tree.Marks {
-				emit(fmt.Sprintf(`{"name":%s,"cat":"mark","ph":"i","ts":%s,"pid":%d,"tid":%d,"s":"p","args":{"cause":%d}}`,
-					jstr(m.Name), usec(m.TNS), pid, trackTIDs[span.TrackGC], m.Cause))
-			}
-			for _, smp := range rt.Tree.Samples {
-				emit(fmt.Sprintf(`{"name":"heap","ph":"C","ts":%s,"pid":%d,"tid":0,"args":{"used_mb":%s,"live_mb":%s}}`,
-					usec(smp.TNS), pid, jnum(smp.HeapUsed/(1<<20)), jnum(smp.LiveEst/(1<<20))))
-			}
+			c.process(pid, label+strconv.Itoa(rt.Index))
+			c.meta("thread_name", pid, tidRequests, "requests")
+			c.meta("thread_name", pid, tidRoutes, "routes")
+			c.tree(pid, rt.Tree, false)
 			for _, win := range rt.Windows {
-				emit(fmt.Sprintf(`{"name":"load","ph":"C","ts":%s,"pid":%d,"tid":0,"args":{"in_flight":%d,"goodput":%s,"burn":%s}}`,
-					usec(win.EndNS), pid, win.InFlight, jnum(win.Goodput), jnum(win.BurnRate)))
+				b := usec(c.record(), `{"name":"load","ph":"C","ts":`, win.EndNS)
+				b = integer(b, `,"pid":`, int64(pid))
+				b = integer(b, `,"tid":0,"args":{"in_flight":`, win.InFlight)
+				b = num(b, `,"goodput":`, win.Goodput)
+				b = num(b, `,"burn":`, win.BurnRate)
+				c.done(append(b, "}}"...))
 			}
 		}
 
 		// Requests and routes render in the process of the replica that
 		// served (or received) them.
-		for _, q := range ft.Requests {
-			p, ok := pids[q.Replica]
-			if !ok {
-				p = base + 1
+		pidOf := func(replica int) int64 {
+			if p, ok := pids[replica]; ok {
+				return int64(p)
 			}
-			args := fmt.Sprintf(`{"id":%d,"attempts":%d,"queue_ms":%s,"gc_ms":%s,"service_ms":%s,"retry_ms":%s,"gc_pauses":%d}`,
-				q.ID, q.Attempts, jnum(float64(q.QueueNS)/1e6), jnum(float64(q.GCNS)/1e6),
-				jnum(float64(q.ServNS)/1e6), jnum(float64(q.RetryNS)/1e6), q.GCPauses)
-			emit(fmt.Sprintf(`{"name":%s,"cat":"request","ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":%s}`,
-				jstr(fmt.Sprintf("req %d", q.ID)), usec(q.Start), usec(q.E2ENS), p, tidRequests, args))
+			return int64(base + 1)
+		}
+		for _, q := range ft.Requests {
+			b := integer(c.record(), `{"name":"req `, q.ID)
+			b = usec(b, `","cat":"request","ph":"X","ts":`, q.Start)
+			b = usec(b, `,"dur":`, q.E2ENS)
+			b = integer(b, `,"pid":`, pidOf(q.Replica))
+			b = integer(b, `,"tid":`, tidRequests)
+			b = integer(b, `,"args":{"id":`, q.ID)
+			b = integer(b, `,"attempts":`, int64(q.Attempts))
+			b = num(b, `,"queue_ms":`, float64(q.QueueNS)/1e6)
+			b = num(b, `,"gc_ms":`, float64(q.GCNS)/1e6)
+			b = num(b, `,"service_ms":`, float64(q.ServNS)/1e6)
+			b = num(b, `,"retry_ms":`, float64(q.RetryNS)/1e6)
+			b = integer(b, `,"gc_pauses":`, q.GCPauses)
+			c.done(append(b, "}}"...))
 		}
 		for _, r := range ft.Routes {
-			p, ok := pids[r.Replica]
-			if !ok {
-				p = base + 1
-			}
-			emit(fmt.Sprintf(`{"name":%s,"cat":"route","ph":"i","ts":%s,"pid":%d,"tid":%d,"s":"t","args":{"id":%d,"attempt":%d,"avoided":%d}}`,
-				jstr(r.Reason), usec(r.TNS), p, tidRoutes, r.ID, r.Attempt, r.Avoided))
+			b := str(c.record(), `{"name":`, r.Reason)
+			b = usec(b, `,"cat":"route","ph":"i","ts":`, r.TNS)
+			b = integer(b, `,"pid":`, pidOf(r.Replica))
+			b = integer(b, `,"tid":`, tidRoutes)
+			b = integer(b, `,"s":"t","args":{"id":`, r.ID)
+			b = integer(b, `,"attempt":`, int64(r.Attempt))
+			b = integer(b, `,"avoided":`, int64(r.Avoided))
+			c.done(append(b, "}}"...))
 		}
 		for _, r := range ft.Retries {
-			p, ok := pids[r.Replica]
-			if !ok {
-				p = base + 1
-			}
-			emit(fmt.Sprintf(`{"name":"retry","cat":"retry","ph":"i","ts":%s,"pid":%d,"tid":%d,"s":"t","args":{"id":%d,"depth":%d,"lat_ms":%s}}`,
-				usec(r.TNS), p, tidRoutes, r.ID, r.Depth, jnum(r.LatNS/1e6)))
+			b := usec(c.record(), `{"name":"retry","cat":"retry","ph":"i","ts":`, r.TNS)
+			b = integer(b, `,"pid":`, pidOf(r.Replica))
+			b = integer(b, `,"tid":`, tidRoutes)
+			b = integer(b, `,"s":"t","args":{"id":`, r.ID)
+			b = integer(b, `,"depth":`, int64(r.Depth))
+			b = num(b, `,"lat_ms":`, r.LatNS/1e6)
+			c.done(append(b, "}}"...))
 		}
 	}
-	bw.str("\n],\"displayTimeUnit\":\"ms\"}\n")
-	return bw.err
+	return c.close()
 }
 
 // loadGlyphs maps an in-flight depth (relative to the run's peak) to a bar

@@ -17,12 +17,12 @@
 package traceview
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 
+	"chopin/internal/obs"
 	"chopin/internal/obs/span"
 )
 
@@ -43,83 +43,162 @@ var trackOrder = []string{span.TrackGC, span.TrackSTW, span.TrackMutator, span.T
 // The output loads directly in Perfetto (ui.perfetto.dev) and
 // chrome://tracing.
 func WriteChromeTrace(w io.Writer, trees []*span.Tree) error {
-	bw := &errWriter{w: w}
-	bw.str(`{"traceEvents":[`)
-	first := true
-	emit := func(line string) {
-		if !first {
-			bw.str(",\n")
-		} else {
-			bw.str("\n")
-		}
-		first = false
-		bw.str(line)
-	}
-
+	c := newChrome(w)
 	for pi, tr := range trees {
 		pid := pi + 1
-		label := tr.Run
-		if label == "" {
-			label = "run"
-		}
-		if tr.Benchmark != "" || tr.Collector != "" {
-			label = fmt.Sprintf("%s (%s/%s)", label, tr.Benchmark, tr.Collector)
-		}
-		emit(fmt.Sprintf(`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%s}}`,
-			pid, jstr(label)))
-		for _, track := range trackOrder {
-			emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%s}}`,
-				pid, trackTIDs[track], jstr(track)))
-		}
-
-		for _, s := range tr.Spans {
-			args := fmt.Sprintf(`{"span_id":%d,"parent":%d,"cycle":%d`, s.ID, s.Parent, s.Cycle)
-			if s.Cause != 0 {
-				args += fmt.Sprintf(`,"cause":%d`, s.Cause)
-			}
-			if s.CPUNS != 0 {
-				args += `,"gc_cpu_ms":` + jnum(s.CPUNS/1e6)
-			}
-			if s.Value != 0 {
-				args += `,"value":` + jnum(s.Value)
-			}
-			if s.Open {
-				args += `,"truncated":true`
-			}
-			args += "}"
-			emit(fmt.Sprintf(`{"name":%s,"cat":%s,"ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":%s}`,
-				jstr(s.Name), jstr(s.Track), usec(s.Start), usec(s.DurNS()), pid, trackTIDs[s.Track], args))
-		}
-
-		for _, m := range tr.Marks {
-			emit(fmt.Sprintf(`{"name":%s,"cat":"mark","ph":"i","ts":%s,"pid":%d,"tid":%d,"s":"p","args":{"cause":%d}}`,
-				jstr(m.Name), usec(m.TNS), pid, trackTIDs[span.TrackGC], m.Cause))
-		}
-
-		for _, smp := range tr.Samples {
-			emit(fmt.Sprintf(`{"name":"heap","ph":"C","ts":%s,"pid":%d,"tid":0,"args":{"used_mb":%s,"live_mb":%s}}`,
-				usec(smp.TNS), pid, jnum(smp.HeapUsed/(1<<20)), jnum(smp.LiveEst/(1<<20))))
-			emit(fmt.Sprintf(`{"name":"cpu","ph":"C","ts":%s,"pid":%d,"tid":0,"args":{"mutator":%s,"gc":%s,"stall":%s}}`,
-				usec(smp.TNS), pid, jnum(smp.MutFrac), jnum(smp.GCFrac), jnum(smp.StallFrac)))
-		}
+		c.process(pid, runLabel(tr.Run, "run", tr.Benchmark, tr.Collector))
+		c.tree(pid, tr, true)
 	}
-	bw.str("\n],\"displayTimeUnit\":\"ms\"}\n")
-	return bw.err
+	return c.close()
 }
 
-// usec renders virtual nanoseconds as the microsecond JSON number the
+// runLabel names a run's process: its run key (or dflt) and, when known,
+// its benchmark and collector.
+func runLabel(run, dflt, benchmark, collector string) string {
+	if run == "" {
+		run = dflt
+	}
+	if benchmark != "" || collector != "" {
+		run += " (" + benchmark + "/" + collector + ")"
+	}
+	return run
+}
+
+// chrome writes one trace-event JSON object. Each record is appended to
+// one buffer, which goes to w in chunks; the first write error sticks.
+type chrome struct {
+	w   io.Writer
+	b   []byte
+	sep string // before the next record
+	err error
+}
+
+// chromeChunk is the buffered size at which records are written out.
+const chromeChunk = 64 << 10
+
+func newChrome(w io.Writer) *chrome {
+	b := make([]byte, 0, chromeChunk+4<<10)
+	return &chrome{w: w, b: append(b, `{"traceEvents":[`...), sep: "\n"}
+}
+
+// record starts the next record and returns the buffer to append it to;
+// done takes the buffer back.
+func (c *chrome) record() []byte {
+	b := append(c.b, c.sep...)
+	c.sep = ",\n"
+	return b
+}
+
+func (c *chrome) done(b []byte) {
+	c.b = b
+	if len(b) >= chromeChunk {
+		c.flush()
+	}
+}
+
+func (c *chrome) flush() {
+	if c.err == nil {
+		_, c.err = c.w.Write(c.b)
+	}
+	c.b = c.b[:0]
+}
+
+// close ends the JSON object, writes what is buffered and returns the
+// first write error.
+func (c *chrome) close() error {
+	c.b = append(c.b, "\n],\"displayTimeUnit\":\"ms\"}\n"...)
+	c.flush()
+	return c.err
+}
+
+// meta writes a process_name or thread_name metadata record.
+func (c *chrome) meta(name string, pid, tid int, label string) {
+	b := str(c.record(), `{"name":`, name)
+	b = integer(b, `,"ph":"M","pid":`, int64(pid))
+	b = integer(b, `,"tid":`, int64(tid))
+	b = str(b, `,"args":{"name":`, label)
+	c.done(append(b, "}}"...))
+}
+
+// process names process pid and its span tracks.
+func (c *chrome) process(pid int, label string) {
+	c.meta("process_name", pid, 0, label)
+	for _, track := range trackOrder {
+		c.meta("thread_name", pid, trackTIDs[track], track)
+	}
+}
+
+// tree writes a span tree's spans, marks and heap counters into process
+// pid. detail adds each span's GC CPU and value and the CPU-split counter
+// track.
+func (c *chrome) tree(pid int, tr *span.Tree, detail bool) {
+	for _, s := range tr.Spans {
+		b := str(c.record(), `{"name":`, s.Name)
+		b = str(b, `,"cat":`, s.Track)
+		b = usec(b, `,"ph":"X","ts":`, s.Start)
+		b = usec(b, `,"dur":`, s.DurNS())
+		b = integer(b, `,"pid":`, int64(pid))
+		b = integer(b, `,"tid":`, int64(trackTIDs[s.Track]))
+		b = integer(b, `,"args":{"span_id":`, s.ID)
+		b = integer(b, `,"parent":`, s.Parent)
+		b = integer(b, `,"cycle":`, s.Cycle)
+		if s.Cause != 0 {
+			b = integer(b, `,"cause":`, s.Cause)
+		}
+		if detail && s.CPUNS != 0 {
+			b = num(b, `,"gc_cpu_ms":`, s.CPUNS/1e6)
+		}
+		if detail && s.Value != 0 {
+			b = num(b, `,"value":`, s.Value)
+		}
+		if s.Open {
+			b = append(b, `,"truncated":true`...)
+		}
+		c.done(append(b, "}}"...))
+	}
+	for _, m := range tr.Marks {
+		b := str(c.record(), `{"name":`, m.Name)
+		b = usec(b, `,"cat":"mark","ph":"i","ts":`, m.TNS)
+		b = integer(b, `,"pid":`, int64(pid))
+		b = integer(b, `,"tid":`, int64(trackTIDs[span.TrackGC]))
+		b = integer(b, `,"s":"p","args":{"cause":`, m.Cause)
+		c.done(append(b, "}}"...))
+	}
+	for _, smp := range tr.Samples {
+		b := usec(c.record(), `{"name":"heap","ph":"C","ts":`, smp.TNS)
+		b = integer(b, `,"pid":`, int64(pid))
+		b = num(b, `,"tid":0,"args":{"used_mb":`, smp.HeapUsed/(1<<20))
+		b = num(b, `,"live_mb":`, smp.LiveEst/(1<<20))
+		c.done(append(b, "}}"...))
+		if !detail {
+			continue
+		}
+		b = usec(c.record(), `{"name":"cpu","ph":"C","ts":`, smp.TNS)
+		b = integer(b, `,"pid":`, int64(pid))
+		b = num(b, `,"tid":0,"args":{"mutator":`, smp.MutFrac)
+		b = num(b, `,"gc":`, smp.GCFrac)
+		b = num(b, `,"stall":`, smp.StallFrac)
+		c.done(append(b, "}}"...))
+	}
+}
+
+// The append helpers below write key, which carries the JSON punctuation
+// before the value, then the value.
+
+// num appends a float as the shortest JSON number that round-trips.
+func num(b []byte, key string, v float64) []byte {
+	return strconv.AppendFloat(append(b, key...), v, 'g', -1, 64)
+}
+
+// usec appends virtual nanoseconds as the microsecond number the
 // trace-event spec expects.
-func usec(ns int64) string { return jnum(float64(ns) / 1e3) }
+func usec(b []byte, key string, ns int64) []byte { return num(b, key, float64(ns)/1e3) }
 
-// jnum formats a float as a minimal JSON number (no exponent surprises for
-// the magnitudes involved; -1 precision keeps it shortest-roundtrip).
-func jnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// jstr JSON-quotes a string.
-func jstr(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
+func integer(b []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(b, key...), v, 10)
 }
+
+func str(b []byte, key, s string) []byte { return obs.AppendJSONString(append(b, key...), s) }
 
 type errWriter struct {
 	w   io.Writer
