@@ -3,11 +3,14 @@
 # is part of the baseline, not an extra. The shutdown-race, single-flight,
 # and worker-count-determinism regressions only manifest under -race, so
 # tier1 delegates to tier1-race rather than running a raceless suite.
+# Formatting drift fails tier 1 too; the file list comes from git so build
+# caches such as .bench_build/ are never scanned.
 .PHONY: tier1
 tier1: tier1-race
 
 .PHONY: tier1-race
 tier1-race:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	go build ./...
 	go vet ./...
 	go test -race ./...

@@ -70,7 +70,7 @@ func main() {
 		traceOut        = flag.String("trace-out", "", "write causal span timelines as Chrome trace-event JSON to this file")
 		timeline        = flag.Bool("timeline", false, "render a terminal span timeline per run")
 		timelineWidth   = flag.Int("timeline-width", 72, "timeline bar width in cells")
-		sched           = flag.Bool("sched", false, "render the engine's scheduler-utilization table (per-worker busy/steal/park, lane occupancy)")
+		sched           = flag.Bool("sched", false, "render the engine's scheduler-utilization table (per-worker busy/steal/park, tasks executed)")
 		fleetTables     = flag.Bool("fleet", false, "render fleet request forensics (blame totals, slowest requests, per-replica correlation, retry storms)")
 		fleetTop        = flag.Int("fleet-top", 5, "how many slowest requests -fleet lists per run")
 	)

@@ -26,8 +26,6 @@ type CLI struct {
 	Cold      bool
 	Progress  bool
 	Workers   int
-	Ladder    int
-	Speculate string
 	Telemetry string
 	Pprof     string
 	Trace     string
@@ -53,8 +51,6 @@ func (c *CLI) RegisterFlags(fs *flag.FlagSet, cacheDefault string) {
 	fs.BoolVar(&c.Cold, "cold", false, "ignore cached results and re-run every invocation (fresh results still cached)")
 	fs.BoolVar(&c.Progress, "progress", false, "print per-invocation progress events")
 	fs.IntVar(&c.Workers, "workers", 0, "concurrent invocations (0 = NumCPU)")
-	fs.IntVar(&c.Ladder, "ladder", 0, "min-heap probe ladder width (0 = auto: min(workers, NumCPU) capped at 8; 1 = sequential search)")
-	fs.StringVar(&c.Speculate, "speculate", "auto", "speculative grid submission from unvalidated min-heap candidates: auto, on or off")
 	fs.StringVar(&c.Telemetry, "telemetry", "", "write per-run telemetry events to this JSONL file (summarize with obsreport)")
 	fs.StringVar(&c.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.StringVar(&c.Trace, "trace", "", "write a runtime/trace execution trace to this file")
@@ -65,17 +61,7 @@ func (c *CLI) RegisterFlags(fs *flag.FlagSet, cacheDefault string) {
 // outputs, and starts an engine. Progress events go to w, prefixed like
 // "runbms: ". Call Close once the command's work is done.
 func (c *CLI) Build(w io.Writer, prefix string) (*Engine, error) {
-	opt := Options{Workers: c.Workers, LadderWidth: c.Ladder, TraceDir: c.JobTraces}
-	switch c.Speculate {
-	case "", "auto":
-		opt.Speculate = SpecAuto
-	case "on":
-		opt.Speculate = SpecOn
-	case "off":
-		opt.Speculate = SpecOff
-	default:
-		return nil, fmt.Errorf("bad -speculate %q (want auto, on or off)", c.Speculate)
-	}
+	opt := Options{Workers: c.Workers, TraceDir: c.JobTraces}
 	if c.CacheDir != "" && c.CacheDir != "none" {
 		mode := ReadWrite
 		if c.Cold {

@@ -10,8 +10,10 @@
 // collecting any of them — so the pool sees the entire plan at once and
 // keeps every host core saturated until the last job drains. Min-heap
 // measurements are asynchronous too (SubmitMinHeap), forming the
-// prerequisite layer of a plan's job DAG: grid cells are submitted the
-// moment their anchor resolves.
+// prerequisite layer of a plan's job DAG: each is a sequential
+// exponential-then-bisection search whose probes are ordinary engine jobs,
+// and grid cells are submitted, in grid order, the moment their anchor's
+// final bound resolves.
 //
 // Three layers make plans incremental and resumable:
 //
@@ -77,45 +79,18 @@ type Options struct {
 	// <TraceDir>/<key>.trace.json — one causal timeline per invocation,
 	// loadable in Perfetto. Cache hits write nothing (they did not run).
 	TraceDir string
-	// LadderWidth bounds how many speculative probes a min-heap search
-	// keeps in flight per round (the parallel probe ladder). 0 means auto:
-	// min(Workers, NumCPU), capped at 8 — width 1 degenerates to the
-	// sequential search. The measured bound is width-independent by
-	// construction (the arbiter replays the sequential decision procedure),
-	// so width is an engine tuning knob, not part of any content hash.
-	LadderWidth int
-	// Speculate controls speculative submission beyond the ladder itself:
-	// harnesses consult Speculative() to start grid cells from a search's
-	// unvalidated candidate bound. Auto enables it only when both the pool
-	// and the host are parallel; speculation on one core only adds work.
-	Speculate SpecPolicy
 
 	// runFn replaces the simulator entry point in tests (execution
 	// counting, fault injection); nil means workload.Run.
 	runFn func(*workload.Descriptor, workload.RunConfig) (*workload.Result, error)
 }
 
-// SpecPolicy selects whether the engine wants speculative work submitted
-// ahead of resolved dependencies.
-type SpecPolicy int
-
-const (
-	// SpecAuto speculates when Workers > 1 and the host has more than one
-	// CPU — the only regime where discarded speculation is free.
-	SpecAuto SpecPolicy = iota
-	// SpecOn forces speculation regardless of host shape (tests).
-	SpecOn
-	// SpecOff disables it.
-	SpecOff
-)
-
-// ErrEngineClosed resolves speculative jobs that were submitted while the
-// engine was shutting down: instead of executing inline in the submitter —
-// the contract for ordinary jobs, which a caller is synchronously waiting
-// on — a cancellable job's ticket fails with this error, nothing is
-// simulated, and nothing is written to the cache. Min-heap searches abort
-// on it, so a Close racing an in-flight ladder never persists a partial
-// search.
+// ErrEngineClosed resolves min-heap probe jobs that were submitted while
+// the engine was shutting down: instead of executing inline in the
+// submitter — the contract for ordinary jobs — a cancellable probe's ticket
+// fails with this error, nothing is simulated, and nothing is written to
+// the cache. Min-heap searches abort on it, so a Close racing an in-flight
+// search never persists a partial result.
 var ErrEngineClosed = errors.New("exper: engine closed")
 
 // numShards is the engine's lock-shard count for job state. Keys are
@@ -142,26 +117,17 @@ type engineShard struct {
 // Engine executes jobs. One engine should be shared across everything a
 // process runs — commands build one and pass it down via harness.Options.
 type Engine struct {
-	pool        *pool
-	cache       *Cache
-	memoize     bool
-	obs         func(Event)
-	rec         obs.Recorder
-	traceDir    string
-	ladderWidth int
-	spec        bool
-	closing     atomic.Bool // set before the pool closes; gates cancellation
-	runFn       func(*workload.Descriptor, workload.RunConfig) (*workload.Result, error)
+	pool     *pool
+	cache    *Cache
+	memoize  bool
+	obs      func(Event)
+	rec      obs.Recorder
+	traceDir string
+	closing  atomic.Bool // set before the pool closes; gates cancellation
+	runFn    func(*workload.Descriptor, workload.RunConfig) (*workload.Result, error)
 
 	shards [numShards]engineShard
 	bufs   sync.Pool // *jobRecorder, reused across job executions
-
-	// costs holds learned per-(benchmark, collector) expected simulated
-	// wall cost, fed by executions and cache hits alike. Harnesses use it
-	// to enqueue grid batches longest-expected-first; it only ever affects
-	// submission order, never results.
-	costMu sync.Mutex
-	costs  map[costKey]float64
 
 	executed         int64
 	cacheHits        int64
@@ -235,36 +201,14 @@ func New(opt Options) *Engine {
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.NumCPU()
 	}
-	if opt.LadderWidth <= 0 {
-		opt.LadderWidth = opt.Workers
-		if n := runtime.NumCPU(); opt.LadderWidth > n {
-			opt.LadderWidth = n
-		}
-		if opt.LadderWidth > 8 {
-			opt.LadderWidth = 8
-		}
-	}
-	if opt.LadderWidth < 1 {
-		opt.LadderWidth = 1
-	}
 	e := &Engine{
-		pool:        newPool(opt.Workers),
-		cache:       opt.Cache,
-		memoize:     opt.Memoize,
-		obs:         opt.Observer,
-		rec:         obs.Or(opt.Recorder),
-		traceDir:    opt.TraceDir,
-		ladderWidth: opt.LadderWidth,
-		runFn:       opt.runFn,
-		costs:       map[costKey]float64{},
-	}
-	switch opt.Speculate {
-	case SpecOn:
-		e.spec = true
-	case SpecOff:
-		e.spec = false
-	default:
-		e.spec = opt.Workers > 1 && runtime.NumCPU() > 1
+		pool:     newPool(opt.Workers),
+		cache:    opt.Cache,
+		memoize:  opt.Memoize,
+		obs:      opt.Observer,
+		rec:      obs.Or(opt.Recorder),
+		traceDir: opt.TraceDir,
+		runFn:    opt.runFn,
 	}
 	if e.runFn == nil {
 		e.runFn = workload.Run
@@ -304,10 +248,9 @@ func hexVal(c byte) int {
 // Close stops the worker pool once submitted jobs drain, emits the pool's
 // scheduler telemetry, then flushes the write-behind result cache,
 // returning its first write error. Submitting to a closed engine does not
-// panic: an ordinary job executes inline in the caller, while cancellable
-// speculative jobs (ladder probes racing Close) resolve with
-// ErrEngineClosed. Long-lived engines need never close, but commands
-// should, so queued cache writes reach disk.
+// panic: an ordinary job executes inline in the caller, while min-heap
+// probes racing Close resolve with ErrEngineClosed. Long-lived engines need
+// never close, but commands should, so queued cache writes reach disk.
 func (e *Engine) Close() error {
 	e.closing.Store(true)
 	e.pool.close()
@@ -317,11 +260,6 @@ func (e *Engine) Close() error {
 	}
 	return nil
 }
-
-// Speculative reports whether callers should submit speculative work ahead
-// of resolved dependencies (harness grid cells from an unvalidated
-// candidate bound). Governed by Options.Speculate.
-func (e *Engine) Speculative() bool { return e.spec }
 
 // recordSched emits one KindSchedWorker event per pool worker — the
 // scheduler-utilization summary obsreport -sched renders. Called after the
@@ -333,59 +271,17 @@ func (e *Engine) recordSched() {
 	now := time.Now().UnixNano()
 	for _, ws := range e.pool.workerStats() {
 		e.rec.Record(obs.Event{
-			Kind:        obs.KindSchedWorker,
-			TNS:         now,
-			Value:       float64(ws.Worker),
-			BusyNS:      float64(ws.BusyNS),
-			StealNS:     float64(ws.StealNS),
-			ParkNS:      float64(ws.ParkNS),
-			AnchorTasks: float64(ws.AnchorTasks),
-			GridTasks:   float64(ws.GridTasks),
-			Steals:      float64(ws.Steals),
-			QueueMax:    float64(ws.QueueMax),
+			Kind:     obs.KindSchedWorker,
+			TNS:      now,
+			Value:    float64(ws.Worker),
+			BusyNS:   float64(ws.BusyNS),
+			StealNS:  float64(ws.StealNS),
+			ParkNS:   float64(ws.ParkNS),
+			Tasks:    float64(ws.Tasks),
+			Steals:   float64(ws.Steals),
+			QueueMax: float64(ws.QueueMax),
 		})
 	}
-}
-
-// costKey identifies a learned cost estimate: expected simulated wall time
-// of one invocation of benchmark under collector.
-type costKey struct {
-	bench     string
-	collector string
-}
-
-// noteCost folds one completed invocation's simulated wall total into the
-// engine's cost estimate for its (benchmark, collector). Cache hits count
-// too — a warm sweep still learns its ordering.
-func (e *Engine) noteCost(job Job, res *workload.Result) {
-	if res == nil {
-		return
-	}
-	var wall float64
-	for _, it := range res.Iterations {
-		wall += it.WallNS
-	}
-	if wall <= 0 {
-		return
-	}
-	k := costKey{job.Desc.Name, job.Cfg.Collector.String()}
-	e.costMu.Lock()
-	if c, ok := e.costs[k]; ok {
-		e.costs[k] = 0.7*c + 0.3*wall // EWMA: recent heap factors dominate
-	} else {
-		e.costs[k] = wall
-	}
-	e.costMu.Unlock()
-}
-
-// EstimateCost returns the engine's learned expected simulated wall cost of
-// one invocation of benchmark under collector, or 0 when nothing has been
-// observed yet. Harnesses sort grid submission longest-expected-first with
-// it; collection order never depends on the estimate.
-func (e *Engine) EstimateCost(benchmark, collector string) float64 {
-	e.costMu.Lock()
-	defer e.costMu.Unlock()
-	return e.costs[costKey{benchmark, collector}]
 }
 
 // Stats returns a snapshot of the engine's counters.
@@ -454,30 +350,12 @@ func (e *Engine) Submit(d *workload.Descriptor, cfg workload.RunConfig) (*Ticket
 	if err != nil {
 		return nil, err
 	}
-	return e.submitJob(job, laneGrid, submitFlags{}), nil
-}
-
-// SubmitSpeculative registers a job whose result may never be collected: a
-// harness starting grid cells from a min-heap search's unvalidated
-// candidate bound. It differs from Submit in two ways. The outcome is
-// retained in the in-process memo even when Options.Memoize is off, so the
-// later identical real submission consumes it instead of re-running (with
-// Memoize off, an uncollected speculative outcome would otherwise be lost
-// the moment it resolves). And a submission racing Close is cancelled
-// (ErrEngineClosed) rather than run inline — nobody is waiting on it.
-// Discarded speculation is therefore only ever memo and cache entries,
-// never merged output.
-func (e *Engine) SubmitSpeculative(d *workload.Descriptor, cfg workload.RunConfig) (*Ticket, error) {
-	job, err := NewJob(d, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.submitJob(job, laneGrid, submitFlags{cancelOnClose: true, retain: true}), nil
+	return e.submitJob(job, submitFlags{}), nil
 }
 
 // Run executes one invocation synchronously: Submit plus Wait. Use Submit
 // directly to batch jobs; Run remains the entry point for sequential
-// callers (min-heap bisection probes, nominal characterization).
+// callers (nominal characterization).
 func (e *Engine) Run(d *workload.Descriptor, cfg workload.RunConfig) (*workload.Result, error) {
 	t, err := e.Submit(d, cfg)
 	if err != nil {
@@ -486,27 +364,18 @@ func (e *Engine) Run(d *workload.Descriptor, cfg workload.RunConfig) (*workload.
 	return t.Wait()
 }
 
-// submitFlags qualifies a submission. cancelOnClose marks the job
-// speculative: refused by a closing pool, it resolves with ErrEngineClosed
-// instead of executing inline. retain keeps the outcome in the in-process
-// memo regardless of Options.Memoize, so a speculative result survives
-// until the real submission arrives for it.
+// submitFlags qualifies a submission. cancelOnClose marks a min-heap
+// probe: refused by a closing pool, it resolves with ErrEngineClosed
+// instead of executing inline.
 type submitFlags struct {
 	cancelOnClose bool
-	retain        bool
 }
 
-func (e *Engine) submitJob(job Job, ln lane, fl submitFlags) *Ticket {
+func (e *Engine) submitJob(job Job, fl submitFlags) *Ticket {
 	k := job.Key()
 	sh := e.shard(k)
 	sh.mu.Lock()
 	if out, ok := sh.memo[k]; ok {
-		if !e.memoize {
-			// The entry is a retained speculative outcome: hand it over
-			// once. Without eviction, speculation would grow an unbounded
-			// memo in engines that opted out of memoization.
-			delete(sh.memo, k)
-		}
 		sh.mu.Unlock()
 		atomic.AddInt64(&e.memoHits, 1)
 		return &Ticket{job: job, c: resolvedCall(out)}
@@ -521,11 +390,11 @@ func (e *Engine) submitJob(job Job, ln lane, fl submitFlags) *Ticket {
 	sh.mu.Unlock()
 
 	e.emit(jobEvent(JobQueued, job))
-	if !e.pool.submit(func() { e.runJob(job, c, fl) }, ln) {
+	if !e.pool.submit(func() { e.runJob(job, c) }) {
 		if fl.cancelOnClose && e.closing.Load() {
-			// Speculative job racing Close: cancel instead of running it
-			// inline — nothing is simulated, nothing reaches the cache, and
-			// every ticket deduplicated onto this call sees the cancellation.
+			// Probe racing Close: cancel instead of running it inline —
+			// nothing is simulated, nothing reaches the cache, and every
+			// ticket deduplicated onto this call sees the cancellation.
 			sh.mu.Lock()
 			delete(sh.inflight, k)
 			sh.mu.Unlock()
@@ -538,21 +407,21 @@ func (e *Engine) submitJob(job Job, ln lane, fl submitFlags) *Ticket {
 		}
 		// The pool lost a shutdown race: execute inline in the submitter
 		// rather than panicking or dropping the job.
-		e.runJob(job, c, fl)
+		e.runJob(job, c)
 	}
 	return &Ticket{job: job, c: c}
 }
 
 // runJob executes the single flight for a registered call and resolves it.
 // Runs on a pool worker (or inline in the submitter after Close).
-func (e *Engine) runJob(job Job, c *call, fl submitFlags) {
+func (e *Engine) runJob(job Job, c *call) {
 	out := e.execute(job)
 
 	k := job.Key()
 	sh := e.shard(k)
 	sh.mu.Lock()
 	delete(sh.inflight, k)
-	if (e.memoize || fl.retain) && cacheable(out) {
+	if e.memoize && cacheable(out) {
 		sh.memo[k] = out
 	}
 	sh.mu.Unlock()
@@ -584,7 +453,6 @@ func (e *Engine) execute(job Job) outcome {
 					Workload: job.Desc.Name, HeapMB: job.Cfg.HeapMB, Kind: job.Cfg.Collector,
 				}}
 			}
-			e.noteCost(job, rec.Result)
 			return outcome{rec.Result, nil}
 		}
 		e.recordJob(obs.KindCacheMiss, job, k, 0, 0, "")
@@ -649,7 +517,6 @@ func (e *Engine) execute(job Job) outcome {
 		return out
 	}
 
-	e.noteCost(job, out.res)
 	if e.cache != nil {
 		e.cache.putInvocation(k, e.record(job, out.res, false))
 	}

@@ -148,7 +148,7 @@ func TestPoolRunsEverything(t *testing.T) {
 		p.submit(func() {
 			atomic.AddInt64(&n, 1)
 			wg.Done()
-		}, lane(i%int(numLanes)))
+		})
 	}
 	wg.Wait()
 	p.close()

@@ -96,7 +96,7 @@ func (e *Engine) SubmitGeneric(kind string, payload any, run func(rec obs.Record
 	sh.mu.Unlock()
 
 	e.emit(Event{Kind: JobQueued, Key: k, Benchmark: kind})
-	if !e.pool.submit(func() { e.runGeneric(kind, k, c, run) }, laneGrid) {
+	if !e.pool.submit(func() { e.runGeneric(kind, k, c, run) }) {
 		// Pool already closed: execute inline in the submitter, same
 		// no-drop contract as ordinary jobs.
 		e.runGeneric(kind, k, c, run)

@@ -7,6 +7,7 @@ import (
 	"chopin/internal/exper"
 	"chopin/internal/gc"
 	"chopin/internal/harness"
+	"chopin/internal/obs"
 	"chopin/internal/workload"
 )
 
@@ -103,6 +104,50 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 	if s.CacheHits == 0 || s.MinHeapCacheHits != 1 {
 		t.Fatalf("warm stats = %+v, want pure cache traffic", s)
+	}
+}
+
+// TestPoolTasksConserved checks the pool's accounting against the engine's
+// counters on real runs, cold and then warm over the same cache: every task
+// a pool worker executes is one job that either ran the simulator or was
+// served from the cache, so the sched-worker events' task counts must sum
+// to Executed + CacheHits. Memo hits, deduplicated submissions and min-heap
+// cache hits never reach the pool and appear on neither side.
+func TestPoolTasksConserved(t *testing.T) {
+	d := goldenBench(t)
+	dir := t.TempDir()
+	for _, pass := range []string{"cold", "warm"} {
+		cache, err := exper.OpenCache(dir, exper.ReadWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf obs.Buffer
+		eng := exper.New(exper.Options{Workers: 2, Cache: cache, Recorder: &buf})
+		if _, _, err := harness.LBOGrid(d, goldenOpt(eng)); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var tasks, workers int64
+		for _, e := range buf.Events() {
+			if e.Kind == obs.KindSchedWorker {
+				tasks += int64(e.Tasks)
+				workers++
+			}
+		}
+		s := eng.Stats()
+		if workers != 2 {
+			t.Fatalf("%s: %d sched-worker events, want 2", pass, workers)
+		}
+		if tasks != s.Executed+s.CacheHits {
+			t.Fatalf("%s: pool ran %d tasks, engine counts %d executed + %d cache hits",
+				pass, tasks, s.Executed, s.CacheHits)
+		}
+		if tasks == 0 {
+			t.Fatalf("%s: pool ran no tasks", pass)
+		}
+		t.Logf("%s: %d tasks = %d executed + %d cache hits", pass, tasks, s.Executed, s.CacheHits)
 	}
 }
 

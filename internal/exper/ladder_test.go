@@ -4,32 +4,51 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
+	"chopin/internal/nominal"
 	"chopin/internal/workload"
 )
 
-// ladderTuple is one seeded (workload, params) point in the differential
+// referenceMinHeapMB is the differential oracle for the engine's min-heap
+// measurement: the same exponential-then-bisection search and serial
+// 3%-growth seed validation, run straight on workload.Run — no engine, no
+// pool, no single-flight, no memo, no cache.
+func referenceMinHeapMB(d *workload.Descriptor, p MinHeapParams) (float64, error) {
+	if p.Invocations < 1 {
+		p.Invocations = 1
+	}
+	if p.Iterations < 1 {
+		p.Iterations = 1
+	}
+	base := minHeapBase(p)
+	bound, err := nominal.MinHeapWith(workload.Run, d, base, 1)
+	if err != nil {
+		return 0, fmt.Errorf("measuring min heap for %s: %w", d.Name, err)
+	}
+	return validateMinHeap(workload.Run, d, base, bound, p)
+}
+
+// minHeapTuple is one seeded (workload, params) point in the differential
 // property test's space. The search base is always G1 (the paper's GMD
 // definition), so the collector axis is exercised through the probe
 // configuration the params induce rather than a collector field.
-type ladderTuple struct {
+type minHeapTuple struct {
 	bench string
 	p     MinHeapParams
 }
 
-// ladderTuples enumerates 220 seeded tuples: every registered workload
+// minHeapTuples enumerates 220 seeded tuples: every registered workload
 // crossed with ten parameter variations — seeds, event counts, invocation
 // counts and iteration counts all vary, so the tuples cover short and long
 // probe chains, single- and multi-seed validation, and every descriptor's
 // live-set scale.
-func ladderTuples() []ladderTuple {
-	var tuples []ladderTuple
+func minHeapTuples() []minHeapTuple {
+	var tuples []minHeapTuple
 	for wi, name := range workload.Names() {
 		for i := 0; i < 10; i++ {
-			tuples = append(tuples, ladderTuple{
+			tuples = append(tuples, minHeapTuple{
 				bench: name,
 				p: MinHeapParams{
 					Events:      20 + 10*(i%2),
@@ -43,19 +62,16 @@ func ladderTuples() []ladderTuple {
 	return tuples
 }
 
-// TestLadderMatchesSequentialReference is the differential property test for
-// the parallel probe ladder: for 220 seeded (workload, params) tuples, the
-// ladder's MinHeapMB must equal ReferenceMinHeapMB — the retained sequential
-// searcher, kept as the oracle the way sim.NewReferenceEngine is for the
-// scheduler — bit for bit, including error outcomes. The engine forces a
-// ladder width above 1 so the speculation tree and validation look-ahead are
-// exercised even on single-core hosts where the auto width degenerates.
-func TestLadderMatchesSequentialReference(t *testing.T) {
-	tuples := ladderTuples()
+// TestMinHeapMatchesReference is the differential property test for the
+// engine's min-heap measurement: for 220 seeded (workload, params) tuples,
+// MinHeapMB — every probe a deduplicated, cancellable pool job — must equal
+// referenceMinHeapMB bit for bit, including error outcomes.
+func TestMinHeapMatchesReference(t *testing.T) {
+	tuples := minHeapTuples()
 	if testing.Short() {
 		tuples = tuples[:len(tuples)/8]
 	}
-	e := New(Options{Workers: 4, LadderWidth: 4, Memoize: true})
+	e := New(Options{Workers: 4, Memoize: true})
 	defer e.Close()
 	for _, tc := range tuples {
 		d, err := workload.ByName(tc.bench)
@@ -63,55 +79,27 @@ func TestLadderMatchesSequentialReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, gotErr := e.MinHeapMB(d, tc.p)
-		want, wantErr := e.ReferenceMinHeapMB(d, tc.p)
+		want, wantErr := referenceMinHeapMB(d, tc.p)
 		if (gotErr == nil) != (wantErr == nil) ||
 			(gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Fatalf("%s %+v: ladder err %v, reference err %v", tc.bench, tc.p, gotErr, wantErr)
+			t.Fatalf("%s %+v: engine err %v, reference err %v", tc.bench, tc.p, gotErr, wantErr)
 		}
 		if got != want {
-			t.Fatalf("%s %+v: ladder %vMB, reference %vMB", tc.bench, tc.p, got, want)
+			t.Fatalf("%s %+v: engine %vMB, reference %vMB", tc.bench, tc.p, got, want)
 		}
 	}
 }
 
-// TestLadderWidthInvariance pins the width-independence claim directly:
-// the same tuple searched at widths 1, 2, 3 and 8 — from the degenerate
-// sequential ladder to a deeper speculation tree than any auto
-// configuration — must produce the identical bound. Each width gets a fresh
-// engine so nothing is served from a previous width's memo.
-func TestLadderWidthInvariance(t *testing.T) {
-	d, err := workload.ByName("fop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := MinHeapParams{Events: 60, Iterations: 1, Invocations: 2, Seed: 11}
-	var bounds []float64
-	for _, width := range []int{1, 2, 3, 8} {
-		e := New(Options{Workers: 4, LadderWidth: width})
-		mb, err := e.MinHeapMB(d, p)
-		e.Close()
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
-		bounds = append(bounds, mb)
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] != bounds[0] {
-			t.Fatalf("bounds vary with ladder width: %v", bounds)
-		}
-	}
-}
-
-// TestCloseDuringLadderCancelsCleanly is the shutdown stress test: Close
-// racing an in-flight ladder must cancel the outstanding speculative probes
+// TestCloseDuringMinHeapCancelsCleanly is the shutdown stress test: Close
+// racing an in-flight min-heap search must cancel its outstanding probes
 // cleanly — the ticket resolves with ErrEngineClosed in its chain (never
-// hangs), no partial ladder is written to the persistent cache, and no
+// hangs), no partial search is written to the persistent cache, and no
 // orchestration or probe goroutine leaks. The sleep schedule sweeps the
 // close point across the search's phases so some iterations interrupt the
-// exponential ladder, some the bisection tree, some the validation rungs,
-// and some lose the race entirely (which must then have cached a complete,
+// exponential search, some the bisection, some the validation rounds, and
+// some lose the race entirely (which must then have cached a complete,
 // correct record).
-func TestCloseDuringLadderCancelsCleanly(t *testing.T) {
+func TestCloseDuringMinHeapCancelsCleanly(t *testing.T) {
 	d, err := workload.ByName("fop")
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +112,7 @@ func TestCloseDuringLadderCancelsCleanly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(Options{Workers: 2, LadderWidth: 4, Cache: cache})
+		e := New(Options{Workers: 2, Cache: cache})
 		p := MinHeapParams{Events: 120, Iterations: 1, Invocations: 2, Seed: uint64(i + 1)}
 		tk, err := e.SubmitMinHeap(d, p)
 		if err != nil {
@@ -164,7 +152,7 @@ func TestCloseDuringLadderCancelsCleanly(t *testing.T) {
 				t.Fatalf("iter %d: ticket error %v, want ErrEngineClosed in chain", i, waitErr)
 			}
 			if cached {
-				t.Fatalf("iter %d: cancelled ladder persisted a partial record: %+v", i, rec)
+				t.Fatalf("iter %d: cancelled search persisted a partial record: %+v", i, rec)
 			}
 		} else if cached && rec.MinHeapMB != mb {
 			t.Fatalf("iter %d: cached %vMB, ticket resolved %vMB", i, rec.MinHeapMB, mb)
@@ -178,104 +166,5 @@ func TestCloseDuringLadderCancelsCleanly(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > baseline+2 {
 		t.Fatalf("goroutines leaked across shutdowns: %d now vs %d at start", n, baseline)
-	}
-}
-
-// TestSubmitSpeculativeRefusedAfterClose pins the cancellation contract:
-// a speculative submission against a closed engine resolves immediately
-// with ErrEngineClosed instead of running inline (ordinary Submit keeps
-// the inline fallback — see TestRunAfterCloseExecutesInline).
-func TestSubmitSpeculativeRefusedAfterClose(t *testing.T) {
-	e := New(Options{Workers: 1})
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d := testBench(t)
-	tk, err := e.SubmitSpeculative(d, smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tk.Wait(); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("speculative submit after Close resolved %v, want ErrEngineClosed", err)
-	}
-	if s := e.Stats(); s.Executed != 0 {
-		t.Fatalf("speculative submit after Close executed inline: %+v", s)
-	}
-}
-
-// TestSubmitSpeculativeRetainsOnce pins the discard semantics the harness's
-// grid speculation relies on: with memoization off, a speculative result is
-// retained for exactly one later consumer — the real grid submission — and
-// then dropped, so discarded speculation is bounded memory, not a leak.
-func TestSubmitSpeculativeRetainsOnce(t *testing.T) {
-	e := New(Options{Workers: 2})
-	defer e.Close()
-	d := testBench(t)
-
-	tk, err := e.SubmitSpeculative(d, smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tk.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(d, smallCfg()); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.Stats(); s.Executed != 1 || s.MemoHits != 1 {
-		t.Fatalf("stats after speculate+run = %+v, want the run served from the retained result", s)
-	}
-	// The retained entry was consumed: a further run executes again.
-	if _, err := e.Run(d, smallCfg()); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.Stats(); s.Executed != 2 {
-		t.Fatalf("stats after second run = %+v, want re-execution (consume-once)", s)
-	}
-}
-
-// TestPoolAnchorLanePreemptsGrid pins the priority inversion the ladder
-// depends on: with both lanes populated, a worker drains its anchor lane
-// before touching grid work, so min-heap probes are never stuck behind a
-// backlog of speculative grid cells.
-func TestPoolAnchorLanePreemptsGrid(t *testing.T) {
-	p := newPool(1)
-	defer p.close()
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var mu sync.Mutex
-	var order []string
-	var wg sync.WaitGroup
-
-	p.submit(func() {
-		close(started)
-		<-release
-	}, laneGrid)
-	<-started // the single worker is now occupied; later submits queue up
-
-	for i := 0; i < 3; i++ {
-		i := i
-		wg.Add(1)
-		p.submit(func() {
-			mu.Lock()
-			order = append(order, fmt.Sprintf("grid%d", i))
-			mu.Unlock()
-			wg.Done()
-		}, laneGrid)
-	}
-	wg.Add(1)
-	p.submit(func() {
-		mu.Lock()
-		order = append(order, "anchor")
-		mu.Unlock()
-		wg.Done()
-	}, laneAnchor)
-
-	close(release)
-	wg.Wait()
-
-	if len(order) != 4 || order[0] != "anchor" {
-		t.Fatalf("execution order %v, want the anchor task first", order)
 	}
 }

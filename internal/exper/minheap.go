@@ -22,29 +22,16 @@ const (
 	minHeapGrowthFactor   = 1.03
 )
 
-// minHeapExpRounds is the exponential search's doubling budget, identical
-// to the sequential reference (nominal.MinHeapWith).
-const minHeapExpRounds = 24
-
 // MinHeapTicket is a handle to an asynchronous minimum-heap measurement.
 // In a plan's job DAG it is the prerequisite node: every sweep's heap sizes
 // derive from its result, so harnesses submit the min-heap measurements for
 // all workloads up front and attach each grid as a dependent the moment its
 // anchor resolves.
-//
-// A ticket additionally exposes the search's candidate bound — the bisection
-// result, before seed validation — the moment it is known. Harnesses on a
-// speculative engine use it to start grid cells early, overlapping grid work
-// with the validation tail of its own anchor.
 type MinHeapTicket struct {
 	key  Key
 	done chan struct{}
 	mb   float64
 	err  error
-
-	candSet atomic.Bool
-	candMB  float64
-	cand    chan struct{}
 }
 
 // Wait blocks until the measurement completes and returns the bound in MB.
@@ -59,51 +46,22 @@ func (t *MinHeapTicket) Done() <-chan struct{} { return t.done }
 // Key returns the canonical content hash of the measurement.
 func (t *MinHeapTicket) Key() Key { return t.key }
 
-// CandidateReady is closed once the search's candidate bound is known —
-// after bisection, before validation (or at resolution, whichever is
-// first). It never closes when the search fails before producing one; pair
-// it with Done in a select.
-func (t *MinHeapTicket) CandidateReady() <-chan struct{} { return t.cand }
-
-// Candidate returns the candidate bound, valid only after CandidateReady.
-// The candidate is a speculation target, not a result: validation may still
-// grow the final bound above it.
-func (t *MinHeapTicket) Candidate() (float64, bool) {
-	select {
-	case <-t.cand:
-		return t.candMB, true
-	default:
-		return 0, false
-	}
-}
-
-// setCandidate publishes the candidate bound once; later calls are no-ops.
-func (t *MinHeapTicket) setCandidate(mb float64) {
-	if t.candSet.CompareAndSwap(false, true) {
-		t.candMB = mb
-		close(t.cand)
-	}
-}
-
 func newMinHeapTicket(k Key) *MinHeapTicket {
-	return &MinHeapTicket{key: k, done: make(chan struct{}), cand: make(chan struct{})}
+	return &MinHeapTicket{key: k, done: make(chan struct{})}
 }
 
 func resolvedMinHeapTicket(k Key, mb float64) *MinHeapTicket {
 	t := newMinHeapTicket(k)
 	t.mb = mb
-	t.setCandidate(mb)
 	close(t.done)
 	return t
 }
 
 // SubmitMinHeap starts measuring the benchmark's minimum viable heap under p
-// and returns immediately with a ticket for the bound. The measurement runs
-// as a speculative parallel probe ladder — every probe an ordinary
-// content-addressed engine job on the pool's anchor lane, submitted up to
-// the engine's ladder width ahead of the arbiter that consumes them — on a
-// dedicated orchestration goroutine, off the pool, so probe jobs always
-// have workers to land on. Measurements are content-addressed,
+// and returns immediately with a ticket for the bound. The search runs on a
+// dedicated orchestration goroutine, off the pool, so its probes — each an
+// ordinary content-addressed engine job — always have workers to land on.
+// Measurements are content-addressed,
 // single-flighted (concurrent submissions for the same key share one
 // search), memoized in-process and persisted in the cache.
 func (e *Engine) SubmitMinHeap(d *workload.Descriptor, p MinHeapParams) (*MinHeapTicket, error) {
@@ -133,7 +91,7 @@ func (e *Engine) SubmitMinHeap(d *workload.Descriptor, p MinHeapParams) (*MinHea
 	sh.mu.Unlock()
 
 	go func() {
-		mb, err := e.minHeap(t, k, d, p)
+		mb, err := e.minHeap(k, d, p)
 		sh.mu.Lock()
 		delete(sh.minflight, k)
 		if err == nil {
@@ -141,9 +99,6 @@ func (e *Engine) SubmitMinHeap(d *workload.Descriptor, p MinHeapParams) (*MinHea
 		}
 		sh.mu.Unlock()
 		t.mb, t.err = mb, err
-		if err == nil {
-			t.setCandidate(mb)
-		}
 		close(t.done)
 	}()
 	return t, nil
@@ -166,28 +121,6 @@ func (e *Engine) MinHeapMB(d *workload.Descriptor, p MinHeapParams) (float64, er
 	return t.Wait()
 }
 
-// ReferenceMinHeapMB measures the bound with the pre-ladder sequential
-// algorithm — nominal.MinHeapWith's exponential-then-bisection search
-// followed by serial 3%-growth seed validation — bypassing the min-heap
-// memo and cache. It is the differential oracle for the parallel probe
-// ladder, the way sim.NewReferenceEngine is for the O(log n) scheduler:
-// for any (workload, params), MinHeapMB and ReferenceMinHeapMB must agree
-// bit-for-bit, at every ladder width.
-func (e *Engine) ReferenceMinHeapMB(d *workload.Descriptor, p MinHeapParams) (float64, error) {
-	if p.Invocations < 1 {
-		p.Invocations = 1
-	}
-	if p.Iterations < 1 {
-		p.Iterations = 1
-	}
-	base := minHeapBase(p)
-	bound, err := nominal.MinHeapWith(e.Run, d, base, 1)
-	if err != nil {
-		return 0, fmt.Errorf("measuring min heap for %s: %w", d.Name, err)
-	}
-	return validateMinHeap(e.Run, d, base, bound, p)
-}
-
 func minHeapEvent(kind EventKind, d *workload.Descriptor, k Key, mb float64) Event {
 	return Event{Kind: kind, Key: k, Benchmark: d.Name, MinHeapMB: mb}
 }
@@ -204,10 +137,10 @@ func minHeapBase(p MinHeapParams) workload.RunConfig {
 	}
 }
 
-// minHeap runs one measurement: ladder search, candidate publication,
-// ladder validation, then — only on success — the cache write, so a search
-// aborted by Close never persists a partial result.
-func (e *Engine) minHeap(t *MinHeapTicket, k Key, d *workload.Descriptor, p MinHeapParams) (float64, error) {
+// minHeap runs one measurement: nominal.MinHeapWith's exponential-then-
+// bisection search, seed validation, then — only on success — the cache
+// write, so a search aborted by Close never persists a partial result.
+func (e *Engine) minHeap(k Key, d *workload.Descriptor, p MinHeapParams) (float64, error) {
 	if e.cache != nil {
 		if rec, ok := e.cache.getMinHeap(k); ok {
 			atomic.AddInt64(&e.minHeapCacheHits, 1)
@@ -222,12 +155,11 @@ func (e *Engine) minHeap(t *MinHeapTicket, k Key, d *workload.Descriptor, p MinH
 	atomic.AddInt64(&e.minHeapSearches, 1)
 
 	base := minHeapBase(p)
-	bound, err := e.ladderSearch(d, base, 1)
+	bound, err := nominal.MinHeapWith(e.probe, d, base, 1)
 	if err != nil {
 		return 0, fmt.Errorf("measuring min heap for %s: %w", d.Name, err)
 	}
-	t.setCandidate(bound)
-	bound, err = e.ladderValidate(d, base, bound, p)
+	bound, err = validateMinHeap(e.probe, d, base, bound, p)
 	if err != nil {
 		return 0, err
 	}
@@ -255,236 +187,23 @@ func (e *Engine) recordMinHeap(kind obs.Kind, d *workload.Descriptor, k Key, mb 
 	})
 }
 
-// probeSet tracks a search's in-flight feasibility probes, keyed by heap
-// size. Probes are speculative engine jobs on the anchor lane: submitting
-// one the arbiter later turns out not to need costs a cache entry, never
-// correctness, and re-submitting a size is a map lookup (plus the engine's
-// own single-flight underneath). Probes are cancellable — a Close racing
-// the search resolves outstanding probes with ErrEngineClosed, which the
+// probe runs one min-heap probe as an engine job and waits for it. Probes
+// dedup and cache like any other invocation, but they are cancellable: a
+// Close racing the search resolves them with ErrEngineClosed, which the
 // search surfaces as a hard error without writing anything.
-type probeSet struct {
-	e    *Engine
-	d    *workload.Descriptor
-	base workload.RunConfig
-	m    map[float64]*Ticket
-}
-
-func newProbeSet(e *Engine, d *workload.Descriptor, base workload.RunConfig) *probeSet {
-	return &probeSet{e: e, d: d, base: base, m: map[float64]*Ticket{}}
-}
-
-// submit ensures a probe for heapMB is in flight.
-func (ps *probeSet) submit(heapMB float64) error {
-	if _, ok := ps.m[heapMB]; ok {
-		return nil
-	}
-	cfg := ps.base
-	cfg.HeapMB = heapMB
-	job, err := NewJob(ps.d, cfg)
+func (e *Engine) probe(d *workload.Descriptor, cfg workload.RunConfig) (*workload.Result, error) {
+	job, err := NewJob(d, cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ps.m[heapMB] = ps.e.submitJob(job, laneAnchor, submitFlags{cancelOnClose: true})
-	return nil
+	return e.submitJob(job, submitFlags{cancelOnClose: true}).Wait()
 }
 
-// completes resolves the probe at heapMB: feasible, infeasible (OOM), or a
-// hard error. Identical decision semantics to the sequential reference's
-// completes closure.
-func (ps *probeSet) completes(heapMB float64) (bool, error) {
-	if err := ps.submit(heapMB); err != nil {
-		return false, err
-	}
-	_, err := ps.m[heapMB].Wait()
-	if err == nil {
-		return true, nil
-	}
-	var oom *workload.ErrOutOfMemory
-	if errors.As(err, &oom) {
-		return false, nil
-	}
-	return false, err
-}
-
-// ladderSearch finds the minimum completing heap by speculative parallel
-// probing, bit-identical to nominal.MinHeapWith(run, d, base, tolMB): the
-// arbiter below replays the sequential decision procedure exactly —
-// identical float arithmetic, identical probe outcomes (content-addressed
-// jobs are deterministic), identical branch order — and only the set of
-// *additionally* submitted speculative probes varies with the ladder width.
-//
-// Phase 1 is the exponential upper-bound search: the doubling sequence is
-// known in advance, so the ladder keeps `width` rungs in flight while the
-// arbiter consumes outcomes in rung order. Phase 2 is bisection: each
-// midpoint depends on the previous verdict, so the ladder instead submits
-// the full binary tree of the next `depth` rounds' possible midpoints
-// (2^depth − 1 ≤ width probes) and the arbiter walks the realized path —
-// every probe it needs is already warm, whichever way the verdicts fall.
-// An O(k)-deep sequential probe chain becomes O(k/depth) rounds of
-// parallel work.
-func (e *Engine) ladderSearch(d *workload.Descriptor, base workload.RunConfig, tolMB float64) (float64, error) {
-	width := e.ladderWidth
-	ps := newProbeSet(e, d, base)
-
-	// Phase 1: exponential search for a feasible upper bound, same start
-	// and doubling budget as the sequential reference.
-	start := d.LiveMB + 4
-	if start < 4 {
-		start = 4
-	}
-	rungs := make([]float64, minHeapExpRounds)
-	for i, v := 0, start; i < len(rungs); i++ {
-		rungs[i] = v
-		v *= 2
-	}
-	found := -1
-	for i := 0; i < len(rungs) && found < 0; i++ {
-		for j := i; j < len(rungs) && j < i+width; j++ {
-			if err := ps.submit(rungs[j]); err != nil {
-				return 0, err
-			}
-		}
-		ok, err := ps.completes(rungs[i])
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			found = i
-		}
-	}
-	if found < 0 {
-		// Byte-identical to the sequential reference's exhaustion error,
-		// which reports the bound after its final doubling.
-		return 0, fmt.Errorf("nominal: %s does not complete even at %.0fMB",
-			d.Name, rungs[len(rungs)-1]*2)
-	}
-	hi := rungs[found]
-	lo := hi / 2
-	if hi == d.LiveMB+4 {
-		lo = 1
-	}
-
-	// Phase 2: bisection. depth is the largest tree the width affords;
-	// width 1 degenerates to the sequential one-probe-per-round search.
-	depth := 1
-	for (1<<(depth+1))-1 <= width {
-		depth++
-	}
-	cond := func(lo, hi float64) bool { return hi-lo > tolMB && hi-lo > hi*0.01 }
-	var speculate func(lo, hi float64, levels int) error
-	speculate = func(lo, hi float64, levels int) error {
-		if levels == 0 || !cond(lo, hi) {
-			return nil
-		}
-		mid := (lo + hi) / 2
-		if err := ps.submit(mid); err != nil {
-			return err
-		}
-		if err := speculate(lo, mid, levels-1); err != nil {
-			return err
-		}
-		return speculate(mid, hi, levels-1)
-	}
-	for cond(lo, hi) {
-		if depth > 1 {
-			if err := speculate(lo, hi, depth); err != nil {
-				return 0, err
-			}
-		}
-		for level := 0; level < depth && cond(lo, hi); level++ {
-			mid := (lo + hi) / 2
-			ok, err := ps.completes(mid)
-			if err != nil {
-				return 0, err
-			}
-			if ok {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-	}
-	return hi, nil
-}
-
-// ladderValidate confirms the searched bound completes under every
-// invocation seed the sweep will use, growing it by 3% per failed attempt —
-// the same attempts, seeds, growth arithmetic and error semantics as the
-// sequential validateMinHeap, but with the next few growth rungs' whole
-// invocation batches speculatively in flight while the arbiter scans the
-// current rung. An OOM under any seed fails the attempt; any other error
-// aborts the measurement. A bound that never validates is an error.
-func (e *Engine) ladderValidate(d *workload.Descriptor, base workload.RunConfig, bound float64, p MinHeapParams) (float64, error) {
-	// Growth rungs beyond the next couple are usually dead speculation —
-	// most bounds validate within a rung or two — so cap the look-ahead
-	// below the probe ladder's width.
-	ahead := e.ladderWidth
-	if ahead > 4 {
-		ahead = 4
-	}
-
-	// The rung values replay the sequential search's cumulative float
-	// multiplication exactly; vals[minHeapGrowthAttempts] is the value the
-	// exhaustion error reports (grown once more after the last attempt).
-	vals := make([]float64, minHeapGrowthAttempts+1)
-	for i, v := 0, bound; i < len(vals); i++ {
-		vals[i] = v
-		v *= minHeapGrowthFactor
-	}
-
-	rungs := make([][]*Ticket, minHeapGrowthAttempts)
-	submitRung := func(r int) error {
-		if rungs[r] != nil {
-			return nil
-		}
-		rungs[r] = make([]*Ticket, 0, p.Invocations)
-		for i := 0; i < p.Invocations; i++ {
-			cfg := base
-			cfg.HeapMB = vals[r]
-			cfg.Iterations = p.Iterations
-			cfg.Seed = p.Seed + uint64(i)*1_000_003 + 17
-			job, err := NewJob(d, cfg)
-			if err != nil {
-				return err
-			}
-			rungs[r] = append(rungs[r], e.submitJob(job, laneAnchor, submitFlags{cancelOnClose: true}))
-		}
-		return nil
-	}
-
-	for attempt := 0; attempt < minHeapGrowthAttempts; attempt++ {
-		for j := attempt; j < minHeapGrowthAttempts && j < attempt+ahead; j++ {
-			if err := submitRung(j); err != nil {
-				return 0, err
-			}
-		}
-		// Arbiter: scan the rung's invocations in seed order — the first
-		// non-OOM error aborts, any OOM fails the attempt — exactly the
-		// sequential scan over its errs slice.
-		ok := true
-		for _, tk := range rungs[attempt] {
-			_, err := tk.Wait()
-			if err == nil {
-				continue
-			}
-			var oom *workload.ErrOutOfMemory
-			if !errors.As(err, &oom) {
-				return 0, fmt.Errorf("validating min heap for %s: %w", d.Name, err)
-			}
-			ok = false
-		}
-		if ok {
-			return vals[attempt], nil
-		}
-	}
-	return 0, fmt.Errorf("exper: %s: minimum heap failed validation after %d growth attempts (reached %.1fMB)",
-		d.Name, minHeapGrowthAttempts, vals[minHeapGrowthAttempts])
-}
-
-// validateMinHeap is the sequential validation the ladder replays: serial
-// growth rounds, each round's invocations in parallel goroutines. Retained
-// as the reference oracle's second half (ReferenceMinHeapMB) and pinned by
-// the ladder-equivalence property test.
+// validateMinHeap confirms the searched bound completes under every
+// invocation seed the sweep will use: serial growth rounds of 3%, each
+// round's invocations in parallel goroutines. An OOM under any seed fails
+// the attempt; any other error aborts the measurement. A bound that never
+// validates is an error.
 func validateMinHeap(run nominal.RunFunc, d *workload.Descriptor, base workload.RunConfig, bound float64, p MinHeapParams) (float64, error) {
 	for attempt := 0; attempt < minHeapGrowthAttempts; attempt++ {
 		errs := make([]error, p.Invocations)

@@ -6,24 +6,6 @@ import (
 	"time"
 )
 
-// lane classifies a task's scheduling priority. The pool is critical-path
-// aware: a whole-suite plan's min-heap probes and validation batches gate
-// every grid cell behind them, so they must never queue behind grid
-// backlog — each deque holds two lanes and workers drain anchor work first,
-// both from their own deque and when stealing.
-type lane int
-
-const (
-	// laneAnchor is the critical path: min-heap ladder probes and
-	// validation invocations, whose latency bounds the whole plan.
-	laneAnchor lane = iota
-	// laneGrid is bulk backlog: sweep and latency cells that only gate
-	// their own collection.
-	laneGrid
-
-	numLanes
-)
-
 // pool is the engine's work-stealing worker pool, sharded for whole-suite
 // submission rates: each worker owns a deque behind its own mutex, so a
 // batch of thousands of jobs submitted up front spreads across deques
@@ -33,10 +15,9 @@ const (
 // in from per-cell goroutines). Submissions are distributed round-robin by
 // an atomic cursor; a worker pops its own deque LIFO (freshly submitted
 // jobs have warm sweeps behind them) and steals FIFO from the most loaded
-// peer when its own deque drains — anchor-lane work always before grid
-// backlog. Idle workers park on a single condition variable that is only
-// touched when a worker actually runs dry, keeping the steady-state path
-// lock-light.
+// peer when its own deque drains. Idle workers park on a single condition
+// variable that is only touched when a worker actually runs dry, keeping
+// the steady-state path lock-light.
 type pool struct {
 	deques []dequeShard
 	stats  []workerStat
@@ -50,13 +31,12 @@ type pool struct {
 	wg sync.WaitGroup
 }
 
-// dequeShard is one worker's deque behind its own lock, one slice per lane.
-// The pad keeps neighbouring shards off one cache line, so workers pushing
-// and popping concurrently do not false-share. depthMax is the shard's
-// queue-depth high-water mark across both lanes.
+// dequeShard is one worker's deque behind its own lock. The pad keeps
+// neighbouring shards off one cache line, so workers pushing and popping
+// concurrently do not false-share. depthMax is the deque's high-water depth.
 type dequeShard struct {
 	mu       sync.Mutex
-	lanes    [numLanes][]func()
+	tasks    []func()
 	depthMax int
 	closed   bool
 	_        [32]byte
@@ -69,22 +49,20 @@ type workerStat struct {
 	busyNS  atomic.Int64 // executing tasks
 	stealNS atomic.Int64 // scanning deques between tasks (awake, not running)
 	parkNS  atomic.Int64 // blocked on the parking condvar
-	tasks   [numLanes]atomic.Int64
+	tasks   atomic.Int64 // tasks executed
 	steals  atomic.Int64 // tasks taken from a peer's deque
 }
 
 // WorkerStat is a snapshot of one pool worker's scheduling accounting,
 // exposed for the engine's scheduler telemetry.
 type WorkerStat struct {
-	Worker      int
-	BusyNS      int64
-	StealNS     int64
-	ParkNS      int64
-	AnchorTasks int64
-	GridTasks   int64
-	Steals      int64
-	// QueueMax is the high-water depth of the worker's own deque (both
-	// lanes combined).
+	Worker  int
+	BusyNS  int64
+	StealNS int64
+	ParkNS  int64
+	Tasks   int64
+	Steals  int64
+	// QueueMax is the high-water depth of the worker's own deque.
 	QueueMax int
 }
 
@@ -104,14 +82,14 @@ func newPool(workers int) *pool {
 	return p
 }
 
-// submit enqueues one task on ln without blocking and reports whether the
-// pool accepted it. It returns false — instead of panicking, which is what
-// the pre-refactor pool did and what a Close racing a straggling sweep
-// would hit — once the pool has been closed; the caller then runs the task
-// inline (or cancels it, for speculative probes). The shard's closed flag
-// is set under the same lock that guards its deque, so a task accepted here
-// is always still visible to the draining workers.
-func (p *pool) submit(task func(), ln lane) bool {
+// submit enqueues one task without blocking and reports whether the pool
+// accepted it. It returns false — instead of panicking, which is what the
+// pre-refactor pool did and what a Close racing a straggling sweep would
+// hit — once the pool has been closed; the caller then runs the task inline
+// (or cancels it, for min-heap probes). The shard's closed flag is set
+// under the same lock that guards its deque, so a task accepted here is
+// always still visible to the draining workers.
+func (p *pool) submit(task func()) bool {
 	w := int(p.cursor.Add(1)-1) % len(p.deques)
 	dq := &p.deques[w]
 	dq.mu.Lock()
@@ -119,8 +97,8 @@ func (p *pool) submit(task func(), ln lane) bool {
 		dq.mu.Unlock()
 		return false
 	}
-	dq.lanes[ln] = append(dq.lanes[ln], task)
-	if d := len(dq.lanes[laneAnchor]) + len(dq.lanes[laneGrid]); d > dq.depthMax {
+	dq.tasks = append(dq.tasks, task)
+	if d := len(dq.tasks); d > dq.depthMax {
 		dq.depthMax = d
 	}
 	dq.mu.Unlock()
@@ -138,84 +116,78 @@ func (p *pool) submit(task func(), ln lane) bool {
 	return true
 }
 
-// popOwn pops the back of the shard's highest-priority non-empty lane.
-func (dq *dequeShard) popOwn() (func(), lane, bool) {
-	for ln := laneAnchor; ln < numLanes; ln++ {
-		if n := len(dq.lanes[ln]); n > 0 {
-			t := dq.lanes[ln][n-1]
-			dq.lanes[ln][n-1] = nil
-			dq.lanes[ln] = dq.lanes[ln][:n-1]
-			return t, ln, true
-		}
+// popOwn pops the back of the shard's deque.
+func (dq *dequeShard) popOwn() (func(), bool) {
+	n := len(dq.tasks)
+	if n == 0 {
+		return nil, false
 	}
-	return nil, 0, false
+	t := dq.tasks[n-1]
+	dq.tasks[n-1] = nil
+	dq.tasks = dq.tasks[:n-1]
+	return t, true
 }
 
-// stealFront pops the front of the shard's ln lane.
-func (dq *dequeShard) stealFront(ln lane) (func(), bool) {
-	q := dq.lanes[ln]
+// stealFront pops the front of the shard's deque.
+func (dq *dequeShard) stealFront() (func(), bool) {
+	q := dq.tasks
 	if len(q) == 0 {
 		return nil, false
 	}
 	t := q[0]
 	copy(q, q[1:])
 	q[len(q)-1] = nil
-	dq.lanes[ln] = q[:len(q)-1]
+	dq.tasks = q[:len(q)-1]
 	return t, true
 }
 
-// tryTake pops the worker's own deque from the back (anchor lane first), or
-// steals from the front of the longest peer lane — scanning every peer's
-// anchor lane before falling back to grid backlog, so critical-path work
-// preempts bulk cells pool-wide. It locks one shard at a time and never
+// tryTake pops the worker's own deque from the back, or steals from the
+// front of the longest peer deque. It locks one shard at a time and never
 // blocks; nil means every deque was empty at the moment it was scanned.
-func (p *pool) tryTake(self int) (func(), lane) {
+func (p *pool) tryTake(self int) func() {
 	own := &p.deques[self]
 	own.mu.Lock()
-	if t, ln, ok := own.popOwn(); ok {
+	if t, ok := own.popOwn(); ok {
 		own.mu.Unlock()
-		return t, ln
+		return t
 	}
 	own.mu.Unlock()
 
-	// Steal scan: find the longest peer lane — anchor lanes first — then
-	// re-lock just that shard. The length read is racy by design — a stale
-	// pick only costs an extra scan, never correctness.
-	for ln := laneAnchor; ln < numLanes; ln++ {
-		victim, best := -1, 0
-		for i := range p.deques {
-			if i == self {
-				continue
-			}
-			dq := &p.deques[i]
-			dq.mu.Lock()
-			if n := len(dq.lanes[ln]); n > best {
-				victim, best = i, n
-			}
-			dq.mu.Unlock()
-		}
-		if victim < 0 {
+	// Steal scan: find the longest peer deque, then re-lock just that
+	// shard. The length read is racy by design — a stale pick only costs
+	// an extra scan, never correctness.
+	victim, best := -1, 0
+	for i := range p.deques {
+		if i == self {
 			continue
 		}
-		dq := &p.deques[victim]
+		dq := &p.deques[i]
 		dq.mu.Lock()
-		t, ok := dq.stealFront(ln)
-		dq.mu.Unlock()
-		if !ok { // lost the race to another thief
-			continue
+		if n := len(dq.tasks); n > best {
+			victim, best = i, n
 		}
-		p.stats[self].steals.Add(1)
-		return t, ln
+		dq.mu.Unlock()
 	}
-	return nil, 0
+	if victim < 0 {
+		return nil
+	}
+	dq := &p.deques[victim]
+	dq.mu.Lock()
+	t, ok := dq.stealFront()
+	dq.mu.Unlock()
+	if !ok { // lost the race to another thief
+		return nil
+	}
+	p.stats[self].steals.Add(1)
+	return t
 }
 
-// take returns the next task and its lane, parking the worker when every
-// deque is empty. Returns nil when the pool is closed and drained. The
+// take returns the next task, parking the worker when every deque is
+// empty. Returns nil when the pool is closed and drained. The
 // double-check under parkMu pairs with submit signalling under parkMu: a
 // task pushed before the signal is found by the re-scan, a task pushed
 // after wakes the waiter, so no submission is ever lost to a parked worker.
-func (p *pool) take(self int) (func(), lane) {
+func (p *pool) take(self int) func() {
 	st := &p.stats[self]
 	start := time.Now()
 	var parked int64
@@ -224,22 +196,22 @@ func (p *pool) take(self int) (func(), lane) {
 		st.stealNS.Add(time.Since(start).Nanoseconds() - parked)
 		st.parkNS.Add(parked)
 	}
-	if t, ln := p.tryTake(self); t != nil {
+	if t := p.tryTake(self); t != nil {
 		account()
-		return t, ln
+		return t
 	}
 	p.parkMu.Lock()
 	defer p.parkMu.Unlock()
 	p.idle.Add(1)
 	defer p.idle.Add(-1)
 	for {
-		if t, ln := p.tryTake(self); t != nil {
+		if t := p.tryTake(self); t != nil {
 			account()
-			return t, ln
+			return t
 		}
 		if p.closed {
 			account()
-			return nil, 0
+			return nil
 		}
 		ps := time.Now()
 		p.parked.Wait()
@@ -251,14 +223,14 @@ func (p *pool) worker(self int) {
 	defer p.wg.Done()
 	st := &p.stats[self]
 	for {
-		t, ln := p.take(self)
+		t := p.take(self)
 		if t == nil {
 			return
 		}
 		start := time.Now()
 		t()
 		st.busyNS.Add(time.Since(start).Nanoseconds())
-		st.tasks[ln].Add(1)
+		st.tasks.Add(1)
 	}
 }
 
@@ -273,14 +245,13 @@ func (p *pool) workerStats() []WorkerStat {
 		depth := p.deques[i].depthMax
 		p.deques[i].mu.Unlock()
 		out[i] = WorkerStat{
-			Worker:      i,
-			BusyNS:      st.busyNS.Load(),
-			StealNS:     st.stealNS.Load(),
-			ParkNS:      st.parkNS.Load(),
-			AnchorTasks: st.tasks[laneAnchor].Load(),
-			GridTasks:   st.tasks[laneGrid].Load(),
-			Steals:      st.steals.Load(),
-			QueueMax:    depth,
+			Worker:   i,
+			BusyNS:   st.busyNS.Load(),
+			StealNS:  st.stealNS.Load(),
+			ParkNS:   st.parkNS.Load(),
+			Tasks:    st.tasks.Load(),
+			Steals:   st.steals.Load(),
+			QueueMax: depth,
 		}
 	}
 	return out
@@ -289,7 +260,7 @@ func (p *pool) workerStats() []WorkerStat {
 // close stops the workers once the deques drain. Tasks already accepted
 // still run; submissions that lose the race to close are refused (submit
 // returns false) and execute inline at the caller — or resolve as cancelled
-// when the submitter marked them speculative.
+// when the submitter marked them cancellable.
 func (p *pool) close() {
 	for i := range p.deques {
 		dq := &p.deques[i]

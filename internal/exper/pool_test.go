@@ -29,7 +29,7 @@ func TestSubmitCloseRaceNeverPanicsOrDrops(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < perG; i++ {
 					task := func() { ran.Add(1) }
-					if !p.submit(task, lane(i%int(numLanes))) {
+					if !p.submit(task) {
 						task() // refused by a closed pool: inline execution
 					}
 				}
@@ -82,7 +82,7 @@ func TestPoolParkedWorkersWake(t *testing.T) {
 		var wg sync.WaitGroup
 		for i := 0; i < 16; i++ {
 			wg.Add(1)
-			if !p.submit(func() { ran.Add(1); wg.Done() }, laneGrid) {
+			if !p.submit(func() { ran.Add(1); wg.Done() }) {
 				t.Fatal("open pool refused a task")
 			}
 		}

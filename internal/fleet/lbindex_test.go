@@ -87,10 +87,10 @@ func TestMinTreeNonPowerOfTwo(t *testing.T) {
 // the invariant one integer compare in the tree relies on.
 func TestLBKeyOrder(t *testing.T) {
 	cases := []struct{ a, b uint64 }{
-		{lbKey(false, 100, 5), lbKey(true, 0, 0)},   // unpaused beats paused at any load
-		{lbKey(false, 1, 9), lbKey(false, 2, 0)},    // fewer outstanding beats lower index
-		{lbKey(false, 3, 2), lbKey(false, 3, 4)},    // equal load: lowest index
-		{lbKey(true, 1, 0), lbKey(true, 2, 0)},      // paused still ordered by load (fallback)
+		{lbKey(false, 100, 5), lbKey(true, 0, 0)}, // unpaused beats paused at any load
+		{lbKey(false, 1, 9), lbKey(false, 2, 0)},  // fewer outstanding beats lower index
+		{lbKey(false, 3, 2), lbKey(false, 3, 4)},  // equal load: lowest index
+		{lbKey(true, 1, 0), lbKey(true, 2, 0)},    // paused still ordered by load (fallback)
 	}
 	for _, c := range cases {
 		if c.a >= c.b {

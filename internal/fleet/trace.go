@@ -88,7 +88,7 @@ type tracer struct {
 	viols    []int64
 	winStart int64
 	winLen   int64
-	rows     int64 // closed windows so far (the per-replica event count)
+	rows     int64   // closed windows so far (the per-replica event count)
 	sloNS    float64 // first SLA rung's latency bound
 	budget   float64 // its error budget, 1 − percentile/100
 }

@@ -23,7 +23,6 @@ package harness
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"chopin/internal/exper"
@@ -228,65 +227,6 @@ func gridCells(collectors []gc.Kind, factors []float64) []gridCell {
 	return cells
 }
 
-// cellConfig is the run configuration of one grid cell (before per-
-// invocation seeding) — shared by real submission and speculation so the
-// two produce identical job keys and dedup onto each other.
-func cellConfig(c gridCell, minMB float64, opt Options) workload.RunConfig {
-	return workload.RunConfig{
-		HeapMB:     minMB * c.f,
-		Collector:  c.kind,
-		Iterations: opt.Iterations,
-		Events:     opt.Events,
-	}
-}
-
-// submitOrder returns the order cells are handed to the engine:
-// longest-expected-first by the engine's learned per-(benchmark, collector)
-// cost estimates, stable within ties, falling back to grid order when
-// nothing has been learned yet. Long cells submitted first stop a sweep's
-// slowest configuration from starting last and serializing the tail.
-// Collection always walks gridCells order, so submission order is invisible
-// in merged output.
-func submitOrder(eng *exper.Engine, benchmark string, cells []gridCell) []int {
-	order := make([]int, len(cells))
-	est := make([]float64, len(cells))
-	known := false
-	for i, c := range cells {
-		order[i] = i
-		est[i] = eng.EstimateCost(benchmark, c.kind.String())
-		if est[i] > 0 {
-			known = true
-		}
-	}
-	if !known {
-		return order
-	}
-	sort.SliceStable(order, func(a, b int) bool { return est[order[a]] > est[order[b]] })
-	return order
-}
-
-// speculateGrid submits the benchmark's whole grid as speculative jobs
-// anchored on an unvalidated candidate bound — fired while the min-heap
-// search is still validating, so grid work overlaps the anchor's tail.
-// Tickets are deliberately dropped: if the candidate survives validation,
-// the real submissions dedup onto these in-flight jobs or consume their
-// retained outcomes; if validation grows the bound, the speculated cells
-// are just cache entries, never merged.
-func speculateGrid(eng *exper.Engine, d *workload.Descriptor, opt Options, candMB float64) {
-	cells := gridCells(opt.Collectors, opt.HeapFactors)
-	for _, idx := range submitOrder(eng, d.Name, cells) {
-		cfg := cellConfig(cells[idx], candMB, opt)
-		for i := 0; i < opt.Invocations; i++ {
-			c := cfg
-			c.Seed = opt.Seed + uint64(i)*1_000_003 + 17
-			c.Recorder = opt.Recorder
-			if _, err := eng.SubmitSpeculative(d, c); err != nil {
-				return // speculation is best-effort; the real pass reports
-			}
-		}
-	}
-}
-
 // PendingGrid is a submitted-but-uncollected LBO sweep: the min-heap anchor
 // job is in flight (or already cached), and the grid's cells are submitted
 // as one batch the moment it resolves. Wait blocks for the merged grid.
@@ -325,19 +265,6 @@ func SubmitLBOGrid(d *workload.Descriptor, opt Options) *PendingGrid {
 	// waits on tickets, so pool workers are never blocked on coordination.
 	go func() {
 		defer close(p.done)
-		if eng.Speculative() {
-			// Start the grid from the search's candidate bound the moment
-			// bisection produces one, overlapping grid cells with the
-			// anchor's validation tail. Only the anchor's *final* bound
-			// ever reaches merged output below.
-			select {
-			case <-anchor.CandidateReady():
-				if candMB, ok := anchor.Candidate(); ok {
-					speculateGrid(eng, d, opt, candMB)
-				}
-			case <-anchor.Done():
-			}
-		}
 		minMB, err := anchor.Wait()
 		if err != nil {
 			p.err = fmt.Errorf("harness: %s min heap: %w", d.Name, err)
@@ -350,13 +277,17 @@ func SubmitLBOGrid(d *workload.Descriptor, opt Options) *PendingGrid {
 }
 
 // collectGrid submits every cell of the benchmark's grid as one batch of
-// engine jobs — longest-expected-first, so the sweep's slow configurations
-// never start last — then collects and merges them in fixed grid order.
+// engine jobs, then collects and merges them in the same fixed grid order.
 func collectGrid(eng *exper.Engine, d *workload.Descriptor, opt Options, minMB float64) *lbo.Grid {
 	cells := gridCells(opt.Collectors, opt.HeapFactors)
 	pending := make([]*pendingSet, len(cells))
-	for _, i := range submitOrder(eng, d.Name, cells) {
-		pending[i] = submitSet(eng, d, cellConfig(cells[i], minMB, opt), opt)
+	for i, c := range cells {
+		pending[i] = submitSet(eng, d, workload.RunConfig{
+			HeapMB:     minMB * c.f,
+			Collector:  c.kind,
+			Iterations: opt.Iterations,
+			Events:     opt.Events,
+		}, opt)
 	}
 
 	grid := &lbo.Grid{Benchmark: d.Name}

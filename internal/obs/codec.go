@@ -51,8 +51,7 @@ func (l *lineEncoder) event(e *Event) {
 	l.float(`,"busy_ns":`, e.BusyNS)
 	l.float(`,"steal_ns":`, e.StealNS)
 	l.float(`,"park_ns":`, e.ParkNS)
-	l.float(`,"anchor_tasks":`, e.AnchorTasks)
-	l.float(`,"grid_tasks":`, e.GridTasks)
+	l.float(`,"tasks":`, e.Tasks)
 	l.float(`,"steals":`, e.Steals)
 	l.float(`,"queue_max":`, e.QueueMax)
 	l.int(`,"replica":`, int64(e.Replica))
@@ -215,10 +214,8 @@ func (p *lineParser) field(e *Event, key, b []byte) ([]byte, bool) {
 		return parseFloat(b, &e.StealNS)
 	case "park_ns":
 		return parseFloat(b, &e.ParkNS)
-	case "anchor_tasks":
-		return parseFloat(b, &e.AnchorTasks)
-	case "grid_tasks":
-		return parseFloat(b, &e.GridTasks)
+	case "tasks":
+		return parseFloat(b, &e.Tasks)
 	case "steals":
 		return parseFloat(b, &e.Steals)
 	case "queue_max":

@@ -15,8 +15,8 @@ import (
 // added to Event must also be added to lineEncoder.event and
 // lineParser.field, or it silently never reaches the stream.
 func TestEventFieldCount(t *testing.T) {
-	if n := reflect.TypeOf(Event{}).NumField(); n != 35 {
-		t.Fatalf("Event has %d fields, the JSONL line codec handles 35: update codec.go and this count", n)
+	if n := reflect.TypeOf(Event{}).NumField(); n != 34 {
+		t.Fatalf("Event has %d fields, the JSONL line codec handles 34: update codec.go and this count", n)
 	}
 }
 

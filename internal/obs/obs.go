@@ -84,7 +84,7 @@ const (
 	KindRunEnd
 	// KindSchedWorker is one pool worker's lifetime scheduling summary,
 	// emitted by the experiment engine when it closes: the worker's
-	// busy/steal/park wall-time split, per-lane task counts, steal count
+	// busy/steal/park wall-time split, task count, steal count
 	// and deque high-water mark, carried in the dedicated scheduler
 	// fields. Value is the worker index.
 	KindSchedWorker
@@ -241,16 +241,15 @@ type Event struct {
 	StallFrac float64 `json:"stall_frac,omitempty"`
 	// Scheduler fields (KindSchedWorker). BusyNS/StealNS/ParkNS split one
 	// worker's wall time into executing tasks, scanning deques and blocked
-	// on the parking condvar; AnchorTasks/GridTasks count tasks executed
-	// per priority lane; Steals counts tasks taken from peers; QueueMax is
-	// the worker's deque high-water depth.
-	BusyNS      float64 `json:"busy_ns,omitempty"`
-	StealNS     float64 `json:"steal_ns,omitempty"`
-	ParkNS      float64 `json:"park_ns,omitempty"`
-	AnchorTasks float64 `json:"anchor_tasks,omitempty"`
-	GridTasks   float64 `json:"grid_tasks,omitempty"`
-	Steals      float64 `json:"steals,omitempty"`
-	QueueMax    float64 `json:"queue_max,omitempty"`
+	// on the parking condvar; Tasks counts tasks executed; Steals counts
+	// tasks taken from peers; QueueMax is the worker's deque high-water
+	// depth.
+	BusyNS   float64 `json:"busy_ns,omitempty"`
+	StealNS  float64 `json:"steal_ns,omitempty"`
+	ParkNS   float64 `json:"park_ns,omitempty"`
+	Tasks    float64 `json:"tasks,omitempty"`
+	Steals   float64 `json:"steals,omitempty"`
+	QueueMax float64 `json:"queue_max,omitempty"`
 	// Replica identifies which fleet replica the event belongs to, stored
 	// 1-based so replica 0 survives omitempty; zero means "not a fleet
 	// replica event". Stamped by WithReplica on everything a replica's own

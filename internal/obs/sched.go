@@ -10,14 +10,13 @@ import (
 // SchedWorker is one worker row of a scheduler-utilization summary, decoded
 // from a KindSchedWorker event.
 type SchedWorker struct {
-	Worker      int
-	BusyNS      float64
-	StealNS     float64
-	ParkNS      float64
-	AnchorTasks int64
-	GridTasks   int64
-	Steals      int64
-	QueueMax    int64
+	Worker   int
+	BusyNS   float64
+	StealNS  float64
+	ParkNS   float64
+	Tasks    int64
+	Steals   int64
+	QueueMax int64
 }
 
 // SchedSummary collects the per-worker scheduler events of a telemetry
@@ -29,14 +28,13 @@ func SchedSummary(events []Event) []SchedWorker {
 			continue
 		}
 		out = append(out, SchedWorker{
-			Worker:      int(e.Value),
-			BusyNS:      e.BusyNS,
-			StealNS:     e.StealNS,
-			ParkNS:      e.ParkNS,
-			AnchorTasks: int64(e.AnchorTasks),
-			GridTasks:   int64(e.GridTasks),
-			Steals:      int64(e.Steals),
-			QueueMax:    int64(e.QueueMax),
+			Worker:   int(e.Value),
+			BusyNS:   e.BusyNS,
+			StealNS:  e.StealNS,
+			ParkNS:   e.ParkNS,
+			Tasks:    int64(e.Tasks),
+			Steals:   int64(e.Steals),
+			QueueMax: int64(e.QueueMax),
 		})
 	}
 	return out
@@ -44,8 +42,8 @@ func SchedSummary(events []Event) []SchedWorker {
 
 // WriteSchedTable renders the stream's scheduler telemetry as a one-screen
 // utilization table: one row per pool worker with its busy/steal/park time
-// split (and busy share of the three), anchor-vs-grid lane occupancy, steal
-// count and deque high-water mark, plus a totals row. It writes nothing
+// split (and busy share of the three), tasks executed, steal count and
+// deque high-water mark, plus a totals row. It writes nothing
 // when the stream carries no scheduler events (engines emit them on Close).
 func WriteSchedTable(w io.Writer, events []Event) {
 	workers := SchedSummary(events)
@@ -53,21 +51,19 @@ func WriteSchedTable(w io.Writer, events []Event) {
 		return
 	}
 	t := report.NewTable("worker", "busy", "steal", "park", "util",
-		"anchor", "grid", "steals", "qmax")
+		"tasks", "steals", "qmax")
 	var tot SchedWorker
 	for _, ws := range workers {
 		t.AddRow(fmt.Sprintf("%d", ws.Worker),
 			fmtNS(ws.BusyNS), fmtNS(ws.StealNS), fmtNS(ws.ParkNS),
 			fmtUtil(ws.BusyNS, ws.StealNS, ws.ParkNS),
-			fmt.Sprintf("%d", ws.AnchorTasks),
-			fmt.Sprintf("%d", ws.GridTasks),
+			fmt.Sprintf("%d", ws.Tasks),
 			fmt.Sprintf("%d", ws.Steals),
 			fmt.Sprintf("%d", ws.QueueMax))
 		tot.BusyNS += ws.BusyNS
 		tot.StealNS += ws.StealNS
 		tot.ParkNS += ws.ParkNS
-		tot.AnchorTasks += ws.AnchorTasks
-		tot.GridTasks += ws.GridTasks
+		tot.Tasks += ws.Tasks
 		tot.Steals += ws.Steals
 		if ws.QueueMax > tot.QueueMax {
 			tot.QueueMax = ws.QueueMax
@@ -76,8 +72,7 @@ func WriteSchedTable(w io.Writer, events []Event) {
 	t.AddRow("total",
 		fmtNS(tot.BusyNS), fmtNS(tot.StealNS), fmtNS(tot.ParkNS),
 		fmtUtil(tot.BusyNS, tot.StealNS, tot.ParkNS),
-		fmt.Sprintf("%d", tot.AnchorTasks),
-		fmt.Sprintf("%d", tot.GridTasks),
+		fmt.Sprintf("%d", tot.Tasks),
 		fmt.Sprintf("%d", tot.Steals),
 		fmt.Sprintf("%d", tot.QueueMax))
 	t.Render(w)

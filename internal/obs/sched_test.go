@@ -10,24 +10,24 @@ import (
 
 var updateSched = flag.Bool("update-sched", false, "rewrite the scheduler-table golden file")
 
-func schedEvent(worker int, busy, steal, park, anchor, grid, steals, qmax float64) Event {
+func schedEvent(worker int, busy, steal, park, tasks, steals, qmax float64) Event {
 	return Event{
 		Kind: KindSchedWorker, TNS: 1, Value: float64(worker),
 		BusyNS: busy, StealNS: steal, ParkNS: park,
-		AnchorTasks: anchor, GridTasks: grid, Steals: steals, QueueMax: qmax,
+		Tasks: tasks, Steals: steals, QueueMax: qmax,
 	}
 }
 
 // TestWriteSchedTableGolden pins the one-screen utilization table obsreport
-// -sched renders: per-worker busy/steal/park splits, busy share, lane
-// occupancy, steal counts, deque high-water marks and the totals row.
+// -sched renders: per-worker busy/steal/park splits, busy share, task
+// counts, steal counts, deque high-water marks and the totals row.
 func TestWriteSchedTableGolden(t *testing.T) {
 	events := []Event{
 		{Kind: KindJobStart, TNS: 1}, // non-scheduler events are ignored
-		schedEvent(0, 812_400_000, 12_300_000, 101_000_000, 14, 120, 9, 37),
-		schedEvent(1, 790_100_000, 25_800_000, 110_600_000, 3, 131, 17, 29),
-		schedEvent(2, 640_000_000, 4_100_000, 282_000_000, 0, 98, 2, 31),
-		schedEvent(3, 12_500_000, 900_000, 913_000_000, 0, 4, 1, 2),
+		schedEvent(0, 812_400_000, 12_300_000, 101_000_000, 134, 9, 37),
+		schedEvent(1, 790_100_000, 25_800_000, 110_600_000, 134, 17, 29),
+		schedEvent(2, 640_000_000, 4_100_000, 282_000_000, 98, 2, 31),
+		schedEvent(3, 12_500_000, 900_000, 913_000_000, 4, 1, 2),
 	}
 	var buf bytes.Buffer
 	WriteSchedTable(&buf, events)
@@ -65,7 +65,7 @@ func TestWriteSchedTableEmpty(t *testing.T) {
 func TestSchedWorkerRoundTrip(t *testing.T) {
 	var sink bytes.Buffer
 	j := NewJSONL(&sink)
-	in := schedEvent(2, 1e9, 2e6, 3e7, 5, 40, 7, 12)
+	in := schedEvent(2, 1e9, 2e6, 3e7, 45, 7, 12)
 	j.Record(in)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestSchedWorkerRoundTrip(t *testing.T) {
 	}
 	got := out[0]
 	if got.BusyNS != in.BusyNS || got.StealNS != in.StealNS || got.ParkNS != in.ParkNS ||
-		got.AnchorTasks != in.AnchorTasks || got.GridTasks != in.GridTasks ||
+		got.Tasks != in.Tasks ||
 		got.Steals != in.Steals || got.QueueMax != in.QueueMax || got.Value != in.Value {
 		t.Fatalf("scheduler fields did not round-trip: got %+v want %+v", got, in)
 	}
