@@ -28,7 +28,9 @@ test:
 	go test ./...
 
 # Hot-path microbenchmarks: the scheduler (BenchmarkEngine*, internal/sim),
-# the end-to-end invocation path (BenchmarkRunInvocation*, root package, one
+# the collector layer without a workload (BenchmarkCollectorPause,
+# internal/gc: allocation and stop-the-world pauses over 12 mutators, one
+# sub-benchmark per collector), the end-to-end invocation path (BenchmarkRunInvocation*, root package, one
 # sub-benchmark per collector), the experiment engine's result cache (one fop
 # LBO grid re-aggregated from a warm cache, BenchmarkEngineWarmCache, and
 # simulated into a write-only one with the write-behind drain timed,
@@ -51,6 +53,8 @@ test:
 bench:
 	( go test -run='^$$' -bench='BenchmarkEngine' -benchmem -benchtime=300ms \
 		-count=5 ./internal/sim && \
+	  go test -run='^$$' -bench='BenchmarkCollectorPause' -benchmem \
+		-benchtime=300ms -count=5 ./internal/gc && \
 	  go test -run='^$$' -bench='BenchmarkRunInvocation' -benchmem -count=5 . && \
 	  go test -run='^$$' -bench='BenchmarkEngineWarmCache' -benchmem \
 		-benchtime=300ms -count=5 . && \
@@ -76,6 +80,8 @@ bench:
 bench-gate:
 	( go test -run='^$$' -bench='BenchmarkEngine' -benchmem -benchtime=300ms \
 		-count=5 ./internal/sim && \
+	  go test -run='^$$' -bench='BenchmarkCollectorPause' -benchmem \
+		-benchtime=300ms -count=5 ./internal/gc && \
 	  go test -run='^$$' -bench='BenchmarkRunInvocation' -benchmem -count=5 . && \
 	  go test -run='^$$' -bench='BenchmarkEngineWarmCache' -benchmem \
 		-benchtime=300ms -count=5 . && \
@@ -103,14 +109,15 @@ bench-scaling:
 		| go run ./cmd/benchjson -out /dev/null -scaling-min auto
 
 # Native fuzzing of the decoders of bytes a run did not just write: the binary
-# invocation cache record (FuzzDecodeInvocation) and the JSONL telemetry
-# stream (FuzzDecodeStream). go test -fuzz takes one target per run, so each
+# invocation cache record (FuzzDecodeInvocation), the JSONL telemetry
+# stream (FuzzDecodeStream) and unified-logging GC logs (FuzzParseAll). go test -fuzz takes one target per run, so each
 # gets its own fixed time budget. The committed seed corpora under
 # testdata/fuzz also run as ordinary tests in tier1.
 .PHONY: fuzz
 fuzz:
 	go test -run='^$$' -fuzz='^FuzzDecodeInvocation$$' -fuzztime=60s ./internal/persist
 	go test -run='^$$' -fuzz='^FuzzDecodeStream$$' -fuzztime=60s ./internal/obs
+	go test -run='^$$' -fuzz='^FuzzParseAll$$' -fuzztime=60s ./internal/gclog
 
 # CPU and heap profiles for the invocation hot path; inspect with
 # `go tool pprof cpu.pprof` / `go tool pprof -sample_index=alloc_objects

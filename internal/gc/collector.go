@@ -19,6 +19,10 @@ import (
 // can block them, and mutator quanta may only be started from quantum
 // completions or Alloc callbacks — never directly from timers — so that no
 // mutator can start running inside a pause.
+//
+// The registered mutators form one sim.Group, frozen and thawed as a unit by
+// each pause, and the STW workers another, which runs each pause's work as
+// one gang quantum: a pause costs no per-thread completion-heap operation.
 type Collector struct {
 	p    Params
 	eng  *sim.Engine
@@ -26,9 +30,9 @@ type Collector struct {
 	log  *trace.Log
 	rec  obs.Recorder
 
-	mutators []*sim.Thread
+	mutators *sim.Group
+	stw      *sim.Group
 
-	stwWorkers  []*sim.Thread
 	concWorkers []*sim.Thread
 
 	inPause    bool
@@ -44,7 +48,7 @@ type Collector struct {
 
 	// The pause machinery is a single-flight state machine: only one world
 	// pause is ever in flight (nested pauses panic), so its continuation
-	// lives in collector fields and the STW workers share one pre-bound
+	// lives in collector fields and the STW gang shares one pre-bound
 	// completion callback instead of per-pause closures. Likewise for the
 	// concurrent workers and the failing-allocation escalation chain
 	// (allocCont/allocBytes/allocDone): a chain suspends at most once per
@@ -86,10 +90,6 @@ type Collector struct {
 	// bounds and why strict inequality keeps this behaviour-identical to the
 	// slow path.
 	fastBudget float64
-	// blockedScratch is pauseWorld's reusable buffer of mutators blocked by
-	// the current pause; only one pause is in flight at a time (nested
-	// pauses panic), so a single buffer serves the whole run.
-	blockedScratch []*sim.Thread
 	// cycleSeq numbers every collection (young, full, concurrent) within
 	// the run; activeID is the collection that owns the pause currently in
 	// flight. Both are assigned unconditionally — IDs are part of the
@@ -220,15 +220,17 @@ func New(p Params, eng *sim.Engine, h *heap.Heap, log *trace.Log) *Collector {
 		p.STWThreads = 1
 	}
 	c := &Collector{p: p, eng: eng, heap: h, log: log, rec: obs.Nop, trigger: p.ConcTriggerFrac,
-		// Pre-sized so the first pause's mutator sweep, the first deferred
-		// allocation, and the first cycle's state never allocate on a
-		// stepping hot loop.
-		blockedScratch: make([]*sim.Thread, 0, 8),
-		deferred:       make([]deferredOp, 0, 8),
-		freeCycle:      &cycleState{}}
-	for i := 0; i < p.STWThreads; i++ {
-		c.stwWorkers = append(c.stwWorkers, eng.NewThread(fmt.Sprintf("gc-stw-%d", i)))
+		// Pre-sized so the first deferred allocation and the first cycle's
+		// state never allocate on a stepping hot loop; both groups are built
+		// here for the same reason.
+		deferred:  make([]deferredOp, 0, 8),
+		freeCycle: &cycleState{},
+		mutators:  eng.NewGroup()}
+	stw := make([]*sim.Thread, p.STWThreads)
+	for i := range stw {
+		stw[i] = eng.NewThread(fmt.Sprintf("gc-stw-%d", i))
 	}
+	c.stw = eng.NewGroup(stw...)
 	for i := 0; i < p.ConcThreads; i++ {
 		c.concWorkers = append(c.concWorkers, eng.NewThread(fmt.Sprintf("gc-conc-%d", i)))
 	}
@@ -307,10 +309,9 @@ func (c *Collector) Paused() bool { return c.inPause }
 // hook runs inside the pause machinery and must not re-enter the collector.
 func (c *Collector) SetPauseHook(fn func(paused bool)) { c.pauseHook = fn }
 
-// RegisterMutator declares a mutator thread subject to STW pauses.
-func (c *Collector) RegisterMutator(t *sim.Thread) {
-	c.mutators = append(c.mutators, t)
-}
+// RegisterMutator declares idle mutator threads subject to STW pauses.
+// Registering them all in one call sizes the mutator group once.
+func (c *Collector) RegisterMutator(ts ...*sim.Thread) { c.mutators.Add(ts...) }
 
 // MutatorFactor returns the current execution-time multiplier mutator quanta
 // must pay for the collector's barriers. The value is cached and invalidated
@@ -333,7 +334,7 @@ func (c *Collector) updateMutatorFactor() {
 // exact even when workers are mid-quantum (e.g. during a concurrent cycle).
 func (c *Collector) GCCPU() float64 {
 	var sum float64
-	for _, t := range c.stwWorkers {
+	for _, t := range c.stw.Members() {
 		sum += t.CPU()
 	}
 	for _, t := range c.concWorkers {
@@ -753,8 +754,9 @@ func (c *Collector) cancelCycle() {
 	c.freeCycle = cy
 }
 
-// pauseWorld blocks every runnable mutator and executes serialCPU of GC work
-// on the STW gang (inflated by the parallel-efficiency loss). The pause's
+// pauseWorld freezes the mutator group — every runnable mutator blocks —
+// and executes serialCPU of GC work on the STW gang (inflated by the
+// parallel-efficiency loss), one equal share per worker. The pause's
 // continuation pc runs at pause end (endPause), before the mutators retry
 // deferred allocations. Only one pause is ever in flight, so the pause state
 // lives in collector fields and every STW worker shares the pre-bound
@@ -769,25 +771,14 @@ func (c *Collector) pauseWorld(serialCPU float64, pc pauseCont) {
 	}
 	c.fastBudget = 0 // allocations must defer until the pause ends
 	c.pauseStart = c.eng.Now()
-	blocked := c.blockedScratch[:0]
-	for _, m := range c.mutators {
-		if m.State() == sim.StateRunnable {
-			m.Block()
-			blocked = append(blocked, m)
-		}
-	}
-	// Keep any growth for the next pause; only one pause is ever in flight,
-	// and endPause finishes with the slice before another can begin.
-	c.blockedScratch = blocked
+	c.mutators.Block()
 	k := c.p.STWThreads
 	total := serialCPU * (1 + c.p.ParLoss*float64(k-1))
 	share := total / float64(k)
 	c.pauseRemaining = k
 	c.pauseTotalCPU = total
 	c.pauseCont = pc
-	for i := 0; i < k; i++ {
-		c.stwWorkers[i].Exec(share, c.stwDoneFn)
-	}
+	c.stw.Exec(share, c.stwDoneFn)
 }
 
 // stwWorkerDone is the shared completion callback for every STW worker
@@ -812,9 +803,7 @@ func (c *Collector) endPause() {
 	if c.pauseHook != nil {
 		c.pauseHook(false)
 	}
-	for _, m := range c.blockedScratch {
-		m.Unblock()
-	}
+	c.mutators.Unblock()
 	c.runPauseEnd(c.pauseTotalCPU, wall)
 	// Deferred cycle completions run before allocation retries so reclaimed
 	// space is visible to them; both loops stop if a new pause begins. The

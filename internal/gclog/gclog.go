@@ -54,9 +54,11 @@ func Format(l *trace.Log, capacityMB float64) string {
 			float64(e.End)/1e9, i, labels[e.Kind], before, after, capacityMB,
 			e.PauseNS/1e6, e.CPUNS/1e6)
 	}
-	if l.StallNS > 0 {
-		fmt.Fprintf(&b, "[%.3fs][info][gc] Allocation stall total %.3fms\n",
-			lastEventSec(l), l.StallNS/1e6)
+	// A total that rounds to 0.000ms is left out: it would parse back as no
+	// stall at all.
+	if stall := strconv.FormatFloat(l.StallNS/1e6, 'f', 3, 64); l.StallNS > 0 && stall != "0.000" {
+		fmt.Fprintf(&b, "[%.3fs][info][gc] Allocation stall total %sms\n",
+			lastEventSec(l), stall)
 	}
 	return b.String()
 }
@@ -76,12 +78,19 @@ var linePattern = regexp.MustCompile(
 var stallPattern = regexp.MustCompile(
 	`^\[\d+\.\d+s\]\[info\]\[gc\] Allocation stall total (\d+\.\d+)ms$`)
 
+// maxField bounds every number ParseAll accepts, whether seconds,
+// milliseconds or megabytes. It lies far beyond any real log, and below it
+// nanosecond times fit an int64 and every value Format prints parses back to
+// the same text.
+const maxField = 1e9
+
 // Result is what a tolerant parse recovers from unified-logging text.
 type Result struct {
 	Log        *trace.Log
 	CapacityMB float64
 	// Malformed counts lines that claimed to be GC output but could not be
-	// decoded — truncated event lines, unknown labels, garbled fields. They
+	// decoded — truncated event lines, unknown labels, garbled fields,
+	// numbers of maxField or more. They
 	// are skipped, not fatal: a log cut off by a crash should still yield
 	// every event before the tear.
 	Malformed int
@@ -113,7 +122,7 @@ func Parse(text string) (*trace.Log, float64, error) {
 func ParseAll(text string) (Result, error) {
 	res := Result{Log: &trace.Log{}}
 	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // grows from 4 KB only for long lines
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
@@ -121,7 +130,7 @@ func ParseAll(text string) (Result, error) {
 		}
 		if m := stallPattern.FindStringSubmatch(line); m != nil {
 			v, err := strconv.ParseFloat(m[1], 64)
-			if err != nil {
+			if err != nil || v >= maxField {
 				res.Malformed++
 				continue
 			}
@@ -147,7 +156,9 @@ func ParseAll(text string) (Result, error) {
 		pauseMS, err5 := strconv.ParseFloat(m[6], 64)
 		cpuMS, err6 := strconv.ParseFloat(m[7], 64)
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil ||
-			err5 != nil || err6 != nil {
+			err5 != nil || err6 != nil || endSec >= maxField || beforeMB >= maxField ||
+			afterMB >= maxField || capMB >= maxField || pauseMS >= maxField ||
+			cpuMS >= maxField {
 			res.Malformed++
 			continue
 		}

@@ -209,3 +209,31 @@ func TestRealRunRoundTrips(t *testing.T) {
 		t.Fatalf("pause total drifted: %v vs %v", parsed.TotalPauseNS(), res.Log.TotalPauseNS())
 	}
 }
+
+// FuzzParseAll: parsing never panics, and either fails (the one error, a
+// line past the scanner's buffer) or yields a log that formats to a fixed
+// point: Format's text parses with no malformed line back to a log that
+// formats to the same text. The committed corpus
+// (testdata/fuzz/FuzzParseAll) holds a real G1 log, the same log torn
+// mid-line and interleaved with other unified-logging tags, a log with an
+// allocation-stall line, and lines with fields out of range.
+func FuzzParseAll(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		res, err := ParseAll(text)
+		if err != nil {
+			return
+		}
+		once := Format(res.Log, res.CapacityMB)
+		again, err := ParseAll(once)
+		if err != nil {
+			t.Fatalf("formatted log does not parse: %v", err)
+		}
+		if again.Malformed != 0 || len(again.Log.Events) != len(res.Log.Events) {
+			t.Fatalf("formatted log parses to %d events and %d malformed lines, want %d and 0:\n%s",
+				len(again.Log.Events), again.Malformed, len(res.Log.Events), once)
+		}
+		if twice := Format(again.Log, again.CapacityMB); twice != once {
+			t.Fatalf("formatting is not a fixed point:\n once  %q\n twice %q", once, twice)
+		}
+	})
+}

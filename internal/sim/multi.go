@@ -16,10 +16,12 @@ import "math"
 
 // NextEventAt returns the virtual time of the engine's next event — the
 // earliest quantum completion or live timer — without advancing anything. It
-// reports false when the engine is quiescent. Stale completion entries and
-// cancelled timers surfacing at their heap tops are discarded, exactly as
-// Step would discard them, so the peek is allocation-free and does not
-// perturb the subsequent step.
+// reports false when the engine is quiescent. The earliest completion is the
+// minimum over the same queues Step consults (the engine heap and every
+// thawed group's sub-heap). Stale completion entries and cancelled timers
+// surfacing at their heap tops are discarded, exactly as Step would discard
+// them, so the peek is allocation-free and does not perturb the subsequent
+// step.
 func (e *Engine) NextEventAt() (float64, bool) {
 	run := e.runCount
 	if e.naive {
@@ -52,17 +54,8 @@ func (e *Engine) NextEventAt() (float64, bool) {
 				dt = d
 			}
 		}
-	} else {
-		for e.comp.len() > 0 {
-			top := e.comp.peek()
-			if top.epoch != top.t.epoch {
-				e.comp.pop()
-				e.staleComp--
-				continue
-			}
-			dt = (top.finishS - e.vs) / rate
-			break
-		}
+	} else if q := e.nextComp(); q != nil {
+		dt = (q.a[0].finishS - e.vs) / rate
 	}
 	if math.IsInf(dt, 1) {
 		panic("sim: runnable threads without completion entries")

@@ -27,7 +27,10 @@ func (h *ordHeap[E]) peek() E { return h.a[0] }
 
 func (h *ordHeap[E]) push(x E) {
 	h.a = append(h.a, x)
-	i := len(h.a) - 1
+	h.siftUp(len(h.a) - 1)
+}
+
+func (h *ordHeap[E]) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.a[i].lessThan(h.a[parent]) {
@@ -47,6 +50,19 @@ func (h *ordHeap[E]) pop() E {
 	h.a = h.a[:last]
 	h.siftDown(0)
 	return top
+}
+
+// removeAt deletes the entry at index i and restores the heap invariant.
+func (h *ordHeap[E]) removeAt(i int) {
+	last := len(h.a) - 1
+	h.a[i] = h.a[last]
+	var zero E
+	h.a[last] = zero
+	h.a = h.a[:last]
+	if i < last {
+		h.siftDown(i)
+		h.siftUp(i)
+	}
 }
 
 func (h *ordHeap[E]) siftDown(i int) {
@@ -85,8 +101,15 @@ func (h *ordHeap[E]) filter(keep func(E) bool) int {
 		h.a[i] = zero
 	}
 	h.a = live
+	h.heapify()
+	return removed
+}
+
+// heapify re-establishes the heap invariant over the whole slice in O(n).
+// On a slice that is already heap-ordered it only compares: every siftDown
+// returns at its first level.
+func (h *ordHeap[E]) heapify() {
 	for i := len(h.a)/2 - 1; i >= 0; i-- {
 		h.siftDown(i)
 	}
-	return removed
 }

@@ -8,8 +8,9 @@ import (
 
 // Differential property test: the virtual-service-time stepper and the naive
 // reference stepper are driven through the same seeded randomized schedule of
-// Exec / Block / Unblock / Abandon / Finish / timer / cancel traffic, and
-// must produce identical event traces and telemetry within timeEps.
+// Exec / Block / Unblock / Abandon / Finish / timer / cancel traffic, plus
+// Group freezes (Block/Unblock) and gang quanta (Group.Exec), and must
+// produce identical event traces and telemetry within timeEps.
 //
 // The script's only inputs are the RNG stream and engine-visible state
 // (State(), Now()); if the two steppers are equivalent, every callback fires
@@ -22,7 +23,18 @@ type propEvent struct {
 	at   float64
 }
 
+// propCoverage counts how often a script reached each group edge case the
+// fast stepper handles specially, so the test can demand every one occurs.
+type propCoverage struct {
+	execFrozen     int // a member Execs while its group is frozen
+	releaseFrozen  int // a held member is Abandoned or Finished
+	gangRelease    int // one gang member is released mid-quantum
+	freezeAtFinish int // a freeze lands as a member's quantum completes
+}
+
 type propResult struct {
+	cov     propCoverage
+	subLeft int // entries left in group sub-heaps at quiescence
 	trace   []propEvent
 	now     float64
 	task    float64
@@ -51,7 +63,43 @@ func runPropScript(seed uint64, reference bool) propResult {
 		opsLeft[i] = 3 + int(rng.Uint64()%12)
 	}
 
-	// Each worker chains random quanta until its budget runs out.
+	// The first nM workers form a group frozen as a unit (a collector's
+	// mutators); nG more threads form a gang (its STW workers).
+	mg := e.NewGroup()
+	nM := 1 + int(rng.Uint64()%uint64(nW))
+	for i := 0; i < nM; i++ {
+		mg.Add(ths[i])
+	}
+	gg := e.NewGroup()
+	gang := make([]*Thread, 1+int(rng.Uint64()%3))
+	for i := range gang {
+		gang[i] = e.NewThread(fmt.Sprintf("g%d", i))
+		gg.Add(gang[i])
+	}
+	all := append(append([]*Thread(nil), ths...), gang...)
+
+	// freeze blocks g and thaws it after delay, unless something thawed it
+	// first.
+	freeze := func(g *Group, delay float64) {
+		g.Block()
+		e.After(delay, func() {
+			if g.frozen {
+				g.Unblock()
+			}
+		})
+	}
+	gangRunnable := func() (n int) {
+		for _, t := range gang {
+			if t.State() == StateRunnable {
+				n++
+			}
+		}
+		return n
+	}
+
+	// Each worker chains random quanta until its budget runs out. A member's
+	// completion sometimes freezes its own group first, as an allocation
+	// that triggers a pause does; it then Execs inside the freeze.
 	var kick func(i int)
 	kick = func(i int) {
 		if opsLeft[i] <= 0 || ths[i].State() != StateIdle {
@@ -59,25 +107,45 @@ func runPropScript(seed uint64, reference bool) propResult {
 		}
 		opsLeft[i]--
 		work := 1 + float64(rng.Uint64()%1500)
+		if i < nM && mg.frozen {
+			res.cov.execFrozen++
+		}
 		ths[i].Exec(work, func() {
 			res.trace = append(res.trace, propEvent{"done", i, e.NowF()})
+			if i < nM && !mg.frozen && rng.Uint64()%6 == 0 {
+				res.cov.freezeAtFinish++
+				freeze(mg, float64(1+rng.Uint64()%800))
+			}
 			kick(i)
 		})
 	}
 
-	// Meddler timers perturb the workers: STW-style block/unblock pairs,
-	// abandons, finishes, extra work injection, and cancellation games.
+	// release records a meddler releasing tgt, for the coverage counts.
+	release := func(tgt *Thread) {
+		if tgt.held {
+			res.cov.releaseFrozen++
+		}
+		if tgt.grp == gg && tgt.State() == StateRunnable && gangRunnable() > 1 {
+			res.cov.gangRelease++
+		}
+	}
+
+	// Meddler timers perturb the threads: STW-style block/unblock pairs,
+	// abandons, finishes, extra work injection, cancellation games, group
+	// freezes and gang quanta.
 	nT := 4 + int(rng.Uint64()%10)
 	for j := 0; j < nT; j++ {
 		j := j
 		at := float64(1 + rng.Uint64()%4000)
-		tgt := ths[int(rng.Uint64()%uint64(nW))]
-		switch rng.Uint64() % 6 {
+		ti := int(rng.Uint64() % uint64(len(all)))
+		tgt := all[ti]
+		switch rng.Uint64() % 8 {
 		case 0, 1: // pause the target for a while
 			delay := float64(1 + rng.Uint64()%800)
 			e.After(at, func() {
 				res.trace = append(res.trace, propEvent{"timer", j, e.NowF()})
 				if s := tgt.State(); s == StateRunnable || s == StateIdle {
+					release(tgt)
 					tgt.Block()
 					e.After(delay, func() {
 						if tgt.State() == StateBlocked {
@@ -90,6 +158,7 @@ func runPropScript(seed uint64, reference bool) propResult {
 			e.After(at, func() {
 				res.trace = append(res.trace, propEvent{"timer", j, e.NowF()})
 				if tgt.State() != StateDone {
+					release(tgt)
 					tgt.Abandon()
 				}
 			})
@@ -97,6 +166,7 @@ func runPropScript(seed uint64, reference bool) propResult {
 			e.After(at, func() {
 				res.trace = append(res.trace, propEvent{"timer", j, e.NowF()})
 				if tgt.State() != StateDone {
+					release(tgt)
 					tgt.Finish()
 				}
 			})
@@ -105,12 +175,37 @@ func runPropScript(seed uint64, reference bool) propResult {
 				res.trace = append(res.trace, propEvent{"timer", j, e.NowF()})
 			})
 			e.After(float64(1+rng.Uint64()%6000), tm.Cancel)
-		case 5: // inject extra work into an idle target
+		case 5: // inject extra work into an idle worker
 			e.After(at, func() {
 				res.trace = append(res.trace, propEvent{"timer", j, e.NowF()})
-				if tgt.State() == StateIdle {
-					opsLeft[idOf(ths, tgt)] += 2
-					kick(idOf(ths, tgt))
+				if ti < nW && tgt.State() == StateIdle {
+					opsLeft[ti] += 2
+					kick(ti)
+				}
+			})
+		case 6: // run a gang quantum on every gang thread, if all are idle
+			work := float64(1 + rng.Uint64()%1500)
+			e.After(at, func() {
+				res.trace = append(res.trace, propEvent{"timer", j, e.NowF()})
+				for _, t := range gang {
+					if t.State() != StateIdle {
+						return
+					}
+				}
+				gg.Exec(work, func() {
+					res.trace = append(res.trace, propEvent{"gang", j, e.NowF()})
+				})
+			})
+		case 7: // freeze a group for a while: a stop-the-world pause
+			g := mg
+			if rng.Uint64()%3 == 0 {
+				g = gg
+			}
+			delay := float64(1 + rng.Uint64()%800)
+			e.After(at, func() {
+				res.trace = append(res.trace, propEvent{"timer", j, e.NowF()})
+				if !g.frozen {
+					freeze(g, delay)
 				}
 			})
 		}
@@ -123,24 +218,16 @@ func runPropScript(seed uint64, reference bool) propResult {
 		panic(err)
 	}
 
+	res.subLeft = mg.q.len() + gg.q.len()
 	res.now = e.NowF()
 	res.task = e.TaskClock()
 	res.events = e.Events()
-	for _, t := range ths {
+	for _, t := range all {
 		res.cpu = append(res.cpu, t.CPU())
 		res.blocked = append(res.blocked, t.BlockedTime())
 		res.states = append(res.states, t.State())
 	}
 	return res
-}
-
-func idOf(ths []*Thread, t *Thread) int {
-	for i := range ths {
-		if ths[i] == t {
-			return i
-		}
-	}
-	panic("unknown thread")
 }
 
 func propClose(a, b float64) bool {
@@ -149,9 +236,20 @@ func propClose(a, b float64) bool {
 
 func TestPropertyFastMatchesReference(t *testing.T) {
 	const cases = 1200
+	var cov propCoverage
 	for seed := uint64(0); seed < cases; seed++ {
 		fast := runPropScript(seed, false)
 		ref := runPropScript(seed, true)
+		if fast.subLeft != 0 {
+			t.Fatalf("seed %d: %d sub-heap entries outlive every quantum", seed, fast.subLeft)
+		}
+		if fast.cov != ref.cov {
+			t.Fatalf("seed %d: coverage %+v (fast) vs %+v (reference)", seed, fast.cov, ref.cov)
+		}
+		cov.execFrozen += fast.cov.execFrozen
+		cov.releaseFrozen += fast.cov.releaseFrozen
+		cov.gangRelease += fast.cov.gangRelease
+		cov.freezeAtFinish += fast.cov.freezeAtFinish
 
 		if len(fast.trace) != len(ref.trace) {
 			t.Fatalf("seed %d: trace length %d (fast) vs %d (reference)",
@@ -184,4 +282,8 @@ func TestPropertyFastMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	if cov.execFrozen == 0 || cov.releaseFrozen == 0 || cov.gangRelease == 0 || cov.freezeAtFinish == 0 {
+		t.Fatalf("a group edge case never occurred in %d scripts: %+v", cases, cov)
+	}
+	t.Logf("group edge cases over %d scripts: %+v", cases, cov)
 }

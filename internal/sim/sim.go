@@ -34,6 +34,33 @@
 // seeded property test drives both through randomized schedules and demands
 // identical traces and telemetry.
 //
+// # Groups
+//
+// A Group is a set of threads scheduled as a unit, built for stop-the-world
+// collection, where every pause blocks all mutators and runs a gang of GC
+// workers. The group owns a completion sub-heap of its members' entries, and
+// Step merges the engine heap with every thawed sub-heap in (finishS, id)
+// order, so completions are collected, and their float sums accumulated, in
+// the order one heap would produce.
+//
+//   - Block freezes the group: each runnable member's CPU is materialized
+//     and its residual work kept, as Thread.Block does, but its entry stays
+//     put and the frozen sub-heap drops out of next-event lookup. Unblock
+//     computes finishS = S + remaining per member, as Thread.Unblock does,
+//     and rewrites each entry's key in place. That rewrite is the map
+//     x ↦ S_u + (x − S_b), with S_b and S_u the credit at Block and
+//     Unblock. The map is monotone, so the sub-heap stays ordered (an O(n)
+//     heapify repairs the rare pair of keys that round to one value), and
+//     every key is bit-identical to the one a fresh push would carry. No
+//     group credit offset is needed, and a pause costs no heap operation per
+//     mutator.
+//   - Exec gives every member the same quantum under one entry keyed by the
+//     lowest member id, which expands into the live members, in id order,
+//     when it completes. With consecutive member ids (as a collector's
+//     workers have) that is exactly where per-member entries would have
+//     popped. A member released mid-quantum drops out and the entry lives on
+//     while any member remains.
+//
 // All state is confined to a single goroutine; the engine is deterministic
 // given a seed, which is what lets invocations be replayed and confidence
 // intervals be honest.
@@ -64,9 +91,12 @@ type CapacityFunc func(runnable int) float64
 
 // compEntry is the completion-heap entry for one runnable stint of a thread:
 // the thread completes its quantum when the engine's service credit reaches
-// finishS. Entries are orphaned (not removed) when a thread leaves the
-// runnable set early; the epoch stamp identifies them as stale when they
-// surface or when the heap compacts.
+// finishS. On the engine heap, entries are orphaned (not removed) when a
+// thread leaves the runnable set early; the epoch stamp identifies them as
+// stale when they surface or when the heap compacts. A group's sub-heap
+// removes them at once instead. A gang entry (Group.Exec) points at its
+// group's lead sentinel instead of a member and stands for every member
+// still running the gang quantum.
 type compEntry struct {
 	finishS float64
 	id      int32
@@ -92,9 +122,12 @@ type Engine struct {
 	threads  []*Thread
 	naive    bool // use the O(T)-per-event reference stepper
 
-	// Completion queue (fast stepper only).
+	// Completion queue (fast stepper only), plus one sub-heap per Group,
+	// linked through Group.next. A frozen group's sub-heap takes no part in
+	// next-event lookup.
 	comp      ordHeap[compEntry]
 	staleComp int // orphaned entries awaiting lazy discard or compaction
+	groups    *Group
 
 	// Runnable-set aggregates, maintained incrementally on every state
 	// transition so Step never rescans threads:
@@ -286,22 +319,63 @@ func (e *Engine) rateFor(n int) float64 {
 }
 
 // activate enters a thread into the runnable set: its completion credit is
-// fixed at S+remaining and pushed on the completion heap, and the aggregates
-// pick it up. O(log T).
+// fixed at S+remaining and pushed on the completion heap — its group's
+// sub-heap unless the group is frozen — and the aggregates pick it up.
+// O(log T).
 func (e *Engine) activate(t *Thread) {
+	e.start(t)
+	e.enqueue(t)
+}
+
+// enqueue pushes t's completion entry (t may be a gang sentinel) on its
+// group's sub-heap, or on the engine heap if it has no group or the group is
+// frozen.
+func (e *Engine) enqueue(t *Thread) {
+	en := compEntry{finishS: t.finishS, id: t.id, epoch: t.epoch, t: t}
+	if g := t.grp; g != nil && !g.frozen {
+		t.inSub = true
+		g.q.push(en)
+		return
+	}
+	t.inSub = false
+	e.comp.push(en)
+}
+
+// unqueue drops t's completion entry after its thread left the quantum
+// mid-flight: lazily on the engine heap, where deactivate's epoch bump has
+// already staled it, and eagerly from a sub-heap, which never holds a stale
+// entry.
+func (e *Engine) unqueue(t *Thread) {
+	if t.inSub {
+		t.grp.remove(t)
+		return
+	}
+	e.orphanEntry()
+}
+
+// start is activate's arithmetic without the push: the thread's stint
+// begins at the current credit and the runnable-set aggregates count it.
+func (e *Engine) start(t *Thread) {
 	t.active = true
 	t.startS = e.vs
 	t.finishS = e.vs + t.remaining
 	e.runCount++
 	e.sumStartS += t.startS
-	e.comp.push(compEntry{finishS: t.finishS, id: t.id, epoch: t.epoch, t: t})
 }
 
 // deactivate removes a thread from the runnable set, materializing the CPU
-// it consumed during this stint from the service-credit delta. The caller
-// decides what becomes of t.remaining (zero on completion/abandon, the
-// residual finishS−S on block) and whether a heap entry was orphaned.
+// it consumed during this stint from the service-credit delta, and stales
+// its completion entry. The caller decides what becomes of t.remaining (zero
+// on completion/abandon, the residual finishS−S on block) and whether a heap
+// entry was orphaned.
 func (e *Engine) deactivate(t *Thread) {
+	e.settle(t)
+	t.epoch++
+}
+
+// settle is deactivate's arithmetic without staling the entry: a group
+// freeze keeps the entry to re-key it at thaw.
+func (e *Engine) settle(t *Thread) {
 	delta := e.vs - t.startS
 	if delta < 0 {
 		delta = 0
@@ -316,12 +390,11 @@ func (e *Engine) deactivate(t *Thread) {
 		e.sumStartS = 0
 	}
 	t.active = false
-	t.epoch++
 }
 
-// orphanEntry records that a deactivated thread left its completion-heap
-// entry behind (Block/Abandon/Finish mid-quantum) and compacts the heap once
-// stale entries outnumber live ones, so block-heavy workloads cannot grow it
+// orphanEntry records that a deactivated thread left its engine-heap entry
+// behind (Block/Abandon/Finish mid-quantum) and compacts the heap once stale
+// entries outnumber live ones, so block-heavy workloads cannot grow it
 // without bound.
 func (e *Engine) orphanEntry() {
 	e.staleComp++
@@ -330,6 +403,56 @@ func (e *Engine) orphanEntry() {
 	}
 	e.comp.filter(func(en compEntry) bool { return en.epoch == en.t.epoch })
 	e.staleComp = 0
+}
+
+// nextComp returns the heap whose top is the earliest live completion, in
+// (finishS, id) order, across the engine heap and every thawed group's
+// sub-heap; nil when none holds one. Stale engine-heap tops are discarded on
+// the way.
+func (e *Engine) nextComp() *ordHeap[compEntry] {
+	var best *ordHeap[compEntry]
+	for e.comp.len() > 0 {
+		top := &e.comp.a[0]
+		if top.epoch == top.t.epoch {
+			best = &e.comp
+			break
+		}
+		e.comp.pop()
+		e.staleComp--
+	}
+	for g := e.groups; g != nil; g = g.next {
+		if g.frozen || len(g.q.a) == 0 {
+			continue
+		}
+		if best == nil || g.q.a[0].lessThan(best.a[0]) {
+			best = &g.q
+		}
+	}
+	return best
+}
+
+// collect takes a due entry's quantum out of the runnable set and queues its
+// thread for dispatch. A gang entry expands into every member still running
+// the gang quantum, in id order.
+func (e *Engine) collect(en compEntry) {
+	t := en.t
+	if !t.lead {
+		e.deactivate(t)
+		t.remaining = 0
+		e.batch = append(e.batch, t)
+		return
+	}
+	g := t.grp
+	for _, m := range g.members {
+		if m.inGang {
+			m.inGang = false
+			e.deactivate(m)
+			m.remaining = 0
+			e.batch = append(e.batch, m)
+		}
+	}
+	g.gangLive = 0
+	t.epoch++
 }
 
 // Step advances the simulation to the next event (quantum completion or timer
@@ -359,22 +482,13 @@ func (e *Engine) Step() bool {
 
 	rate := e.rateFor(e.runCount)
 
-	// Earliest quantum completion: the top of the heap, once stale entries
-	// are discarded, completes when S reaches its credit.
-	dt := math.Inf(1)
-	for e.comp.len() > 0 {
-		top := e.comp.peek()
-		if top.epoch != top.t.epoch {
-			e.comp.pop()
-			e.staleComp--
-			continue
-		}
-		dt = (top.finishS - e.vs) / rate
-		break
-	}
-	if math.IsInf(dt, 1) {
+	// Earliest quantum completion: the earliest live top across the
+	// completion queues completes when S reaches its credit.
+	q := e.nextComp()
+	if q == nil {
 		panic("sim: runnable threads without completion entries")
 	}
+	dt := (q.a[0].finishS - e.vs) / rate
 	// Earliest timer.
 	if at, ok := e.nextTimerAt(); ok {
 		if d := at - e.now; d < dt {
@@ -393,22 +507,15 @@ func (e *Engine) Step() bool {
 		e.crossSamples()
 	}
 
-	// Collect quantum completions: every live entry whose credit is reached.
+	// Collect quantum completions: every live entry whose credit is reached,
+	// merged across the queues in (finishS, id) order so the deactivations —
+	// and the float sums they feed — run in one fixed order.
 	e.batch = e.batch[:0]
-	for e.comp.len() > 0 {
-		top := e.comp.peek()
-		if top.epoch != top.t.epoch {
-			e.comp.pop()
-			e.staleComp--
-			continue
-		}
-		if top.finishS > e.vs+timeEps {
+	for q := e.nextComp(); q != nil; q = e.nextComp() {
+		if q.a[0].finishS > e.vs+timeEps {
 			break
 		}
-		e.comp.pop()
-		e.deactivate(top.t)
-		top.t.remaining = 0
-		e.batch = append(e.batch, top.t)
+		e.collect(q.pop())
 	}
 	// Dispatch in thread-creation order, matching the reference stepper
 	// (heap order breaks credit ties by id but interleaves distinct credits

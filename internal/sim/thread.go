@@ -41,6 +41,12 @@ type Thread struct {
 	epoch      uint32 // bumped when leaving the runnable set; stales heap entries
 	state      State
 	active     bool // fast stepper: quantum in flight, counted in aggregates
+	held       bool // blocked by its group's Block, awaiting the group's Unblock
+	frozen     bool // fast stepper: held mid-quantum, entry kept for re-keying
+	inGang     bool // fast stepper: running its group's gang quantum
+	lead       bool // a group's gang sentinel, never registered with the engine
+	inSub      bool // fast stepper: the entry is on the group's sub-heap
+	grp        *Group
 	name       string
 	eng        *Engine
 	remaining  float64 // CPU ns left in the current quantum (stale while active)
@@ -115,20 +121,37 @@ func (t *Thread) Exec(cpuNS float64, done func()) {
 
 // releaseQuantum takes an active thread out of the runnable set mid-quantum:
 // consumed CPU is materialized, the residual work is captured in remaining,
-// and the completion-heap entry is orphaned for lazy discard. A no-op for
-// inactive threads (reference stepper, or a quantum whose completion has
-// already been collected this event).
+// and the completion entry is dropped (see unqueue). A thread held by its
+// group's freeze leaves the freeze, and its kept entry is dropped the same
+// way. A no-op for other inactive threads (reference stepper, or a quantum
+// whose completion has already been collected this event).
 func (t *Thread) releaseQuantum() {
-	if !t.active {
+	t.held = false
+	e := t.eng
+	switch {
+	case t.active:
+		e.deactivate(t)
+		t.remaining = t.finishS - e.vs
+		if t.remaining < 0 {
+			t.remaining = 0
+		}
+	case t.frozen:
+		t.frozen = false
+	default:
 		return
 	}
-	e := t.eng
-	e.deactivate(t)
-	t.remaining = t.finishS - e.vs
-	if t.remaining < 0 {
-		t.remaining = 0
+	if !t.inGang {
+		e.unqueue(t)
+		return
 	}
-	e.orphanEntry()
+	// The gang entry stays live while any member still runs the quantum.
+	t.inGang = false
+	g := t.grp
+	g.gangLive--
+	if g.gangLive == 0 {
+		g.lead.epoch++
+		e.unqueue(&g.lead)
+	}
 }
 
 // Block suspends a runnable thread mid-quantum, preserving its remaining
@@ -153,6 +176,10 @@ func (t *Thread) Unblock() {
 		panic(fmt.Sprintf("sim: Unblock on %s thread %q", t.state, t.name))
 	}
 	t.blockedNS += t.eng.now - t.blockedAt
+	if t.held {
+		// Unblocked on its own, the thread leaves its group's freeze.
+		t.releaseQuantum()
+	}
 	if t.remaining > 0 {
 		t.state = StateRunnable
 		if !t.eng.naive {

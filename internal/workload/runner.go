@@ -354,9 +354,9 @@ func newRunner(d *Descriptor, cfg RunConfig) (*runner, error) {
 	for i := 0; i < threads; i++ {
 		w := eng.NewThread(fmt.Sprintf("%s-worker-%d", d.Name, i))
 		w.SetKernelFraction(d.KernelFrac)
-		col.RegisterMutator(w)
 		r.workers = append(r.workers, w)
 	}
+	col.RegisterMutator(r.workers...)
 	if rec := obs.Or(cfg.Recorder); rec.Enabled() {
 		// Continuous sampling rides the same stream as the discrete events:
 		// heap occupancy, declared live set, the mutator/GC CPU split and
