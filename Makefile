@@ -110,7 +110,9 @@ bench-scaling:
 
 # Native fuzzing of the decoders of bytes a run did not just write: the binary
 # invocation cache record (FuzzDecodeInvocation), the JSONL telemetry
-# stream (FuzzDecodeStream) and unified-logging GC logs (FuzzParseAll). go test -fuzz takes one target per run, so each
+# stream (FuzzDecodeStream) and unified-logging GC logs (FuzzParseAll); and of
+# the Chrome trace writer's integer number fast path against strconv
+# (FuzzChromeNumber). go test -fuzz takes one target per run, so each
 # gets its own fixed time budget. The committed seed corpora under
 # testdata/fuzz also run as ordinary tests in tier1.
 .PHONY: fuzz
@@ -118,6 +120,7 @@ fuzz:
 	go test -run='^$$' -fuzz='^FuzzDecodeInvocation$$' -fuzztime=60s ./internal/persist
 	go test -run='^$$' -fuzz='^FuzzDecodeStream$$' -fuzztime=60s ./internal/obs
 	go test -run='^$$' -fuzz='^FuzzParseAll$$' -fuzztime=60s ./internal/gclog
+	go test -run='^$$' -fuzz='^FuzzChromeNumber$$' -fuzztime=60s ./internal/obs/traceview
 
 # CPU and heap profiles for the invocation hot path; inspect with
 # `go tool pprof cpu.pprof` / `go tool pprof -sample_index=alloc_objects

@@ -171,7 +171,8 @@ func OpenResultCache(dir string, mode CacheMode) (*ResultCache, error) {
 var NopRecorder = obs.Nop
 
 // NewJSONLRecorder builds a Recorder that streams events to w as JSON lines.
-// Call Close to flush before discarding it (Close does not close w).
+// Call Close to write out recorded events and stop its writer goroutine
+// before discarding it (Close does not close w).
 func NewJSONLRecorder(w io.Writer) *JSONLRecorder { return obs.NewJSONL(w) }
 
 // DecodeTelemetry reads a JSONL telemetry stream, calling fn per event.

@@ -142,8 +142,13 @@ func buildReport(d *workload.Descriptor, cfg Config, reps []*workload.Replica, r
 		rep.TaskClockNS += rp.TaskClock()
 	}
 
+	// One sort serves the headline quantiles and every SLA percentile.
 	rep.MeanNS = stats.Mean(all)
-	q := stats.Tail(all, 50, 99, 99.9)
+	ps := []float64{50, 99, 99.9}
+	for _, sla := range cfg.SLAs {
+		ps = append(ps, sla.Percentile)
+	}
+	q := stats.Tail(all, ps...)
 	rep.P50NS, rep.P99NS, rep.P999NS = q[0], q[1], q[2]
 
 	if firstArr >= 0 && lastEnd > firstArr {
@@ -159,8 +164,8 @@ func buildReport(d *workload.Descriptor, cfg Config, reps []*workload.Replica, r
 		rep.RetryStorm = rep.RetryRate > cfg.RetryStormFrac
 	}
 
-	for _, sla := range cfg.SLAs {
-		got := stats.Percentile(all, sla.Percentile)
+	for i, sla := range cfg.SLAs {
+		got := q[3+i]
 		rep.SLAs = append(rep.SLAs, SLAResult{
 			Percentile: sla.Percentile,
 			BoundNS:    sla.BoundNS,

@@ -94,8 +94,16 @@ func (l *lineEncoder) str(key, s string) {
 
 // appendFloat formats a finite float64 as encoding/json does: 'f' format,
 // or 'e' outside [1e-6, 1e21) with a two-digit negative exponent shortened
-// (e-07 → e-7).
+// (e-07 → e-7). A nonzero integer below 2^53 in magnitude, most of what a
+// stream carries, is written as its digits, which is exactly its shortest
+// 'f' form: every integer in that range is a float64, so no shorter decimal
+// rounds to it.
 func appendFloat(b []byte, v float64) []byte {
+	if a := math.Abs(v); a >= 1 && a < 1<<53 {
+		if i := int64(v); float64(i) == v {
+			return strconv.AppendInt(b, i, 10)
+		}
+	}
 	fmt := byte('f')
 	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		fmt = 'e'
@@ -284,7 +292,7 @@ func plainString(b []byte) ([]byte, bool) {
 // kindNamed resolves a kind name leniently: a name this binary does not
 // know is KindUnknown.
 func kindNamed(name []byte) Kind {
-	for k, s := range kindNames {
+	for k, s := range kindNames[:] { // a slice: ranging over the array copies it
 		if string(name) == s {
 			return Kind(k)
 		}
@@ -319,15 +327,45 @@ func parseInt(b []byte, dst *int64) ([]byte, bool) {
 }
 
 // parseFloat parses the JSON number at the start of b into *dst, failing
-// where encoding/json fails (out of range).
+// where encoding/json fails (out of range). An integer of at most 15
+// digits, most of what a stream carries, is accumulated as an int64 and
+// converted, which is exact: it is below 2^53.
 func parseFloat(b []byte, dst *float64) ([]byte, bool) {
 	n := numberLen(b, false)
 	if n < 0 {
 		return b, false
 	}
+	if v, ok := smallInt(b[:n]); ok {
+		*dst = v
+		return b[n:], true
+	}
 	v, err := strconv.ParseFloat(string(b[:n]), 64)
 	*dst = v
 	return b[n:], err == nil
+}
+
+// smallInt converts a JSON number with no fraction or exponent and at most
+// 15 digits, keeping the sign of -0; ok is false for any other number.
+func smallInt(num []byte) (v float64, ok bool) {
+	d := num
+	if d[0] == '-' {
+		d = d[1:]
+	}
+	if len(d) > 15 {
+		return 0, false
+	}
+	var n int64
+	for _, c := range d {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int64(c-'0')
+	}
+	v = float64(n)
+	if num[0] == '-' {
+		v = -v
+	}
+	return v, true
 }
 
 // numberLen returns the length of the JSON number at the start of b,

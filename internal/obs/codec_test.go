@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -194,6 +195,67 @@ func TestLineParserCanonicalOnly(t *testing.T) {
 		var e Event
 		if p.parse([]byte(line+"\n"), &e) {
 			t.Errorf("non-canonical line accepted: %s", line)
+		}
+	}
+}
+
+// TestAppendFloatIntegers checks the encoder's integer fast path against
+// encoding/json at and around its 2^53 bound, at both signs, and next to
+// the values that stay on the strconv path.
+func TestAppendFloatIntegers(t *testing.T) {
+	const p53 = 1 << 53
+	for _, f := range []float64{
+		1, 2, 10, 100, 1e6, 123456789, 1e15, 1e16, 1e17,
+		p53 - 1, p53, p53 + 2, p53 + 4, p53 * 2, 1 << 62, 1 << 63, 1e20,
+		0.5, 1.5, 0.999999, 1 - 1e-16, p53 - 1.5, 1e21,
+	} {
+		for _, v := range []float64{f, -f} {
+			checkLine(t, Event{Kind: KindSample, DurNS: v, Value: v, HeapUsed: v})
+		}
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 20000; i++ {
+		v := float64(rng.Int63() >> rng.Intn(63))
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		checkLine(t, Event{Kind: KindSample, DurNS: v})
+	}
+}
+
+// TestParseFloatIntegers checks the decoder's integer fast path against
+// strconv.ParseFloat bit for bit: -0, integers of 15 digits (the fast
+// path's bound) and of 16 and 17 (strconv's), and numbers with leading
+// zeros, of which JSON's grammar takes only the first zero (the line parser
+// then refuses what follows it).
+func TestParseFloatIntegers(t *testing.T) {
+	leading := map[string]string{"00": "0", "007": "0", "-00": "-0", "-012": "-0"}
+	nums := []string{
+		"0", "-0", "1", "-1", "7", "10", "999999999999999", "-999999999999999",
+		"100000000000000", "123456789012345", "1000000000000000",
+		"9007199254740991", "9007199254740993", "-9999999999999999",
+		"12345678901234567", "99999999999999999", "-10000000000000001",
+		"0.5", "-0.0", "1e3", "15e-1", "00", "007", "-00", "-012",
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20000; i++ {
+		s := strconv.FormatInt(rng.Int63()>>rng.Intn(63), 10)
+		if rng.Intn(2) == 0 {
+			s = "-" + s
+		}
+		nums = append(nums, s)
+	}
+	for _, s := range nums {
+		used, ok := leading[s]
+		if !ok {
+			used = s
+		}
+		var got float64
+		rest, ok := parseFloat([]byte(s), &got)
+		want, err := strconv.ParseFloat(used, 64)
+		if !ok || err != nil || string(rest) != s[len(used):] || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("parseFloat(%q) = %v, %v leaving %q; strconv.ParseFloat(%q) = %v, %v",
+				s, got, ok, rest, used, want, err)
 		}
 	}
 }

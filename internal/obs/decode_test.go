@@ -161,7 +161,8 @@ func TestDecodeStreamFallbackNumbering(t *testing.T) {
 // The committed corpus (testdata/fuzz/FuzzDecodeStream) holds a real fleet
 // stream excerpt, a newer schema's stream, a torn stream, escaped and
 // non-ASCII strings, a pretty-printed object, two objects on one line, an
-// exponent in an integer field and an out-of-range float.
+// exponent in an integer field, an out-of-range float, integer-valued
+// floats of 15, 16 and 17 digits and -0, and a float with leading zeros.
 func FuzzDecodeStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		sameAsReference(t, "input", func() io.Reader { return bytes.NewReader(b) })

@@ -10,9 +10,11 @@ import (
 )
 
 // JSONL is a Recorder that serializes events as one JSON object per line —
-// the interchange format cmd/obsreport consumes. Writes are buffered and
-// mutex-serialized, so pool workers recording concurrently never interleave
-// bytes within a line. Every event is stamped with a monotonically
+// the interchange format cmd/obsreport consumes. Record copies each event
+// into a batch under a mutex; a full batch goes, in mutex order, to one
+// writer goroutine that encodes and writes it, so the recording goroutine
+// never encodes and pool workers recording concurrently never interleave
+// bytes within a line. The writer stamps every event with a monotonically
 // increasing sequence number, and Close terminates the stream with a
 // run_end event, so decoders can tell a clean stream from a truncated one
 // and detect dropped events (DecodeStream).
@@ -21,46 +23,140 @@ import (
 // than reflection, and is byte-for-byte what json.Encoder.Encode writes for
 // the Event: the stream format is the encoding/json one.
 type JSONL struct {
-	mu   sync.Mutex
+	mu     sync.Mutex
+	batch  []Event // recorded since the last hand-over to the writer
+	closed bool
+
+	batches chan jsonlBatch // to the writer, in stream order
+	free    chan []Event    // spent batches, back from the writer
+	count   chan int64      // the writer's answer to a counting batch
+	done    chan struct{}   // closed when the writer exits
+
+	// The writer goroutine owns these until it exits; then Close does.
 	bw   *bufio.Writer
 	line []byte       // reused per event
 	sync func() error // underlying writer's Sync, when it has one
-	err  error        // first write error; subsequent records are dropped
+	err  error        // first write error; later events are dropped
 	seen int64
 }
 
-// NewJSONL wraps w in a JSONL recorder. The caller owns w; call Close to
-// flush buffered events before discarding the recorder or closing w. When w
-// has a Sync method (*os.File does), Close also syncs it, so a completed
-// stream survives a host crash immediately after the run.
+// jsonlBatchLen is how many events Record gathers before handing them to
+// the writer goroutine.
+const jsonlBatchLen = 512
+
+// jsonlBatch is one hand-over to the writer. When count is set, the writer
+// answers on JSONL.count with its event count once evs are written.
+type jsonlBatch struct {
+	evs   []Event
+	count bool
+}
+
+// NewJSONL wraps w in a JSONL recorder and starts its writer goroutine. The
+// caller owns w; call Close to write out recorded events and stop the
+// writer before discarding the recorder or closing w. When w has a Sync
+// method (*os.File does), Close also syncs it, so a completed stream
+// survives a host crash immediately after the run.
 func NewJSONL(w io.Writer) *JSONL {
-	j := &JSONL{bw: bufio.NewWriterSize(w, 64<<10)}
+	const queued = 4 // full batches waiting for the writer
+	j := &JSONL{
+		batch:   make([]Event, 0, jsonlBatchLen),
+		batches: make(chan jsonlBatch, queued),
+		free:    make(chan []Event, queued+2),
+		count:   make(chan int64),
+		done:    make(chan struct{}),
+		bw:      bufio.NewWriterSize(w, 64<<10),
+	}
 	if s, ok := w.(interface{ Sync() error }); ok {
 		j.sync = s.Sync
 	}
+	go j.write()
 	return j
 }
 
 // Enabled always reports true.
 func (j *JSONL) Enabled() bool { return true }
 
-// Record writes the event as one JSON line, stamping the stream's next
-// sequence number. The first write error sticks: later events are dropped
-// and the error is reported by Close, so a full disk degrades telemetry
-// rather than the experiment.
+// Record queues the event as the stream's next JSON line. The first write
+// error sticks: later events are dropped and the error is reported by
+// Close, so a full disk degrades telemetry rather than the experiment.
+// After Close, Record does nothing.
 func (j *JSONL) Record(e Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.record(e)
+	if j.closed {
+		return
+	}
+	j.batch = append(j.batch, e)
+	if len(j.batch) == jsonlBatchLen {
+		j.handOver(false)
+	}
 }
 
-// record is Record without the lock, shared with Close.
-func (j *JSONL) record(e Event) {
+// RecordBatch queues a slice of events under one lock acquisition — the
+// flush path for per-job buffers, which batch a whole invocation's
+// telemetry and hand it over at the job boundary instead of contending the
+// sink once per event.
+func (j *JSONL) RecordBatch(evs []Event) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return
+	}
+	for len(evs) > 0 {
+		n := copy(j.batch[len(j.batch):jsonlBatchLen], evs)
+		j.batch = j.batch[:len(j.batch)+n]
+		evs = evs[n:]
+		if len(j.batch) == jsonlBatchLen {
+			j.handOver(false)
+		}
+	}
+}
+
+// handOver sends the current batch to the writer and starts a new one,
+// reusing a spent batch when the writer has returned one. j.mu is held, so
+// batches reach the writer in the order their events were recorded.
+func (j *JSONL) handOver(count bool) {
+	b := jsonlBatch{count: count}
+	if len(j.batch) > 0 {
+		b.evs = j.batch
+		select {
+		case j.batch = <-j.free:
+		default:
+			j.batch = make([]Event, 0, jsonlBatchLen)
+		}
+	}
+	j.batches <- b
+}
+
+// write is the writer goroutine: it writes each batch's events in order,
+// answers counting batches and recycles spent batches, until Close closes
+// j.batches.
+func (j *JSONL) write() {
+	defer close(j.done)
+	for b := range j.batches {
+		for i := range b.evs {
+			j.record(&b.evs[i])
+		}
+		if b.count {
+			j.count <- j.seen
+		}
+		if b.evs != nil {
+			select {
+			case j.free <- b.evs[:0]:
+			default:
+			}
+		}
+	}
+}
+
+// record writes one event, stamping the stream's next sequence number. Only
+// the writer goroutine calls it, and Close once the writer has exited.
+func (j *JSONL) record(e *Event) {
 	if j.err != nil {
 		return
 	}
 	e.Seq = j.seen + 1
-	line, ok := appendEvent(j.line[:0], &e)
+	line, ok := appendEvent(j.line[:0], e)
 	j.line = line
 	if !ok {
 		// The error encoding/json gives for the NaN or ±Inf is the one kept.
@@ -75,35 +171,40 @@ func (j *JSONL) record(e Event) {
 	j.seen++
 }
 
-// RecordBatch writes a slice of events under one lock acquisition — the
-// flush path for per-job buffers, which batch a whole invocation's
-// telemetry and hand it over at the job boundary instead of contending the
-// sink once per event.
-func (j *JSONL) RecordBatch(evs []Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, e := range evs {
-		j.record(e)
-	}
-}
-
-// Events returns how many events have been recorded (and not dropped).
+// Events returns how many events have been written (and not dropped): it
+// hands the writer the events recorded so far and waits for its count.
+// After Close it returns the final count, the run_end event included.
 func (j *JSONL) Events() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.seen
+	if j.closed {
+		return j.seen
+	}
+	j.handOver(true)
+	return <-j.count
 }
 
-// Close terminates the stream with a run_end event (whose Value is the
-// number of events recorded before it), flushes buffered events, syncs the
-// underlying writer when it supports it, and returns the first error
-// encountered by Record, the flush or the sync. It does not close the
-// underlying writer. A stream decoded without a trailing run_end was
-// crash-truncated, not short.
+// Close writes out the recorded events, stops the writer goroutine and
+// terminates the stream with a run_end event (whose Value is the number of
+// events written before it). It then flushes, syncs the underlying writer
+// when it supports it, and returns the first error encountered by a write,
+// the flush or the sync. It does not close the underlying writer. A stream
+// decoded without a trailing run_end was crash-truncated, not short. A
+// second Close writes nothing and returns the first Close's error.
 func (j *JSONL) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.record(Event{Kind: KindRunEnd, Value: float64(j.seen)})
+	if j.closed {
+		return j.err
+	}
+	j.closed = true
+	if len(j.batch) > 0 {
+		j.batches <- jsonlBatch{evs: j.batch}
+	}
+	j.batch = nil
+	close(j.batches)
+	<-j.done
+	j.record(&Event{Kind: KindRunEnd, Value: float64(j.seen)})
 	if err := j.bw.Flush(); err != nil && j.err == nil {
 		j.err = fmt.Errorf("obs: flushing events: %w", err)
 	}

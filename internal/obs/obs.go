@@ -392,6 +392,7 @@ func (b *Buffer) Enabled() bool { return true }
 // Record appends the event.
 func (b *Buffer) Record(e Event) {
 	b.mu.Lock()
+	b.reserve(1)
 	b.events = append(b.events, e)
 	b.mu.Unlock()
 }
@@ -399,8 +400,19 @@ func (b *Buffer) Record(e Event) {
 // RecordBatch appends a batch under one lock acquisition.
 func (b *Buffer) RecordBatch(evs []Event) {
 	b.mu.Lock()
+	b.reserve(len(evs))
 	b.events = append(b.events, evs...)
 	b.mu.Unlock()
+}
+
+// reserve makes room for n more events by doubling the capacity. At
+// append's 1.25× growth for large slices, a buffer filled one event at a
+// time is zeroed and copied about four times over, and that was ~40% of a
+// recorder-on fleet run.
+func (b *Buffer) reserve(n int) {
+	if need := len(b.events) + n; need > cap(b.events) {
+		b.events = append(make([]Event, 0, max(need, 2*cap(b.events), 256)), b.events...)
+	}
 }
 
 // Events returns the captured events. The slice is shared — callers must not

@@ -101,7 +101,7 @@ type fleetAsm struct {
 
 // ident captures run identity from a fleet-layer event, overriding whatever
 // an earlier engine-level event supplied.
-func (a *fleetAsm) ident(e obs.Event) {
+func (a *fleetAsm) ident(e *obs.Event) {
 	a.isFleet = true
 	a.see(e.TNS)
 	if !a.benchFleet && e.Benchmark != "" {
@@ -135,7 +135,8 @@ func (a *fleetAsm) see(tns int64) {
 func BuildFleet(events []obs.Event) []*FleetTrace {
 	asms := map[string]*fleetAsm{}
 	var order []string
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		a := asms[e.Run]
 		if a == nil {
 			a = &fleetAsm{
@@ -172,7 +173,7 @@ func BuildFleet(events []obs.Event) []*FleetTrace {
 	return out
 }
 
-func (a *fleetAsm) event(e obs.Event) {
+func (a *fleetAsm) event(e *obs.Event) {
 	if a.ft.Benchmark == "" {
 		a.ft.Benchmark = e.Benchmark
 	}

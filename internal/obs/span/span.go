@@ -158,7 +158,7 @@ func (b *builder) see(tns int64) {
 	}
 }
 
-func (b *builder) event(e obs.Event) {
+func (b *builder) event(e *obs.Event) {
 	if b.tree.Benchmark == "" {
 		b.tree.Benchmark = e.Benchmark
 	}
@@ -225,7 +225,7 @@ func (b *builder) event(e obs.Event) {
 		b.tree.Marks = append(b.tree.Marks, Mark{TNS: e.TNS, Name: "oom"})
 	case obs.KindSample:
 		b.see(e.TNS)
-		b.tree.Samples = append(b.tree.Samples, e)
+		b.tree.Samples = append(b.tree.Samples, *e)
 	}
 	// Job, cache and run_end events carry host time or stream metadata, not
 	// virtual-run structure; the aggregate reporter owns them.
@@ -274,7 +274,8 @@ func Build(events []obs.Event) []*Tree {
 	}
 	builders := map[groupKey]*builder{}
 	var order []groupKey
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		k := groupKey{e.Run, e.Replica}
 		bb := builders[k]
 		if bb == nil {

@@ -66,10 +66,10 @@ func WriteFleetChrome(w io.Writer, fts []*span.FleetTrace) error {
 			b = integer(b, `,"tid":`, tidRequests)
 			b = integer(b, `,"args":{"id":`, q.ID)
 			b = integer(b, `,"attempts":`, int64(q.Attempts))
-			b = num(b, `,"queue_ms":`, float64(q.QueueNS)/1e6)
-			b = num(b, `,"gc_ms":`, float64(q.GCNS)/1e6)
-			b = num(b, `,"service_ms":`, float64(q.ServNS)/1e6)
-			b = num(b, `,"retry_ms":`, float64(q.RetryNS)/1e6)
+			b = msec(b, `,"queue_ms":`, q.QueueNS)
+			b = msec(b, `,"gc_ms":`, q.GCNS)
+			b = msec(b, `,"service_ms":`, q.ServNS)
+			b = msec(b, `,"retry_ms":`, q.RetryNS)
 			b = integer(b, `,"gc_pauses":`, q.GCPauses)
 			c.done(append(b, "}}"...))
 		}

@@ -192,7 +192,84 @@ func num(b []byte, key string, v float64) []byte {
 
 // usec appends virtual nanoseconds as the microsecond number the
 // trace-event spec expects.
-func usec(b []byte, key string, ns int64) []byte { return num(b, key, float64(ns)/1e3) }
+func usec(b []byte, key string, ns int64) []byte { return scaled(append(b, key...), ns, 3) }
+
+// msec appends nanoseconds as milliseconds.
+func msec(b []byte, key string, ns int64) []byte { return scaled(append(b, key...), ns, 6) }
+
+// pow10 holds the divisors scaled takes.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
+
+// scaled appends n/10^k, 0 ≤ k ≤ 6, exactly as num appends
+// float64(n)/10^k. For |n| < 2^40 that float is the correctly rounded
+// n/10^k, a decimal of at most 13 significant digits, and any decimal of at
+// most 15 is the shortest that rounds to its float, so n's digits are the
+// shortest form: scaled only places them as AppendFloat's 'g' does (%e
+// below 1e-4 and from 1e6, else %f). Larger n and values below 1e-4 go
+// through strconv.
+func scaled(b []byte, n int64, k int) []byte {
+	const maxExact = 1 << 40
+	if n == 0 {
+		return append(b, '0')
+	}
+	if n <= -maxExact || n >= maxExact {
+		return strconv.AppendFloat(b, float64(n)/pow10[k], 'g', -1, 64)
+	}
+	var buf [13]byte
+	i := len(buf)
+	for u := n; u != 0; u /= 10 {
+		i--
+		if u < 0 {
+			buf[i] = byte('0' - u%10)
+		} else {
+			buf[i] = byte('0' + u%10)
+		}
+	}
+	d := buf[i:]
+	dp := len(d) - k // n/10^k = 0.d × 10^dp
+	for d[len(d)-1] == '0' {
+		d = d[:len(d)-1]
+	}
+	exp := dp - 1
+	if exp < -4 {
+		return strconv.AppendFloat(b, float64(n)/pow10[k], 'g', -1, 64)
+	}
+	if n < 0 {
+		b = append(b, '-')
+	}
+	if exp >= 6 { // %e: d.ddde+XX
+		b = append(b, d[0])
+		if len(d) > 1 {
+			b = append(append(b, '.'), d[1:]...)
+		}
+		b = append(b, 'e', '+')
+		if exp < 10 {
+			b = append(b, '0')
+		}
+		return strconv.AppendInt(b, int64(exp), 10)
+	}
+	// %f: the integer part (0 when dp ≤ 0), then any fraction digits.
+	if dp <= 0 {
+		b = append(b, '0')
+	} else {
+		m := min(dp, len(d))
+		b = append(b, d[:m]...)
+		for ; m < dp; m++ {
+			b = append(b, '0')
+		}
+	}
+	if dp < len(d) {
+		b = append(b, '.')
+		for j := dp; j < len(d); j++ {
+			if j < 0 {
+				b = append(b, '0')
+			} else {
+				b = append(b, d[j])
+			}
+		}
+	}
+	return b
+}
 
 func integer(b []byte, key string, v int64) []byte {
 	return strconv.AppendInt(append(b, key...), v, 10)
