@@ -4,13 +4,19 @@
 # and worker-count-determinism regressions only manifest under -race, so
 # tier1 delegates to tier1-race rather than running a raceless suite.
 # Formatting drift fails tier 1 too; the file list comes from git so build
-# caches such as .bench_build/ are never scanned.
+# caches such as .bench_build/ are never scanned. So does a differential
+# oracle (the O(T) engine, the linear cluster scan, the linear balancers)
+# named from a non-test file: the oracles live in _test.go files, and the
+# shipped build carries no mode that selects them.
 .PHONY: tier1
 tier1: tier1-race
 
 .PHONY: tier1-race
 tier1-race:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
+	! git grep -n -F -e NewReferenceEngine -e NewReferenceCluster \
+		-e newReferenceBalancer -e e.naive -e c.linear -e cfg.reference \
+		-- '*.go' ':!*_test.go'
 	go build ./...
 	go vet ./...
 	go test -race ./...
@@ -109,18 +115,22 @@ bench-scaling:
 		| go run ./cmd/benchjson -out /dev/null -scaling-min auto
 
 # Native fuzzing of the decoders of bytes a run did not just write: the binary
-# invocation cache record (FuzzDecodeInvocation), the JSONL telemetry
-# stream (FuzzDecodeStream) and unified-logging GC logs (FuzzParseAll); and of
-# the Chrome trace writer's integer number fast path against strconv
-# (FuzzChromeNumber). go test -fuzz takes one target per run, so each
-# gets its own fixed time budget. The committed seed corpora under
+# invocation cache record (FuzzDecodeInvocation), the JSON result and cache
+# archives with their v1->v2 migration (FuzzLoadArchive), the JSONL telemetry
+# stream (FuzzDecodeStream), unified-logging GC logs (FuzzParseAll) and the
+# bench gate's inputs, BENCH_sim.json maps and go test -bench text
+# (FuzzParse); and of the Chrome trace writer's integer number fast path
+# against strconv (FuzzChromeNumber). go test -fuzz takes one target per run,
+# so each gets its own fixed time budget. The committed seed corpora under
 # testdata/fuzz also run as ordinary tests in tier1.
 .PHONY: fuzz
 fuzz:
 	go test -run='^$$' -fuzz='^FuzzDecodeInvocation$$' -fuzztime=60s ./internal/persist
+	go test -run='^$$' -fuzz='^FuzzLoadArchive$$' -fuzztime=60s ./internal/persist
 	go test -run='^$$' -fuzz='^FuzzDecodeStream$$' -fuzztime=60s ./internal/obs
 	go test -run='^$$' -fuzz='^FuzzParseAll$$' -fuzztime=60s ./internal/gclog
 	go test -run='^$$' -fuzz='^FuzzChromeNumber$$' -fuzztime=60s ./internal/obs/traceview
+	go test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=60s ./internal/obs/benchdiff
 
 # CPU and heap profiles for the invocation hot path; inspect with
 # `go tool pprof cpu.pprof` / `go tool pprof -sample_index=alloc_objects

@@ -8,14 +8,15 @@ import (
 
 	"chopin/internal/gc"
 	"chopin/internal/obs"
+	"chopin/internal/sim"
 	"chopin/internal/workload"
 )
 
 // Fleet-level differential oracle: the production run (heap-indexed cluster,
-// tournament-tree balancers) and the reference run (linear cluster scan,
-// linear balancers) must be byte-identical — same report, same telemetry
-// stream event for event — across policies, seeds and fleet sizes up to the
-// 1024-replica scale target. Any divergence means an indexed structure
+// tournament-tree balancers) and the reference run (linear scans over the
+// engines' next events and over the replicas) must be byte-identical — same
+// report, same telemetry stream event for event — across policies, seeds and
+// fleet sizes up to the 1024-replica scale target. Any divergence means an indexed structure
 // changed a simulation it was only supposed to accelerate.
 
 // fleetDiffConfig is a small cell sized so the 1024-replica cases stay
@@ -40,17 +41,48 @@ func fleetDiffConfig(n int, pol Policy, seed uint64) Config {
 	}
 }
 
+// linearPeek is the oracle for the cluster's event heap: a scan of every
+// engine's next event, lowest index on exact ties.
+type linearPeek []*sim.Engine
+
+func (engines linearPeek) Peek() (idx int, at float64, ok bool) {
+	idx = -1
+	for i, e := range engines {
+		t, alive := e.NextEventAt()
+		if alive && (idx < 0 || t < at) {
+			idx, at = i, t
+		}
+	}
+	return idx, at, idx >= 0
+}
+
+// newTestRun builds a fleet run, with the linear oracles swapped in for the
+// cluster heap and the balancer tree when reference is set.
+func newTestRun(t *testing.T, cfg Config, rec obs.Recorder, reference bool) *fleetRun {
+	t.Helper()
+	fr, err := newFleetRun(workload.MicroPauseProbe, cfg, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reference {
+		if fr.bal, err = newReferenceBalancer(fr.cfg.Policy); err != nil {
+			t.Fatal(err)
+		}
+		fr.cluster = linearPeek(fr.engines)
+	}
+	return fr
+}
+
 // runFleetOnce executes one fleet run and returns its marshalled report plus,
 // when observed, the full telemetry stream.
 func runFleetOnce(t *testing.T, cfg Config, reference, observed bool) ([]byte, []obs.Event) {
 	t.Helper()
-	cfg.reference = reference
 	var rec obs.Recorder
 	var buf obs.Buffer
 	if observed {
 		rec = &buf
 	}
-	rep, err := Run(workload.MicroPauseProbe, cfg, rec)
+	rep, err := newTestRun(t, cfg, rec, reference).report()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +136,12 @@ func TestFleetDifferentialUnobserved(t *testing.T) {
 	for _, pol := range []Policy{LeastOutstanding, GCAware} {
 		cfg := fleetDiffConfig(16, pol, 7)
 		run := func(reference bool) [][]workload.Event {
-			cfg.reference = reference
-			reps, _, _, err := drive(workload.MicroPauseProbe, cfg, nil)
-			if err != nil {
+			fr := newTestRun(t, cfg, nil, reference)
+			if err := fr.run(); err != nil {
 				t.Fatal(err)
 			}
-			out := make([][]workload.Event, len(reps))
-			for i, rp := range reps {
+			out := make([][]workload.Event, len(fr.reps))
+			for i, rp := range fr.reps {
 				out[i] = rp.Latencies()
 			}
 			return out

@@ -84,13 +84,6 @@ type Config struct {
 	// StepBudget caps total simulation events across the fleet (default
 	// 500M, the standalone runner's safety net).
 	StepBudget int64 `json:"step_budget,omitempty"`
-
-	// reference selects the O(N) differential-oracle paths — the linear
-	// cluster scan and the linear balancers — in place of the indexed
-	// production structures. Unexported (and so excluded from the JSON cache
-	// key): oracle mode is a test concern, and both modes produce
-	// byte-identical results by construction.
-	reference bool
 }
 
 // arrivalSeedSalt separates the arrival process's RNG stream from every
@@ -150,17 +143,14 @@ type pendingRetry struct {
 // fleet telemetry (per-replica summaries, retry events, the fleet report);
 // obs.Nop disables it. The run is deterministic in (d, cfg).
 func Run(d *workload.Descriptor, cfg Config, rec obs.Recorder) (*Report, error) {
-	rec = obs.Or(rec)
-	reps, retried, cfg, err := drive(d, cfg, rec)
+	fr, err := newFleetRun(d, cfg, rec)
 	if err != nil {
 		return nil, err
 	}
-	rep := buildReport(d, cfg, reps, retried)
-	recordReport(rec, d, cfg, reps, rep)
-	return rep, nil
+	return fr.report()
 }
 
-// fleetScratch is drive's pooled per-request state: retry depth per logical
+// fleetScratch is a run's pooled per-request state: retry depth per logical
 // request and the pending-retry queue. Pooling it (and the tracer's
 // per-replica accumulators) keeps the driving loop's allocations constant in
 // fleet size and request count after warmup — the property the scale
@@ -186,6 +176,12 @@ func getScratch(requests int) *fleetScratch {
 	return s
 }
 
+// eventIndex finds the replica whose next event is globally earliest, as
+// sim.Cluster.Peek does; it is all the driving loop asks of the cluster.
+type eventIndex interface {
+	Peek() (idx int, at float64, ok bool)
+}
+
 // fleetRun is one fleet simulation, split into construction (newFleetRun:
 // replicas, cluster, balancer, tracer — everything O(N)) and the driving loop
 // (run), so the hot loop's cost profile can be measured and reasoned about in
@@ -198,7 +194,7 @@ type fleetRun struct {
 	engines []*sim.Engine
 	backs   []backend
 	bal     balancer
-	cluster *sim.Cluster
+	cluster eventIndex
 	proc    arrivalProcess
 	tr      *tracer
 	scratch *fleetScratch
@@ -206,25 +202,23 @@ type fleetRun struct {
 	steps   int64 // simulation events processed by run, for per-event metrics
 }
 
-// drive executes the fleet simulation itself, returning the drained replicas
-// and the retry count (Run layers the report on top; the oracle test reads
-// the replicas directly).
-func drive(d *workload.Descriptor, cfg Config, rec obs.Recorder) ([]*workload.Replica, int64, Config, error) {
-	fr, err := newFleetRun(d, cfg, rec)
-	if err != nil {
-		return nil, 0, fr.cfg, err
-	}
+// report drives the fleet to completion, then builds and records its
+// report.
+func (fr *fleetRun) report() (*Report, error) {
 	if err := fr.run(); err != nil {
-		return nil, 0, fr.cfg, err
+		return nil, err
 	}
 	fr.release()
-	return fr.reps, fr.retried, fr.cfg, nil
+	rep := buildReport(fr.d, fr.cfg, fr.reps, fr.retried)
+	recordReport(fr.rec, fr.d, fr.cfg, fr.reps, rep)
+	return rep, nil
 }
 
 // newFleetRun validates the config and builds the fleet: replicas with their
-// engines, the cluster event index, the balancer (indexed production
-// structures, or the linear oracles in reference mode) and, when observed,
+// engines, the cluster event index, the indexed balancer and, when observed,
 // the tracer. Everything that allocates proportionally to N happens here.
+// The differential tests swap linear oracles into cluster and bal before
+// run.
 func newFleetRun(d *workload.Descriptor, cfg Config, rec obs.Recorder) (*fleetRun, error) {
 	fr := &fleetRun{d: d, cfg: cfg, rec: obs.Or(rec)}
 	if err := cfg.Validate(); err != nil {
@@ -234,19 +228,11 @@ func newFleetRun(d *workload.Descriptor, cfg Config, rec obs.Recorder) (*fleetRu
 	fr.cfg = cfg
 	rec = fr.rec
 
-	if cfg.reference {
-		bal, err := newReferenceBalancer(cfg.Policy)
-		if err != nil {
-			return fr, err
-		}
-		fr.bal = bal
-	} else {
-		bal, err := newBalancer(cfg.Policy, cfg.Replicas)
-		if err != nil {
-			return fr, err
-		}
-		fr.bal = bal
+	bal, err := newBalancer(cfg.Policy, cfg.Replicas)
+	if err != nil {
+		return fr, err
 	}
+	fr.bal = bal
 
 	fr.reps = make([]*workload.Replica, cfg.Replicas)
 	fr.engines = make([]*sim.Engine, cfg.Replicas)
@@ -304,11 +290,7 @@ func newFleetRun(d *workload.Descriptor, cfg Config, rec obs.Recorder) (*fleetRu
 	fr.proc = newArrival(spec, meanNS, startF, cfg.Requests,
 		sim.NewRNG(cfg.Run.Seed^arrivalSeedSalt))
 
-	if cfg.reference {
-		fr.cluster = sim.NewReferenceCluster(fr.engines...)
-	} else {
-		fr.cluster = sim.NewCluster(fr.engines...)
-	}
+	fr.cluster = sim.NewCluster(fr.engines...)
 	fr.scratch = getScratch(cfg.Requests)
 	return fr, nil
 }

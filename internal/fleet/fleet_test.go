@@ -52,14 +52,17 @@ func TestSingleReplicaOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reps, retried, _, err := drive(d, Config{Replicas: 1, Run: rcfg}, nil)
+	fr, err := newFleetRun(d, Config{Replicas: 1, Run: rcfg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if retried != 0 {
-		t.Fatalf("retried = %d without retries configured", retried)
+	if err := fr.run(); err != nil {
+		t.Fatal(err)
 	}
-	got := reps[0].Latencies()
+	if fr.retried != 0 {
+		t.Fatalf("retried = %d without retries configured", fr.retried)
+	}
+	got := fr.reps[0].Latencies()
 	if len(got) != len(res.Events) {
 		t.Fatalf("fleet served %d events, standalone %d", len(got), len(res.Events))
 	}

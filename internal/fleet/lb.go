@@ -80,8 +80,9 @@ type Decision struct {
 // replica state into the balancer through the three update methods — one
 // call per injection, completion and pause transition — which is what lets
 // indexed policies answer pick in O(log N) without rescanning the fleet.
-// Policies that derive state at pick time (round-robin, the linear reference
-// oracles) implement them as no-ops.
+// Policies that derive state at pick time (round-robin, and the linear
+// oracles the tests check the indexed policies against) implement them as
+// no-ops.
 type balancer interface {
 	pick(reps []backend) Decision
 	inject(i int)
@@ -108,20 +109,6 @@ func newBalancer(p Policy, n int) (balancer, error) {
 	return nil, fmt.Errorf("fleet: unknown balancer policy %q", p)
 }
 
-// newReferenceBalancer builds the retained O(N)-per-pick implementation of a
-// policy: the differential oracle the indexed balancers are tested against.
-func newReferenceBalancer(p Policy) (balancer, error) {
-	switch p {
-	case RoundRobin, "":
-		return &roundRobin{}, nil
-	case LeastOutstanding:
-		return leastOutstanding{}, nil
-	case GCAware:
-		return gcAware{}, nil
-	}
-	return nil, fmt.Errorf("fleet: unknown balancer policy %q", p)
-}
-
 // noUpdates is embedded by policies that read replica state at pick time (or
 // ignore it entirely) instead of maintaining an index.
 type noUpdates struct{}
@@ -139,41 +126,4 @@ func (rr *roundRobin) pick(reps []backend) Decision {
 	i := rr.n % len(reps)
 	rr.n++
 	return Decision{Replica: i, Reason: ReasonRoundRobin}
-}
-
-type leastOutstanding struct{ noUpdates }
-
-func (leastOutstanding) pick(reps []backend) Decision {
-	best := 0
-	for i := 1; i < len(reps); i++ {
-		if reps[i].Outstanding() < reps[best].Outstanding() {
-			best = i
-		}
-	}
-	return Decision{Replica: best, Reason: ReasonLeastOutstanding}
-}
-
-type gcAware struct{ noUpdates }
-
-func (gcAware) pick(reps []backend) Decision {
-	best, avoided := -1, 0
-	for i, rp := range reps {
-		if rp.Paused() {
-			avoided++
-			continue
-		}
-		if best < 0 || rp.Outstanding() < reps[best].Outstanding() {
-			best = i
-		}
-	}
-	if best < 0 {
-		// Whole fleet paused at once: no routing escape, fall back to load.
-		d := leastOutstanding{}.pick(reps)
-		return Decision{Replica: d.Replica, Reason: ReasonGCAwareFallback}
-	}
-	reason := ReasonGCAware
-	if avoided > 0 {
-		reason = ReasonGCAwareAvoid
-	}
-	return Decision{Replica: best, Reason: reason, Avoided: avoided}
 }

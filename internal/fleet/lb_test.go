@@ -1,6 +1,63 @@
 package fleet
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
+
+// The linear balancers: O(N)-per-pick scans of the replicas, the
+// differential oracles the indexed balancers (lbindex.go) and the fleet runs
+// built on them are tested against.
+
+// newReferenceBalancer builds the linear implementation of a policy.
+func newReferenceBalancer(p Policy) (balancer, error) {
+	switch p {
+	case RoundRobin, "":
+		return &roundRobin{}, nil
+	case LeastOutstanding:
+		return leastOutstanding{}, nil
+	case GCAware:
+		return gcAware{}, nil
+	}
+	return nil, fmt.Errorf("fleet: unknown balancer policy %q", p)
+}
+
+type leastOutstanding struct{ noUpdates }
+
+func (leastOutstanding) pick(reps []backend) Decision {
+	best := 0
+	for i := 1; i < len(reps); i++ {
+		if reps[i].Outstanding() < reps[best].Outstanding() {
+			best = i
+		}
+	}
+	return Decision{Replica: best, Reason: ReasonLeastOutstanding}
+}
+
+type gcAware struct{ noUpdates }
+
+func (gcAware) pick(reps []backend) Decision {
+	best, avoided := -1, 0
+	for i, rp := range reps {
+		if rp.Paused() {
+			avoided++
+			continue
+		}
+		if best < 0 || rp.Outstanding() < reps[best].Outstanding() {
+			best = i
+		}
+	}
+	if best < 0 {
+		// Whole fleet paused at once: no routing escape, fall back to load.
+		d := leastOutstanding{}.pick(reps)
+		return Decision{Replica: d.Replica, Reason: ReasonGCAwareFallback}
+	}
+	reason := ReasonGCAware
+	if avoided > 0 {
+		reason = ReasonGCAwareAvoid
+	}
+	return Decision{Replica: best, Reason: reason, Avoided: avoided}
+}
 
 // fakeBackend is a balancer test double.
 type fakeBackend struct {

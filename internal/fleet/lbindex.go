@@ -4,8 +4,8 @@ import "math"
 
 // Indexed balancers: O(log N) picks for 1024-replica fleets.
 //
-// The linear policies in lb.go rescan every replica per arrival — O(N) per
-// pick, the fleet-level twin of the naive scheduler PR 2 replaced. At 1024
+// A linear policy rescans every replica per arrival — O(N) per pick, the
+// fleet-level twin of the O(T) scheduler the engine's heap replaced. At 1024
 // replicas that scan dominates the driver loop, so the production policies
 // keep a tournament tree (a flat segment tree) over per-replica keys
 // instead: each leaf holds one replica's (paused, outstanding, index) packed
@@ -22,9 +22,9 @@ import "math"
 // exact ties — precisely the linear gcAware scan's order. When every replica
 // is paused the root's paused bit is set and the minimum degenerates to
 // least-outstanding-among-all, which is exactly the linear policy's
-// fallback. leastOutstanding uses the same tree with the paused bit never
-// set. The linear policies are retained as differential oracles
-// (newReferenceBalancer); the property tests drive both through identical
+// fallback. Least-outstanding uses the same tree with the paused bit never
+// set. The linear policies live on in the tests (lb_test.go) as
+// differential oracles; the property tests drive both through identical
 // update streams and demand identical decisions.
 
 const (

@@ -18,7 +18,15 @@ import (
 // loop's scratch is pooled and every index structure is pre-sized at
 // construction, yet BENCH_sim.json records 265, 515 and 412 allocs/op
 // (2–5 MB/op) at 16, 64 and 256 replicas against 0 at 1024, and the gate
-// holds only the 1024 rung at zero.
+// holds only the 1024 rung at zero. A -memprofilerate=1 profile of the timed
+// loop (pprof -focus on fleetRun.run) at 16 and 64 replicas traces them to
+// append growth of per-replica state. The GC log's trace.(*Log).AddPause and
+// AddEvent, reached from gc.(*Collector).endPause, make ~72% of the loop's
+// allocations (92% of its bytes at 16 replicas). The open-loop arrival
+// queue grown by workload.(*runner).injectArrival makes ~25%; at 256
+// replicas only the GC log still grows. All of it scales with the requests
+// each replica serves (2048/N): at 1024 replicas the 2 requests each fit
+// the initial capacities, which is why that rung reads 0.
 //
 // Total request volume is fixed across the ladder, so the work per op is
 // comparable: more replicas means the same stream spread thinner, not a

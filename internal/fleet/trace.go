@@ -46,7 +46,7 @@ import (
 // until endPause appends the interval), so at completion time every
 // overlapping pause is already in the log.
 //
-// Disabled-path discipline (PR 3): drive holds a nil *tracer when the
+// Disabled-path discipline (PR 3): a run holds a nil *tracer when the
 // recorder is disabled, and every method nil-guards — the whole feature
 // costs one branch per call site and zero allocations.
 
@@ -105,7 +105,7 @@ func grow[T any](s []T, n int) []T {
 }
 
 // newTracer builds the tracer for one fleet run; call only with an enabled
-// recorder (drive leaves tr nil otherwise). Tracers are pooled: per-request
+// recorder (newFleetRun leaves tr nil otherwise). Tracers are pooled: per-request
 // and per-replica accumulators are reused across runs so an observed fleet's
 // steady-state allocations stay constant in N.
 func newTracer(rec obs.Recorder, d *workload.Descriptor, cfg Config, reps []*workload.Replica) *tracer {
@@ -175,7 +175,7 @@ func (tr *tracer) dispatched(id int32, at sim.Time) {
 }
 
 // complete records one attempt's completion on replica idx. final reports
-// whether drive decided this attempt ends the logical request (no retry
+// whether the run decided this attempt ends the logical request (no retry
 // follows); only then is the fleet-request blame event emitted.
 func (tr *tracer) complete(idx int, c workload.Completion, final bool) {
 	if tr == nil {
@@ -233,7 +233,7 @@ func (tr *tracer) finish(endT int64) {
 }
 
 // flushWindows emits every whole window that closed at or before t. Lazy
-// flushing keeps windows exact: drive processes injections and completions
+// flushing keeps windows exact: a run processes injections and completions
 // in non-decreasing virtual-time order, so by the time an event at t
 // arrives, the contents of any window ending ≤ t are complete.
 func (tr *tracer) flushWindows(t int64) {

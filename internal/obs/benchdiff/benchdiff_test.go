@@ -291,3 +291,15 @@ func TestRenderGolden(t *testing.T) {
 			buf.Bytes(), want)
 	}
 }
+
+// FuzzParse holds Parse to its contract on any input, in either format it
+// sniffs: it never panics, and it either returns an error or a non-empty
+// set of samples.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := Parse(bytes.NewReader(b))
+		if err == nil && len(s) == 0 {
+			t.Fatalf("Parse returned no samples and no error for %q", b)
+		}
+	})
+}

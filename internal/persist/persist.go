@@ -97,11 +97,20 @@ func SaveGeneric(path string, r *GenericRecord) error {
 }
 
 func write(path string, a Archive) error {
-	data, err := json.MarshalIndent(a, "", "  ")
+	data, err := encodeArchive(&a)
 	if err != nil {
-		return fmt.Errorf("persist: %w", err)
+		return err
 	}
 	return writeFile(path, data)
+}
+
+// encodeArchive is the bytes write saves: the inverse of decodeArchive.
+func encodeArchive(a *Archive) ([]byte, error) {
+	data, err := json.MarshalIndent(a, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	return data, nil
 }
 
 // writeFile publishes data at path write-then-rename, so concurrent engine
@@ -123,7 +132,7 @@ func writeFile(path string, data []byte) error {
 
 // migrate upgrades an archive from its stored version to currentVersion,
 // one version step at a time.
-func migrate(path string, a *Archive) error {
+func migrate(a *Archive) error {
 	for a.Version < currentVersion {
 		switch a.Version {
 		case 1:
@@ -132,11 +141,11 @@ func migrate(path string, a *Archive) error {
 			// one is corrupt rather than old.
 			switch a.Kind {
 			case "minheap", "generic":
-				return fmt.Errorf("persist: %s: kind %q requires version 2, archive claims version 1", path, a.Kind)
+				return fmt.Errorf("kind %q requires version 2, archive claims version 1", a.Kind)
 			}
 			a.Version = 2
 		default:
-			return fmt.Errorf("persist: %s: no migration from version %d", path, a.Version)
+			return fmt.Errorf("no migration from version %d", a.Version)
 		}
 	}
 	return nil
@@ -149,47 +158,58 @@ func Load(path string) (*Archive, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	var a Archive
-	if err := json.Unmarshal(data, &a); err != nil {
+	a, err := decodeArchive(data)
+	if err != nil {
 		return nil, fmt.Errorf("persist: %s: %w", path, err)
 	}
-	if a.Version < oldestVersion || a.Version > currentVersion {
-		return nil, fmt.Errorf("persist: %s: version %d outside supported range [%d, %d]",
-			path, a.Version, oldestVersion, currentVersion)
+	return a, nil
+}
+
+// decodeArchive is Load without the file: it parses an archive's bytes,
+// migrates older versions and validates the envelope.
+func decodeArchive(data []byte) (*Archive, error) {
+	var a Archive
+	if err := json.Unmarshal(data, &a); err != nil {
+		return nil, err
 	}
-	if err := migrate(path, &a); err != nil {
+	if a.Version < oldestVersion || a.Version > currentVersion {
+		return nil, fmt.Errorf("version %d outside supported range [%d, %d]",
+			a.Version, oldestVersion, currentVersion)
+	}
+	if err := migrate(&a); err != nil {
 		return nil, err
 	}
 	switch a.Kind {
 	case "lbo-grid":
 		if a.Grid == nil {
-			return nil, fmt.Errorf("persist: %s: lbo-grid archive without grid", path)
+			return nil, fmt.Errorf("lbo-grid archive without grid")
 		}
 	case "geomean":
-		if a.Geomean == nil {
-			return nil, fmt.Errorf("persist: %s: geomean archive without points", path)
+		// Saving drops an empty point list (omitempty), so an empty one
+		// would load here but not after a save.
+		if len(a.Geomean) == 0 {
+			return nil, fmt.Errorf("geomean archive without points")
 		}
 	case "characterization":
 		if a.Characterization == nil {
-			return nil, fmt.Errorf("persist: %s: characterization archive without payload", path)
+			return nil, fmt.Errorf("characterization archive without payload")
 		}
 	case "minheap":
 		if a.MinHeap == nil {
-			return nil, fmt.Errorf("persist: %s: minheap archive without record", path)
+			return nil, fmt.Errorf("minheap archive without record")
 		}
 		if a.MinHeap.MinHeapMB <= 0 {
-			return nil, fmt.Errorf("persist: %s: minheap archive with non-positive heap %v",
-				path, a.MinHeap.MinHeapMB)
+			return nil, fmt.Errorf("minheap archive with non-positive heap %v", a.MinHeap.MinHeapMB)
 		}
 	case "generic":
 		if a.Generic == nil {
-			return nil, fmt.Errorf("persist: %s: generic archive without record", path)
+			return nil, fmt.Errorf("generic archive without record")
 		}
 		if len(a.Generic.Data) == 0 {
-			return nil, fmt.Errorf("persist: %s: generic archive without payload", path)
+			return nil, fmt.Errorf("generic archive without payload")
 		}
 	default:
-		return nil, fmt.Errorf("persist: %s: unknown kind %q", path, a.Kind)
+		return nil, fmt.Errorf("unknown kind %q", a.Kind)
 	}
 	return &a, nil
 }

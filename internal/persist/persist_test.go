@@ -1,9 +1,12 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"chopin/internal/gc"
@@ -262,4 +265,36 @@ func TestVersionBelowRangeRejected(t *testing.T) {
 	if _, err := Load(path); err == nil {
 		t.Fatal("version 0 should be rejected")
 	}
+}
+
+// FuzzLoadArchive holds the JSON archive decoder to its contract on any
+// bytes: it never panics, and it either rejects the input or returns an
+// archive that saves and reloads to the same value. The opaque generic
+// payload is compared as the JSON it encodes to, since saving re-indents it.
+func FuzzLoadArchive(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		a, err := decodeArchive(b)
+		if err != nil {
+			return
+		}
+		saved, err := encodeArchive(a)
+		if err != nil {
+			t.Fatalf("decoded archive does not save: %v", err)
+		}
+		again, err := decodeArchive(saved)
+		if err != nil {
+			t.Fatalf("saved archive does not reload: %v\n%s", err, saved)
+		}
+		if a.Generic != nil && again.Generic != nil {
+			x, errX := json.Marshal(a.Generic.Data)
+			y, errY := json.Marshal(again.Generic.Data)
+			if errX != nil || errY != nil || !bytes.Equal(x, y) {
+				t.Fatalf("generic payload changed: %s -> %s", a.Generic.Data, again.Generic.Data)
+			}
+			again.Generic.Data = a.Generic.Data
+		}
+		if !reflect.DeepEqual(a, again) {
+			t.Fatalf("archive changed on save and reload:\n in  %+v\n out %+v", a, again)
+		}
+	})
 }

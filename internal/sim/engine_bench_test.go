@@ -12,8 +12,8 @@ import (
 // spinThreads populates the engine with T self-re-Execing workers whose
 // quanta are pairwise distinct, so completions spread across segments and
 // each event retires a single thread (the honest per-event comparison: the
-// naive stepper pays its O(T) rescan per completion instead of amortizing it
-// over a simultaneous batch).
+// O(T) reference engine pays its rescan per completion instead of amortizing
+// it over a simultaneous batch).
 func spinThreads(e *Engine, threads int) {
 	for i := 0; i < threads; i++ {
 		th := e.NewThread("w")
@@ -49,14 +49,30 @@ func BenchmarkEngineStep(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineStepNaive is the same workload on the retained reference
-// stepper; the ratio to BenchmarkEngineStep is the tentpole's speedup.
+// BenchmarkEngineStepNaive is the same workload on the eager O(T) reference
+// engine (reference_test.go); its ratio to BenchmarkEngineStep is what
+// virtual service time buys.
 func BenchmarkEngineStepNaive(b *testing.B) {
 	for _, n := range []int{8, 64, 512} {
 		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
-			e := NewReferenceEngine(64, nil)
-			spinThreads(e, n)
-			benchSteps(b, e, 2*n)
+			e := newRefEngine(64, nil)
+			for i := 0; i < n; i++ {
+				th := e.NewThread("w")
+				work := float64(100 + 13*i)
+				var spin func()
+				spin = func() { th.Exec(work, spin) }
+				th.Exec(work, spin)
+			}
+			for i := 0; i < 2*n; i++ {
+				e.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !e.Step() {
+					b.Fatal("engine quiesced")
+				}
+			}
 		})
 	}
 }

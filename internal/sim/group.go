@@ -119,9 +119,7 @@ func (g *Group) Unblock() {
 		t.blockedNS += e.now - t.blockedAt
 		if t.remaining > 0 {
 			t.state = StateRunnable
-			if !e.naive {
-				e.thaw(t)
-			}
+			e.thaw(t)
 		} else {
 			t.state = StateIdle
 			t.releaseQuantum()
@@ -147,9 +145,7 @@ func (g *Group) Exec(cpuNS float64, done func()) {
 		t.onDone = done
 		t.state = StateRunnable
 	}
-	if !g.eng.naive {
-		g.eng.activateGang(g)
-	}
+	g.eng.activateGang(g)
 	g.eng.mutated()
 }
 
@@ -170,11 +166,10 @@ func (e *Engine) activateGang(g *Group) {
 	e.enqueue(&g.lead)
 }
 
-// freeze is Block's per-member step on the fast stepper: deactivate's
-// arithmetic and the residual work, as Thread.Block computes them, but the
-// completion entry is kept. An entry on the engine heap (pushed while the
-// group was frozen) moves into the sub-heap, so thaw finds every entry of a
-// held member there.
+// freeze is Block's per-member step: deactivate's arithmetic and the
+// residual work, as Thread.Block computes them, but the completion entry is
+// kept. An entry on the engine heap (pushed while the group was frozen)
+// moves into the sub-heap, so thaw finds every entry of a held member there.
 func (e *Engine) freeze(t *Thread) {
 	e.settle(t)
 	t.remaining = t.finishS - e.vs
@@ -194,9 +189,9 @@ func (e *Engine) freeze(t *Thread) {
 	}
 }
 
-// thaw is Unblock's per-member step on the fast stepper: activate's
-// arithmetic, finishS = S + remaining exactly as Thread.Unblock computes it,
-// with the kept entry re-keyed afterwards by rekey.
+// thaw is Unblock's per-member step: activate's arithmetic, finishS = S +
+// remaining exactly as Thread.Unblock computes it, with the kept entry
+// re-keyed afterwards by rekey.
 func (e *Engine) thaw(t *Thread) {
 	t.frozen = false
 	e.start(t)

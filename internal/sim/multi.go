@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // Multi-instance stepping.
 //
 // A fleet simulation runs N independent engines — one per replica, each with
@@ -23,16 +21,7 @@ import "math"
 // them, so the peek is allocation-free and does not perturb the subsequent
 // step.
 func (e *Engine) NextEventAt() (float64, bool) {
-	run := e.runCount
-	if e.naive {
-		run = 0
-		for _, t := range e.threads {
-			if t.state == StateRunnable {
-				run++
-			}
-		}
-	}
-	if run == 0 {
+	if e.runCount == 0 {
 		at, ok := e.nextTimerAt()
 		if !ok {
 			return 0, false
@@ -43,23 +32,11 @@ func (e *Engine) NextEventAt() (float64, bool) {
 		return at, true
 	}
 
-	rate := e.rateFor(run)
-	dt := math.Inf(1)
-	if e.naive {
-		for _, t := range e.threads {
-			if t.state != StateRunnable {
-				continue
-			}
-			if d := t.remaining / rate; d < dt {
-				dt = d
-			}
-		}
-	} else if q := e.nextComp(); q != nil {
-		dt = (q.a[0].finishS - e.vs) / rate
-	}
-	if math.IsInf(dt, 1) {
+	q := e.nextComp()
+	if q == nil {
 		panic("sim: runnable threads without completion entries")
 	}
+	dt := (q.a[0].finishS - e.vs) / e.rateFor(e.runCount)
 	if at, ok := e.nextTimerAt(); ok {
 		if d := at - e.now; d < dt {
 			dt = d
@@ -76,7 +53,7 @@ func (e *Engine) NextEventAt() (float64, bool) {
 // generation is stale — superseded by a fresher push — and is discarded when
 // it surfaces at the top, exactly like the timer queue's lazy cancellation.
 // The key is (time, index), so exact-time ties resolve to the lowest engine
-// index, matching the linear reference scan.
+// index, as a linear scan over the engines would.
 type clusterEntry struct {
 	at  float64
 	idx int32
@@ -97,19 +74,18 @@ func (a clusterEntry) lessThan(b clusterEntry) bool {
 // non-decreasing order. Engines may still be driven directly between cluster
 // steps (scheduling timers, injecting work, reading clocks).
 //
-// NewCluster maintains a min-heap of (next-event time, engine index) entries
-// so Peek costs O(log N) amortized instead of the reference scan's O(N):
+// The cluster maintains a min-heap of (next-event time, engine index)
+// entries so Peek costs O(log N) amortized instead of a linear scan's O(N):
 // every engine state change bumps the engine's generation counter and marks
 // it dirty in its cluster, Peek re-derives dirty engines' entries before
 // reading the top, and entries stamped with an older generation are popped
 // as stale when they surface (or swept in bulk once they outnumber live
 // ones). An engine that went quiescent carries no entry; the dirty mark from
 // the timer arming that wakes it (e.g. a fleet driver injecting an arrival)
-// is what resurfaces it. NewReferenceCluster retains the O(N) scan as the
+// is what resurfaces it. The package tests keep the O(N) scan as the
 // differential oracle.
 type Cluster struct {
 	engines []*Engine
-	linear  bool // reference cluster: scan every engine per Peek
 
 	heap     ordHeap[clusterEntry]
 	dirty    []int32 // engines whose entry must be re-derived before peeking
@@ -118,11 +94,10 @@ type Cluster struct {
 	stale    int      // superseded entries awaiting lazy discard or sweep
 }
 
-// NewCluster builds a heap-indexed cluster over the given engines. The slice
-// is retained; indices into it identify engines in Peek/Step results. Each
-// engine notifies the cluster of state changes, so an engine may belong to
-// at most one heap-indexed cluster at a time (reference clusters do not
-// register and are exempt).
+// NewCluster builds a cluster over the given engines. The slice is retained;
+// indices into it identify engines in Peek/Step results. Each engine notifies
+// the cluster of state changes, so an engine may belong to at most one
+// cluster at a time.
 func NewCluster(engines ...*Engine) *Cluster {
 	c := &Cluster{
 		engines:  engines,
@@ -142,14 +117,6 @@ func NewCluster(engines ...*Engine) *Cluster {
 		c.markDirty(int32(i))
 	}
 	return c
-}
-
-// NewReferenceCluster builds a cluster that re-derives every engine's next
-// event on every Peek — the O(N) scan the event heap replaced, retained as
-// the differential oracle. Its step sequence is byte-identical to
-// NewCluster's over the same engines.
-func NewReferenceCluster(engines ...*Engine) *Cluster {
-	return &Cluster{engines: engines, linear: true}
 }
 
 // Len returns the number of engines in the cluster.
@@ -202,19 +169,6 @@ func (c *Cluster) refresh() {
 // would advance: the earliest next event across the cluster, lowest engine
 // index on exact ties. ok is false when every engine is quiescent.
 func (c *Cluster) Peek() (idx int, at float64, ok bool) {
-	if c.linear {
-		idx = -1
-		for i, e := range c.engines {
-			t, alive := e.NextEventAt()
-			if !alive {
-				continue
-			}
-			if idx < 0 || t < at {
-				idx, at = i, t
-			}
-		}
-		return idx, at, idx >= 0
-	}
 	c.refresh()
 	for c.heap.len() > 0 {
 		top := c.heap.peek()

@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// Differential property test: the virtual-service-time stepper and the naive
-// reference stepper are driven through the same seeded randomized schedule of
-// Exec / Block / Unblock / Abandon / Finish / timer / cancel traffic, plus
-// Group freezes (Block/Unblock) and gang quanta (Group.Exec), and must
-// produce identical event traces and telemetry within timeEps.
+// Differential property test: the virtual-service-time engine and the eager
+// reference engine (reference_test.go) are driven through the same seeded
+// randomized schedule of Exec / Block / Unblock / Abandon / Finish / timer /
+// cancel traffic, plus Group freezes (Block/Unblock) and gang quanta
+// (Group.Exec), and must produce identical event traces and telemetry within
+// timeEps.
 //
 // The script's only inputs are the RNG stream and engine-visible state
 // (State(), Now()); if the two steppers are equivalent, every callback fires
@@ -34,7 +35,6 @@ type propCoverage struct {
 
 type propResult struct {
 	cov     propCoverage
-	subLeft int // entries left in group sub-heaps at quiescence
 	trace   []propEvent
 	now     float64
 	task    float64
@@ -44,19 +44,17 @@ type propResult struct {
 	states  []State
 }
 
-func runPropScript(seed uint64, reference bool) propResult {
+// runPropScript runs seed's script on the engine mk builds and returns what
+// it observed, plus the script's two groups.
+func runPropScript[E simAPI[T, G, M], T simThread, G simGroup[T], M interface{ Cancel() }](
+	seed uint64, mk func(hw int, capacity CapacityFunc) E) (propResult, [2]G) {
 	rng := NewRNG(seed)
 	hw := 1 + int(rng.Uint64()%4)
-	var e *Engine
-	if reference {
-		e = NewReferenceEngine(hw, nil)
-	} else {
-		e = NewEngine(hw, nil)
-	}
+	e := mk(hw, nil)
 
 	var res propResult
 	nW := 2 + int(rng.Uint64()%5)
-	ths := make([]*Thread, nW)
+	ths := make([]T, nW)
 	opsLeft := make([]int, nW)
 	for i := range ths {
 		ths[i] = e.NewThread(fmt.Sprintf("w%d", i))
@@ -71,19 +69,19 @@ func runPropScript(seed uint64, reference bool) propResult {
 		mg.Add(ths[i])
 	}
 	gg := e.NewGroup()
-	gang := make([]*Thread, 1+int(rng.Uint64()%3))
+	gang := make([]T, 1+int(rng.Uint64()%3))
 	for i := range gang {
 		gang[i] = e.NewThread(fmt.Sprintf("g%d", i))
 		gg.Add(gang[i])
 	}
-	all := append(append([]*Thread(nil), ths...), gang...)
+	all := append(append([]T(nil), ths...), gang...)
 
 	// freeze blocks g and thaws it after delay, unless something thawed it
 	// first.
-	freeze := func(g *Group, delay float64) {
+	freeze := func(g G, delay float64) {
 		g.Block()
 		e.After(delay, func() {
-			if g.frozen {
+			if g.isFrozen() {
 				g.Unblock()
 			}
 		})
@@ -107,12 +105,12 @@ func runPropScript(seed uint64, reference bool) propResult {
 		}
 		opsLeft[i]--
 		work := 1 + float64(rng.Uint64()%1500)
-		if i < nM && mg.frozen {
+		if i < nM && mg.isFrozen() {
 			res.cov.execFrozen++
 		}
 		ths[i].Exec(work, func() {
 			res.trace = append(res.trace, propEvent{"done", i, e.NowF()})
-			if i < nM && !mg.frozen && rng.Uint64()%6 == 0 {
+			if i < nM && !mg.isFrozen() && rng.Uint64()%6 == 0 {
 				res.cov.freezeAtFinish++
 				freeze(mg, float64(1+rng.Uint64()%800))
 			}
@@ -120,12 +118,14 @@ func runPropScript(seed uint64, reference bool) propResult {
 		})
 	}
 
-	// release records a meddler releasing tgt, for the coverage counts.
-	release := func(tgt *Thread) {
-		if tgt.held {
+	// release records a meddler releasing all[ti], for the coverage counts.
+	// Gang threads follow the workers in all.
+	release := func(ti int) {
+		tgt := all[ti]
+		if tgt.isHeld() {
 			res.cov.releaseFrozen++
 		}
-		if tgt.grp == gg && tgt.State() == StateRunnable && gangRunnable() > 1 {
+		if ti >= nW && tgt.State() == StateRunnable && gangRunnable() > 1 {
 			res.cov.gangRelease++
 		}
 	}
@@ -145,7 +145,7 @@ func runPropScript(seed uint64, reference bool) propResult {
 			e.After(at, func() {
 				res.trace = append(res.trace, propEvent{"timer", j, e.NowF()})
 				if s := tgt.State(); s == StateRunnable || s == StateIdle {
-					release(tgt)
+					release(ti)
 					tgt.Block()
 					e.After(delay, func() {
 						if tgt.State() == StateBlocked {
@@ -158,7 +158,7 @@ func runPropScript(seed uint64, reference bool) propResult {
 			e.After(at, func() {
 				res.trace = append(res.trace, propEvent{"timer", j, e.NowF()})
 				if tgt.State() != StateDone {
-					release(tgt)
+					release(ti)
 					tgt.Abandon()
 				}
 			})
@@ -166,7 +166,7 @@ func runPropScript(seed uint64, reference bool) propResult {
 			e.After(at, func() {
 				res.trace = append(res.trace, propEvent{"timer", j, e.NowF()})
 				if tgt.State() != StateDone {
-					release(tgt)
+					release(ti)
 					tgt.Finish()
 				}
 			})
@@ -204,7 +204,7 @@ func runPropScript(seed uint64, reference bool) propResult {
 			delay := float64(1 + rng.Uint64()%800)
 			e.After(at, func() {
 				res.trace = append(res.trace, propEvent{"timer", j, e.NowF()})
-				if !g.frozen {
+				if !g.isFrozen() {
 					freeze(g, delay)
 				}
 			})
@@ -218,7 +218,6 @@ func runPropScript(seed uint64, reference bool) propResult {
 		panic(err)
 	}
 
-	res.subLeft = mg.q.len() + gg.q.len()
 	res.now = e.NowF()
 	res.task = e.TaskClock()
 	res.events = e.Events()
@@ -227,7 +226,7 @@ func runPropScript(seed uint64, reference bool) propResult {
 		res.blocked = append(res.blocked, t.BlockedTime())
 		res.states = append(res.states, t.State())
 	}
-	return res
+	return res, [2]G{mg, gg}
 }
 
 func propClose(a, b float64) bool {
@@ -238,10 +237,10 @@ func TestPropertyFastMatchesReference(t *testing.T) {
 	const cases = 1200
 	var cov propCoverage
 	for seed := uint64(0); seed < cases; seed++ {
-		fast := runPropScript(seed, false)
-		ref := runPropScript(seed, true)
-		if fast.subLeft != 0 {
-			t.Fatalf("seed %d: %d sub-heap entries outlive every quantum", seed, fast.subLeft)
+		fast, groups := runPropScript[*Engine, *Thread, *Group, Timer](seed, NewEngine)
+		ref, _ := runPropScript[*refEngine, *refThread, *refGroup, *refTimer](seed, newRefEngine)
+		if n := groups[0].q.len() + groups[1].q.len(); n != 0 {
+			t.Fatalf("seed %d: %d sub-heap entries outlive every quantum", seed, n)
 		}
 		if fast.cov != ref.cov {
 			t.Fatalf("seed %d: coverage %+v (fast) vs %+v (reference)", seed, fast.cov, ref.cov)

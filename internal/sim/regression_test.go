@@ -4,38 +4,39 @@ import (
 	"testing"
 )
 
-func enginesUnderTest(t *testing.T, f func(t *testing.T, mk func() *Engine)) {
-	t.Helper()
-	t.Run("fast", func(t *testing.T) { f(t, func() *Engine { return NewEngine(2, nil) }) })
-	t.Run("reference", func(t *testing.T) { f(t, func() *Engine { return NewReferenceEngine(2, nil) }) })
-}
-
 // Regression: Finish on a blocked thread used to drop the in-flight blocked
 // interval — blockedNS was never credited, though Abandon credited it.
 func TestFinishCreditsInFlightBlockedInterval(t *testing.T) {
-	enginesUnderTest(t, func(t *testing.T, mk func() *Engine) {
-		e := mk()
-		th := e.NewThread("w")
-		driver := e.NewThread("driver")
-		th.Exec(10_000, nil)
-		e.After(100, th.Block)
-		e.After(400, th.Finish)
-		// Keep the clock moving past the Finish so an uncredited interval
-		// cannot masquerade as "the run ended at the block".
-		driver.Exec(1000, nil)
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if th.State() != StateDone {
-			t.Fatalf("state = %v, want done", th.State())
-		}
-		if got := th.BlockedTime(); !almostEqual(got, 300, 1e-6) {
-			t.Fatalf("BlockedTime = %v, want 300 (in-flight blocked interval dropped by Finish)", got)
-		}
-		if got := th.CPU(); !almostEqual(got, 100, 1e-6) {
-			t.Fatalf("CPU = %v, want 100", got)
-		}
+	t.Run("fast", func(t *testing.T) {
+		finishCreditsBlockedInterval[*Engine, *Thread, *Group, Timer](t, NewEngine(2, nil))
 	})
+	t.Run("reference", func(t *testing.T) {
+		finishCreditsBlockedInterval[*refEngine, *refThread, *refGroup, *refTimer](t, newRefEngine(2, nil))
+	})
+}
+
+func finishCreditsBlockedInterval[E simAPI[T, G, M], T simThread, G simGroup[T], M interface{ Cancel() }](
+	t *testing.T, e E) {
+	th := e.NewThread("w")
+	driver := e.NewThread("driver")
+	th.Exec(10_000, nil)
+	e.After(100, th.Block)
+	e.After(400, th.Finish)
+	// Keep the clock moving past the Finish so an uncredited interval
+	// cannot masquerade as "the run ended at the block".
+	driver.Exec(1000, nil)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if th.State() != StateDone {
+		t.Fatalf("state = %v, want done", th.State())
+	}
+	if got := th.BlockedTime(); !almostEqual(got, 300, 1e-6) {
+		t.Fatalf("BlockedTime = %v, want 300 (in-flight blocked interval dropped by Finish)", got)
+	}
+	if got := th.CPU(); !almostEqual(got, 100, 1e-6) {
+		t.Fatalf("CPU = %v, want 100", got)
+	}
 }
 
 // Regression: the timer queue used to retain cancelled timers until popped,

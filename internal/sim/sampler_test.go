@@ -65,36 +65,12 @@ func TestSamplerIdleJump(t *testing.T) {
 	}
 }
 
-// TestSamplerParity runs the same schedule on the fast and reference
-// steppers and demands identical tick sequences — the sampler is part of the
+// TestSamplerParity runs the same schedule on the engine and the reference
+// engine and demands identical tick sequences — the sampler is part of the
 // differential-oracle contract like every other observable.
 func TestSamplerParity(t *testing.T) {
-	run := func(e *Engine) []float64 {
-		var ticks []float64
-		e.SetSampler(75, func(tNS float64) { ticks = append(ticks, tNS) })
-		a, b := e.NewThread("a"), e.NewThread("b")
-		na, nb := 0, 0
-		var spinA, spinB func()
-		spinA = func() {
-			if na++; na < 25 {
-				a.Exec(53, spinA)
-			}
-		}
-		spinB = func() {
-			if nb++; nb < 25 {
-				b.Exec(91, spinB)
-			}
-		}
-		a.Exec(53, spinA)
-		b.Exec(91, spinB)
-		e.After(333, func() {})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return ticks
-	}
-	fast := run(NewEngine(2, nil))
-	ref := run(NewReferenceEngine(2, nil))
+	fast := samplerTicks[*Engine, *Thread, *Group, Timer](t, NewEngine(2, nil))
+	ref := samplerTicks[*refEngine, *refThread, *refGroup, *refTimer](t, newRefEngine(2, nil))
 	if len(fast) != len(ref) {
 		t.Fatalf("fast fired %d ticks, reference %d", len(fast), len(ref))
 	}
@@ -103,6 +79,33 @@ func TestSamplerParity(t *testing.T) {
 			t.Fatalf("tick %d: fast %v, reference %v", i, fast[i], ref[i])
 		}
 	}
+}
+
+// samplerTicks runs TestSamplerParity's schedule on e and returns the ticks.
+func samplerTicks[E simAPI[T, G, M], T simThread, G simGroup[T], M interface{ Cancel() }](
+	t *testing.T, e E) []float64 {
+	var ticks []float64
+	e.SetSampler(75, func(tNS float64) { ticks = append(ticks, tNS) })
+	a, b := e.NewThread("a"), e.NewThread("b")
+	na, nb := 0, 0
+	var spinA, spinB func()
+	spinA = func() {
+		if na++; na < 25 {
+			a.Exec(53, spinA)
+		}
+	}
+	spinB = func() {
+		if nb++; nb < 25 {
+			b.Exec(91, spinB)
+		}
+	}
+	a.Exec(53, spinA)
+	b.Exec(91, spinB)
+	e.After(333, func() {})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return ticks
 }
 
 // TestSamplerDisarm checks SetSampler(0, nil) restores the +Inf sentinel.

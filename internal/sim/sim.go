@@ -26,12 +26,13 @@
 // nanoseconds of work at credit S₀ completes exactly when S reaches S₀+r,
 // a quantity fixed at entry and independent of later rate changes. A binary
 // min-heap keyed on that completion credit therefore gives O(1) next-event
-// lookup and O(log T) per state transition, instead of the naive stepper's
-// O(T) rescan-and-update per segment. Per-thread cpu/remaining are
-// materialized lazily from S deltas only when a thread leaves the runnable
-// set (or when read), and the task clock is an O(1) aggregate. The naive
-// stepper is retained (NewReferenceEngine) as the correctness oracle; a
-// seeded property test drives both through randomized schedules and demands
+// lookup and O(log T) per state transition, instead of an O(T)
+// rescan-and-update per segment. Per-thread cpu/remaining are materialized
+// lazily from S deltas only when a thread leaves the runnable set (or when
+// read), and the task clock is an O(1) aggregate. The package tests keep the
+// O(T) stepper, with eager per-thread accounting and its own threads, groups
+// and timers, as the correctness oracle (reference_test.go); a seeded
+// property test drives both through randomized schedules and demands
 // identical traces and telemetry.
 //
 // # Groups
@@ -112,7 +113,7 @@ func (a compEntry) lessThan(b compEntry) bool {
 }
 
 // Engine is the discrete-event simulator. The zero value is not usable; call
-// NewEngine (or NewReferenceEngine for the naive oracle).
+// NewEngine.
 type Engine struct {
 	now      float64
 	vs       float64 // cumulative virtual service credit S(t)
@@ -120,11 +121,10 @@ type Engine struct {
 	capacity CapacityFunc
 	rates    []float64 // memoized C(n)/n by runnable count
 	threads  []*Thread
-	naive    bool // use the O(T)-per-event reference stepper
 
-	// Completion queue (fast stepper only), plus one sub-heap per Group,
-	// linked through Group.next. A frozen group's sub-heap takes no part in
-	// next-event lookup.
+	// Completion queue, plus one sub-heap per Group, linked through
+	// Group.next. A frozen group's sub-heap takes no part in next-event
+	// lookup.
 	comp      ordHeap[compEntry]
 	staleComp int // orphaned entries awaiting lazy discard or compaction
 	groups    *Group
@@ -136,7 +136,7 @@ type Engine struct {
 	sumStartS float64 // Σ startS over active threads
 	cpuBase   float64 // Σ materialized cpu over all threads
 
-	// Timer queue (shared by both steppers; see timer.go).
+	// Timer queue (see timer.go).
 	timers          ordHeap[timerEntry]
 	cancelledTimers int
 	freeTimer       *timerNode
@@ -173,10 +173,9 @@ type Engine struct {
 	nextSample  float64
 	onSample    func(tNS float64)
 
-	// scratch buffers reused across steps to avoid per-step allocation.
-	batch    []*Thread // fast stepper: threads completing this segment
-	runnable []*Thread // reference stepper: runnable-set rescan
-	finished []*Thread // reference stepper: completions this segment
+	// batch is scratch reused across steps to avoid per-step allocation:
+	// the threads completing this segment.
+	batch []*Thread
 }
 
 // NewEngine returns an engine modelling a machine with hw hardware threads.
@@ -273,17 +272,10 @@ func (e *Engine) SetEventLimit(n int64) {
 }
 
 // TaskClock returns the total CPU time consumed by all threads so far, in
-// nanoseconds — the simulated equivalent of Linux perf TASK_CLOCK. Under the
-// fast stepper it is an O(1) running aggregate: the materialized base plus
-// each active thread's in-flight service credit.
+// nanoseconds — the simulated equivalent of Linux perf TASK_CLOCK. It is an
+// O(1) running aggregate: the materialized base plus each active thread's
+// in-flight service credit.
 func (e *Engine) TaskClock() float64 {
-	if e.naive {
-		var sum float64
-		for _, t := range e.threads {
-			sum += t.cpu
-		}
-		return sum
-	}
 	return e.cpuBase + float64(e.runCount)*e.vs - e.sumStartS
 }
 
@@ -459,9 +451,6 @@ func (e *Engine) collect(en compEntry) {
 // expiry) and dispatches callbacks. It returns false when the simulation is
 // quiescent: no runnable threads and no pending (live) timers.
 func (e *Engine) Step() bool {
-	if e.naive {
-		return e.stepReference()
-	}
 	if e.runCount == 0 {
 		at, ok := e.nextTimerAt()
 		if !ok {
@@ -517,8 +506,8 @@ func (e *Engine) Step() bool {
 		}
 		e.collect(q.pop())
 	}
-	// Dispatch in thread-creation order, matching the reference stepper
-	// (heap order breaks credit ties by id but interleaves distinct credits
+	// Dispatch in thread-creation order, matching an O(T) rescan of the
+	// threads (heap order breaks credit ties by id but interleaves distinct credits
 	// within timeEps). Batches are tiny; insertion sort, no allocation.
 	for i := 1; i < len(e.batch); i++ {
 		for j := i; j > 0 && e.batch[j].id < e.batch[j-1].id; j-- {

@@ -31,21 +31,20 @@ func (s State) String() string {
 // worker, a GC worker, or a background task. Threads execute CPU quanta; the
 // engine accounts their CPU time toward the task clock.
 //
-// Under the fast stepper, accounting is lazy: while a quantum is in flight
-// ("active"), cpu and remaining are implied by the engine's service credit
-// (cpu + S − startS consumed, finishS − S left) and materialized only when
-// the thread leaves the runnable set or an accessor is called. The reference
-// stepper keeps both fields eagerly up to date and never sets active.
+// Accounting is lazy: while a quantum is in flight ("active"), cpu and
+// remaining are implied by the engine's service credit (cpu + S − startS
+// consumed, finishS − S left) and materialized only when the thread leaves
+// the runnable set or an accessor is called.
 type Thread struct {
 	id         int32
 	epoch      uint32 // bumped when leaving the runnable set; stales heap entries
 	state      State
-	active     bool // fast stepper: quantum in flight, counted in aggregates
+	active     bool // quantum in flight, counted in aggregates
 	held       bool // blocked by its group's Block, awaiting the group's Unblock
-	frozen     bool // fast stepper: held mid-quantum, entry kept for re-keying
-	inGang     bool // fast stepper: running its group's gang quantum
+	frozen     bool // held mid-quantum, entry kept for re-keying
+	inGang     bool // running its group's gang quantum
 	lead       bool // a group's gang sentinel, never registered with the engine
-	inSub      bool // fast stepper: the entry is on the group's sub-heap
+	inSub      bool // the entry is on the group's sub-heap
 	grp        *Group
 	name       string
 	eng        *Engine
@@ -113,9 +112,7 @@ func (t *Thread) Exec(cpuNS float64, done func()) {
 	t.remaining = cpuNS
 	t.onDone = done
 	t.state = StateRunnable
-	if !t.eng.naive {
-		t.eng.activate(t)
-	}
+	t.eng.activate(t)
 	t.eng.mutated()
 }
 
@@ -123,8 +120,8 @@ func (t *Thread) Exec(cpuNS float64, done func()) {
 // consumed CPU is materialized, the residual work is captured in remaining,
 // and the completion entry is dropped (see unqueue). A thread held by its
 // group's freeze leaves the freeze, and its kept entry is dropped the same
-// way. A no-op for other inactive threads (reference stepper, or a quantum
-// whose completion has already been collected this event).
+// way. A no-op for other threads (idle, or a quantum whose completion has
+// already been collected this event).
 func (t *Thread) releaseQuantum() {
 	t.held = false
 	e := t.eng
@@ -182,9 +179,7 @@ func (t *Thread) Unblock() {
 	}
 	if t.remaining > 0 {
 		t.state = StateRunnable
-		if !t.eng.naive {
-			t.eng.activate(t)
-		}
+		t.eng.activate(t)
 	} else {
 		t.state = StateIdle
 	}
