@@ -7,7 +7,10 @@
 # caches such as .bench_build/ are never scanned. So does a differential
 # oracle (the O(T) engine, the linear cluster scan, the linear balancers)
 # named from a non-test file: the oracles live in _test.go files, and the
-# shipped build carries no mode that selects them.
+# shipped build carries no mode that selects them. The benchmark module
+# (perfbench/, its own Go module, so ./... never reaches it) is built and
+# vetted, so an engine API change that breaks the benchmark fails tier 1;
+# its tests are not run here.
 .PHONY: tier1
 tier1: tier1-race
 
@@ -19,6 +22,7 @@ tier1-race:
 		-- '*.go' ':!*_test.go'
 	go build ./...
 	go vet ./...
+	cd perfbench && go vet ./...
 	go test -race ./...
 	go run ./cmd/fleet -bench micro-pauseprobe -replicas 1,2 -rates 1,2 \
 		-lb round-robin,gc-aware -events 300 \
@@ -117,12 +121,13 @@ bench-scaling:
 # Native fuzzing of the decoders of bytes a run did not just write: the binary
 # invocation cache record (FuzzDecodeInvocation), the JSON result and cache
 # archives with their v1->v2 migration (FuzzLoadArchive), the JSONL telemetry
-# stream (FuzzDecodeStream), unified-logging GC logs (FuzzParseAll) and the
+# stream (FuzzDecodeStream), unified-logging GC logs (FuzzParseAll), the
 # bench gate's inputs, BENCH_sim.json maps and go test -bench text
-# (FuzzParse); and of the Chrome trace writer's integer number fast path
-# against strconv (FuzzChromeNumber). go test -fuzz takes one target per run,
-# so each gets its own fixed time budget. The committed seed corpora under
-# testdata/fuzz also run as ordinary tests in tier1.
+# (FuzzParse), benchjson's go test -bench text (FuzzParseBench) and runbms
+# experiment plans (FuzzDecodePlan); and of the Chrome trace writer's integer
+# number fast path against strconv (FuzzChromeNumber). go test -fuzz takes one
+# target per run, so each gets its own fixed time budget. The committed seed
+# corpora under testdata/fuzz also run as ordinary tests in tier1.
 .PHONY: fuzz
 fuzz:
 	go test -run='^$$' -fuzz='^FuzzDecodeInvocation$$' -fuzztime=60s ./internal/persist
@@ -131,6 +136,8 @@ fuzz:
 	go test -run='^$$' -fuzz='^FuzzParseAll$$' -fuzztime=60s ./internal/gclog
 	go test -run='^$$' -fuzz='^FuzzChromeNumber$$' -fuzztime=60s ./internal/obs/traceview
 	go test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=60s ./internal/obs/benchdiff
+	go test -run='^$$' -fuzz='^FuzzParseBench$$' -fuzztime=60s ./cmd/benchjson
+	go test -run='^$$' -fuzz='^FuzzDecodePlan$$' -fuzztime=60s ./cmd/runbms
 
 # CPU and heap profiles for the invocation hot path; inspect with
 # `go tool pprof cpu.pprof` / `go tool pprof -sample_index=alloc_objects

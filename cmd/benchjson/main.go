@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -60,34 +61,9 @@ func main() {
 	scalingMin := flag.String("scaling-min", "", "fail unless every derived parallel-efficiency is at least this (a ratio, or 'auto' for a host-scaled threshold; empty disables)")
 	flag.Parse()
 
-	samples := map[string][]Measurement{}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line)
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		ns, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			continue
-		}
-		meas := Measurement{NsPerOp: ns, Iterations: iters}
-		if m[4] != "" {
-			b, _ := strconv.ParseInt(m[4], 10, 64)
-			meas.BPerOp = &b
-		}
-		if m[5] != "" {
-			a, _ := strconv.ParseInt(m[5], 10, 64)
-			meas.AllocsPerOp = &a
-		}
-		samples[m[1]] = append(samples[m[1]], meas)
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: read: %v\n", err)
+	samples, err := parseBench(os.Stdin, os.Stdout)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
 	if len(samples) == 0 {
@@ -135,6 +111,69 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// ParseError is a benchmark line parseBench refused.
+type ParseError struct {
+	Line int
+	Text string
+	Err  error
+}
+
+func (e *ParseError) Error() string {
+	return fmt.Sprintf("line %d: %v: %q", e.Line, e.Err, e.Text)
+}
+
+func (e *ParseError) Unwrap() error { return e.Err }
+
+// parseBench reads go test -bench output from r, echoing every line to echo,
+// and returns each benchmark's samples in input order. Lines that are not
+// benchmark results are skipped; a result whose iteration, B/op or
+// allocs/op column overflows int64 is refused rather than clamped.
+func parseBench(r io.Reader, echo io.Writer) (map[string][]Measurement, error) {
+	samples := map[string][]Measurement{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Text()
+		fmt.Fprintln(echo, line)
+		m := benchLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		ns, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			continue
+		}
+		iters, err := strconv.ParseInt(m[2], 10, 64)
+		if err != nil {
+			return nil, &ParseError{Line: n, Text: line, Err: err}
+		}
+		meas := Measurement{NsPerOp: ns, Iterations: iters}
+		if meas.BPerOp, err = optionalCount(m[4]); err == nil {
+			meas.AllocsPerOp, err = optionalCount(m[5])
+		}
+		if err != nil {
+			return nil, &ParseError{Line: n, Text: line, Err: err}
+		}
+		samples[m[1]] = append(samples[m[1]], meas)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("read: %w", err)
+	}
+	return samples, nil
+}
+
+// optionalCount parses a -benchmem column; nil means the column is absent.
+func optionalCount(col string) (*int64, error) {
+	if col == "" {
+		return nil, nil
+	}
+	v, err := strconv.ParseInt(col, 10, 64)
+	if err != nil {
+		return nil, err
+	}
+	return &v, nil
 }
 
 // deriveEfficiency pairs each benchmark's workers=1 and workers=8 samples

@@ -31,7 +31,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -46,24 +45,6 @@ import (
 	"chopin/internal/workload"
 )
 
-// Plan is the top-level experiment file.
-type Plan struct {
-	Experiments []Experiment `json:"experiments"`
-}
-
-// Experiment is one entry of a plan.
-type Experiment struct {
-	Name        string    `json:"name"`
-	Type        string    `json:"type"` // lbo | latency | heaptrace | pca | nominal
-	Benchmarks  []string  `json:"benchmarks"`
-	Collectors  []string  `json:"collectors"`
-	HeapFactors []float64 `json:"heap_factors"`
-	Invocations int       `json:"invocations"`
-	Iterations  int       `json:"iterations"`
-	Events      int       `json:"events"`
-	Seed        uint64    `json:"seed"`
-}
-
 func main() {
 	var (
 		planPath = flag.String("plan", "", "experiment plan (JSON)")
@@ -75,20 +56,38 @@ func main() {
 	if *planPath == "" {
 		fail("missing -plan")
 	}
-	raw, err := os.ReadFile(*planPath)
-	check(err)
-	var plan Plan
-	check(json.Unmarshal(raw, &plan))
-	check(os.MkdirAll(*outDir, 0o755))
+	if err := run(*planPath, *outDir, &cli); err != nil {
+		fail("%v", err)
+	}
+}
+
+// run executes the plan at planPath. The whole plan is decoded and
+// validated before the engine starts, so a bad plan fails before any of its
+// jobs run; once the engine runs, every return path closes it, so queued
+// cache writes reach disk.
+func run(planPath, outDir string, cli *exper.CLI) error {
+	raw, err := os.ReadFile(planPath)
+	if err != nil {
+		return err
+	}
+	plan, err := decodePlan(raw)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return err
+	}
 
 	// Results cache under the output directory by default, so a re-run of
 	// the same plan — after a crash, an interrupt, or a plan edit — skips
 	// everything already computed.
 	if cli.CacheDir == "" {
-		cli.CacheDir = filepath.Join(*outDir, "cache")
+		cli.CacheDir = filepath.Join(outDir, "cache")
 	}
 	eng, err := cli.Build(os.Stderr, "runbms: ")
-	check(err)
+	if err != nil {
+		return err
+	}
 	defer cli.CloseOrWarn(os.Stderr, "runbms: ")
 
 	// One engine for the whole plan: a single work-stealing pool bounds
@@ -102,16 +101,21 @@ func main() {
 	collects := make([]func() error, len(plan.Experiments))
 	for i, exp := range plan.Experiments {
 		fmt.Fprintf(os.Stderr, "runbms: submitting experiment %q (%s)\n", exp.Name, exp.Type)
-		collect, err := submit(eng, exp, *outDir)
-		check(err)
+		collect, err := submit(eng, exp, outDir)
+		if err != nil {
+			return err
+		}
 		collects[i] = collect
 	}
 	for i, exp := range plan.Experiments {
-		check(collects[i]())
+		if err := collects[i](); err != nil {
+			return err
+		}
 		fmt.Fprintf(os.Stderr, "runbms: experiment %q done\n", exp.Name)
 	}
 	fmt.Fprintf(os.Stderr, "runbms: %s\n", exper.Summary(eng.Stats()))
-	fmt.Fprintf(os.Stderr, "runbms: results in %s\n", *outDir)
+	fmt.Fprintf(os.Stderr, "runbms: results in %s\n", outDir)
+	return nil
 }
 
 // submit registers one experiment's jobs with the engine and returns a
@@ -119,24 +123,15 @@ func main() {
 // All submission happens before submit returns, so calling it for every
 // experiment of a plan builds the plan's whole job DAG up front.
 func submit(eng *exper.Engine, exp Experiment, outDir string) (func() error, error) {
-	ds, err := benchmarks(exp.Benchmarks)
-	if err != nil {
-		return nil, err
-	}
+	ds := exp.descs
 	opt := harness.Options{
+		Collectors:  exp.kinds,
 		HeapFactors: exp.HeapFactors,
 		Invocations: exp.Invocations,
 		Iterations:  exp.Iterations,
 		Events:      exp.Events,
 		Seed:        exp.Seed,
 		Engine:      eng,
-	}
-	for _, name := range exp.Collectors {
-		k, err := gc.ParseKind(name)
-		if err != nil {
-			return nil, err
-		}
-		opt.Collectors = append(opt.Collectors, k)
 	}
 
 	switch exp.Type {
@@ -273,29 +268,8 @@ func optCollectors(opt harness.Options) []gc.Kind {
 	return gc.Kinds
 }
 
-func benchmarks(names []string) ([]*workload.Descriptor, error) {
-	if len(names) == 0 {
-		return workload.All(), nil
-	}
-	var ds []*workload.Descriptor
-	for _, n := range names {
-		d, err := workload.ByName(n)
-		if err != nil {
-			return nil, err
-		}
-		ds = append(ds, d)
-	}
-	return ds, nil
-}
-
 func writeFile(dir, name, body string) error {
 	return os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644)
-}
-
-func check(err error) {
-	if err != nil {
-		fail("%v", err)
-	}
 }
 
 func fail(format string, args ...interface{}) {

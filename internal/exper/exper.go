@@ -28,13 +28,15 @@
 //     death, so a killed or re-invoked plan skips straight to its first
 //     unfinished job, and figures re-render offline from cached results.
 //
-// Concurrency layout: the engine's job state (in-flight calls, memo) is
-// sharded by key across independently locked shards, the pool's deques are
-// per-worker behind per-deque locks, each executing job's telemetry is
-// buffered in a worker-owned buffer flushed to the shared sink in one batch
-// at the job boundary, and cache writes are handed to a write-behind
-// goroutine — so at full host-core saturation no per-event or per-transition
-// path crosses a pool-wide lock.
+// Concurrency layout: each job kind (invocation, generic, min-heap) has one
+// single-flight table mapping a key to its call, which is in flight until
+// it resolves and, when kept, the memo after; each table is sharded by key
+// across independently locked shards. The pool's deques are per-worker
+// behind per-deque locks, each executing job's telemetry is buffered in a
+// worker-owned buffer flushed to the shared sink in one batch at the job
+// boundary, and cache writes are handed to a write-behind goroutine — so at
+// full host-core saturation no per-event or per-transition path crosses a
+// pool-wide lock.
 //
 // The engine emits structured progress events (queued, started, finished,
 // cache-hit, with wall and task-clock telemetry) through an observer — the
@@ -45,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,25 +96,76 @@ type Options struct {
 // search never persists a partial result.
 var ErrEngineClosed = errors.New("exper: engine closed")
 
-// numShards is the engine's lock-shard count for job state. Keys are
-// uniformly distributed SHA-256 hashes, so 32 shards keep the per-shard
-// collision probability negligible at any realistic worker count.
+// numShards is the lock-shard count of each job table. Keys are uniformly
+// distributed SHA-256 hashes, so 32 shards keep the per-shard collision
+// probability negligible at any realistic worker count.
 const numShards = 32
 
-// engineShard is one independently locked slice of the engine's job state.
-// Sharding by key keeps a whole-suite batch — thousands of submissions and
-// completions — from funnelling through one engine-wide mutex.
-type engineShard struct {
-	mu        sync.Mutex
-	inflight  map[Key]*call
-	memo      map[Key]outcome
-	minflight map[Key]*MinHeapTicket
-	minMemo   map[Key]float64
-	// Generic-job state (SubmitGeneric): opaque-payload jobs share the same
-	// single-flight/memo discipline as invocations, in separate maps so key
-	// kinds can never alias.
-	geninflight map[Key]*genCall
-	genMemo     map[Key]genOutcome
+// call is one single-flight execution, shared by every ticket deduplicated
+// onto it. val and err are written before done closes and read only after.
+type call[T any] struct {
+	done chan struct{}
+	val  T
+	err  error
+}
+
+func (c *call[T]) wait() (T, error) {
+	<-c.done
+	return c.val, c.err
+}
+
+// joined says how a submission joined its key's single flight.
+type joined int
+
+const (
+	lead   joined = iota // a new call: the submitter runs it and settles it
+	shared               // an in-flight call the submitter waits on
+	memo                 // a resolved call kept in the table
+)
+
+// table is one job kind's single-flight state: each key maps to its call,
+// which is in flight until settled and, if kept, the memo after. It is
+// sharded by key so a whole-suite batch — thousands of submissions and
+// completions — never funnels through one mutex.
+type table[T any] struct {
+	shards [numShards]struct {
+		mu    sync.Mutex
+		calls map[Key]*call[T]
+	}
+}
+
+// join returns k's call and how the submission joined it.
+func (t *table[T]) join(k Key) (*call[T], joined) {
+	sh := &t.shards[shardOf(k)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if c, ok := sh.calls[k]; ok {
+		select {
+		case <-c.done:
+			return c, memo
+		default:
+			return c, shared
+		}
+	}
+	if sh.calls == nil {
+		sh.calls = map[Key]*call[T]{}
+	}
+	c := &call[T]{done: make(chan struct{})}
+	sh.calls[k] = c
+	return c, lead
+}
+
+// settle resolves k's call under the shard lock, so a later join sees it
+// either in flight or resolved, and keeps it as the memo or drops it.
+func (t *table[T]) settle(k Key, c *call[T], val T, err error, keep bool) {
+	sh := &t.shards[shardOf(k)]
+	sh.mu.Lock()
+	c.val, c.err = val, err
+	close(c.done)
+	if !keep {
+		delete(sh.calls, k)
+	}
+	sh.mu.Unlock()
 }
 
 // Engine executes jobs. One engine should be shared across everything a
@@ -126,8 +180,11 @@ type Engine struct {
 	closing  atomic.Bool // set before the pool closes; gates cancellation
 	runFn    func(*workload.Descriptor, workload.RunConfig) (*workload.Result, error)
 
-	shards [numShards]engineShard
-	bufs   sync.Pool // *jobRecorder, reused across job executions
+	// One single-flight table per job kind, so key kinds never alias.
+	invocations table[*workload.Result]
+	generics    table[[]byte]
+	minHeaps    table[float64]
+	bufs        sync.Pool // *jobRecorder, reused across job executions
 
 	executed         int64
 	cacheHits        int64
@@ -160,38 +217,15 @@ type Stats struct {
 	MinHeapCacheHits int64
 }
 
-type outcome struct {
-	res *workload.Result
-	err error
-}
-
-// call is one in-flight execution, shared by every ticket deduplicated onto
-// it. out is written before done closes and read only after it.
-type call struct {
-	done chan struct{}
-	out  outcome
-}
-
-// resolvedCall wraps an already-known outcome as a completed call, so memo
-// hits hand out tickets indistinguishable from executed ones.
-func resolvedCall(out outcome) *call {
-	c := &call{done: make(chan struct{}), out: out}
-	close(c.done)
-	return c
-}
-
 // Ticket is a handle to a submitted job. Wait blocks until the job's
 // outcome is available; any number of tickets may share one execution.
 type Ticket struct {
 	job Job
-	c   *call
+	c   *call[*workload.Result]
 }
 
 // Wait blocks until the job completes and returns its outcome.
-func (t *Ticket) Wait() (*workload.Result, error) {
-	<-t.c.done
-	return t.c.out.res, t.c.out.err
-}
+func (t *Ticket) Wait() (*workload.Result, error) { return t.c.wait() }
 
 // Key returns the canonical content hash of the submitted job.
 func (t *Ticket) Key() Key { return t.job.Key() }
@@ -213,36 +247,15 @@ func New(opt Options) *Engine {
 	if e.runFn == nil {
 		e.runFn = workload.Run
 	}
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.inflight = map[Key]*call{}
-		sh.memo = map[Key]outcome{}
-		sh.minflight = map[Key]*MinHeapTicket{}
-		sh.minMemo = map[Key]float64{}
-		sh.geninflight = map[Key]*genCall{}
-		sh.genMemo = map[Key]genOutcome{}
-	}
 	e.bufs.New = func() any { return &jobRecorder{} }
 	return e
 }
 
-// shard maps a key to its lock shard. Keys are hex SHA-256, so the first
-// two characters are uniformly distributed over [0, 256).
-func (e *Engine) shard(k Key) *engineShard {
-	if len(k) < 2 {
-		return &e.shards[0]
-	}
-	return &e.shards[(hexVal(k[0])<<4|hexVal(k[1]))%numShards]
-}
-
-func hexVal(c byte) int {
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case c >= 'a' && c <= 'f':
-		return int(c-'a') + 10
-	}
-	return 0
+// shardOf maps a key to its lock shard. Keys are hex SHA-256, so their
+// first two characters are uniformly distributed over [0, 256).
+func shardOf(k Key) int {
+	n, _ := strconv.ParseUint(k.Shard(), 16, 8)
+	return int(n % numShards)
 }
 
 // Close stops the worker pool once submitted jobs drain, emits the pool's
@@ -304,35 +317,54 @@ func (e *Engine) emit(ev Event) {
 	}
 }
 
+// jobInfo is a job's identity as both event streams report it. Generic jobs
+// carry their kind as the benchmark and no collector, heap or seed; a
+// min-heap measurement carries its bound, once known, as the heap.
+type jobInfo struct {
+	key       Key
+	benchmark string
+	collector string
+	heapMB    float64
+	seed      uint64
+}
+
+func (j Job) info() jobInfo {
+	return jobInfo{j.key, j.Desc.Name, j.Cfg.Collector.String(), j.Cfg.HeapMB, j.Cfg.Seed}
+}
+
+func (id jobInfo) event(kind EventKind) Event {
+	return Event{Kind: kind, Key: id.key, Benchmark: id.benchmark, Collector: id.collector,
+		HeapMB: id.heapMB, Seed: id.seed}
+}
+
+// failed is the JobFailed event for a job that ended with err.
+func (id jobInfo) failed(err error) Event {
+	ev := id.event(JobFailed)
+	ev.Err = err.Error()
+	return ev
+}
+
 // recordJob emits an engine-level telemetry event stamped with job identity.
 // Engine events carry host wall-clock timestamps (jobs have no shared virtual
 // clock); Value is the job's heap size in MB.
-func (e *Engine) recordJob(kind obs.Kind, j Job, k Key, dur, cpu float64, errStr string) {
+func (e *Engine) recordJob(kind obs.Kind, id jobInfo, dur, cpu float64, err error) {
 	if !e.rec.Enabled() {
 		return
 	}
-	e.rec.Record(obs.Event{
+	ev := obs.Event{
 		Kind:      kind,
 		TNS:       time.Now().UnixNano(),
-		Run:       string(k),
-		Benchmark: j.Desc.Name,
-		Collector: j.Cfg.Collector.String(),
+		Run:       string(id.key),
+		Benchmark: id.benchmark,
+		Collector: id.collector,
 		DurNS:     dur,
 		CPUNS:     cpu,
-		Value:     j.Cfg.HeapMB,
-		Err:       errStr,
-	})
-}
-
-func jobEvent(kind EventKind, j Job) Event {
-	return Event{
-		Kind:      kind,
-		Key:       j.Key(),
-		Benchmark: j.Desc.Name,
-		Collector: j.Cfg.Collector.String(),
-		HeapMB:    j.Cfg.HeapMB,
-		Seed:      j.Cfg.Seed,
+		Value:     id.heapMB,
 	}
+	if err != nil {
+		ev.Err = err.Error()
+	}
+	e.rec.Record(ev)
 }
 
 // Submit registers one invocation of the benchmark under cfg as an engine
@@ -350,7 +382,7 @@ func (e *Engine) Submit(d *workload.Descriptor, cfg workload.RunConfig) (*Ticket
 	if err != nil {
 		return nil, err
 	}
-	return e.submitJob(job, submitFlags{}), nil
+	return e.submitJob(job, false), nil
 }
 
 // Run executes one invocation synchronously: Submit plus Wait. Use Submit
@@ -364,169 +396,163 @@ func (e *Engine) Run(d *workload.Descriptor, cfg workload.RunConfig) (*workload.
 	return t.Wait()
 }
 
-// submitFlags qualifies a submission. cancelOnClose marks a min-heap
+// submitJob submits an invocation job. cancelOnClose marks a min-heap
 // probe: refused by a closing pool, it resolves with ErrEngineClosed
 // instead of executing inline.
-type submitFlags struct {
-	cancelOnClose bool
-}
-
-func (e *Engine) submitJob(job Job, fl submitFlags) *Ticket {
-	k := job.Key()
-	sh := e.shard(k)
-	sh.mu.Lock()
-	if out, ok := sh.memo[k]; ok {
-		sh.mu.Unlock()
-		atomic.AddInt64(&e.memoHits, 1)
-		return &Ticket{job: job, c: resolvedCall(out)}
-	}
-	if c, ok := sh.inflight[k]; ok {
-		sh.mu.Unlock()
-		atomic.AddInt64(&e.deduped, 1)
-		return &Ticket{job: job, c: c}
-	}
-	c := &call{done: make(chan struct{})}
-	sh.inflight[k] = c
-	sh.mu.Unlock()
-
-	e.emit(jobEvent(JobQueued, job))
-	if !e.pool.submit(func() { e.runJob(job, c) }) {
-		if fl.cancelOnClose && e.closing.Load() {
-			// Probe racing Close: cancel instead of running it inline —
-			// nothing is simulated, nothing reaches the cache, and every
-			// ticket deduplicated onto this call sees the cancellation.
-			sh.mu.Lock()
-			delete(sh.inflight, k)
-			sh.mu.Unlock()
-			c.out = outcome{nil, ErrEngineClosed}
-			close(c.done)
-			ev := jobEvent(JobFailed, job)
-			ev.Err = ErrEngineClosed.Error()
-			e.emit(ev)
-			return &Ticket{job: job, c: c}
-		}
-		// The pool lost a shutdown race: execute inline in the submitter
-		// rather than panicking or dropping the job.
-		e.runJob(job, c)
-	}
+func (e *Engine) submitJob(job Job, cancelOnClose bool) *Ticket {
+	c := submit(e, &e.invocations, job.info(), cancelOnClose, cacheable,
+		func() (*workload.Result, error) { return e.execute(job) })
 	return &Ticket{job: job, c: c}
 }
 
-// runJob executes the single flight for a registered call and resolves it.
-// Runs on a pool worker (or inline in the submitter after Close).
-func (e *Engine) runJob(job Job, c *call) {
-	out := e.execute(job)
-
-	k := job.Key()
-	sh := e.shard(k)
-	sh.mu.Lock()
-	delete(sh.inflight, k)
-	if e.memoize && cacheable(out) {
-		sh.memo[k] = out
+// submit joins id's single flight in t. A memo hit or an in-flight call is
+// shared as is; a leading submission queues exec on the pool and settles
+// its outcome, kept as the memo when memoizing and keep accepts the error.
+func submit[T any](e *Engine, t *table[T], id jobInfo, cancelOnClose bool, keep func(error) bool, exec func() (T, error)) *call[T] {
+	c, j := t.join(id.key)
+	switch j {
+	case memo:
+		atomic.AddInt64(&e.memoHits, 1)
+		return c
+	case shared:
+		atomic.AddInt64(&e.deduped, 1)
+		return c
 	}
-	sh.mu.Unlock()
-	c.out = out
-	close(c.done)
+	e.emit(id.event(JobQueued))
+	run := func() {
+		val, err := exec()
+		t.settle(id.key, c, val, err, e.memoize && keep(err))
+	}
+	if !e.pool.submit(run) {
+		if cancelOnClose && e.closing.Load() {
+			// Probe racing Close: cancel instead of running it inline —
+			// nothing is simulated, nothing reaches the cache, and every
+			// ticket deduplicated onto this call sees the cancellation.
+			var zero T
+			t.settle(id.key, c, zero, ErrEngineClosed, false)
+			e.emit(id.failed(ErrEngineClosed))
+			return c
+		}
+		// The pool lost a shutdown race: execute inline in the submitter
+		// rather than panicking or dropping the job.
+		run()
+	}
+	return c
 }
 
-// cacheable reports whether the outcome is a stable property of the job
+// cacheable reports whether err leaves a stable property of the job
 // (success or OOM) rather than a transient failure.
-func cacheable(out outcome) bool {
-	if out.err == nil {
+func cacheable(err error) bool {
+	if err == nil {
 		return true
 	}
 	var oom *workload.ErrOutOfMemory
-	return errors.As(out.err, &oom)
+	return errors.As(err, &oom)
 }
 
-// execute satisfies a job from the cache or runs it, entirely on the
-// calling (worker) goroutine.
-func (e *Engine) execute(job Job) outcome {
-	k := job.Key()
-	if e.cache != nil {
-		if rec, ok := e.cache.getInvocation(k); ok {
-			atomic.AddInt64(&e.cacheHits, 1)
-			e.emit(jobEvent(JobCacheHit, job))
-			e.recordJob(obs.KindCacheHit, job, k, 0, 0, "")
-			if rec.OOM {
-				return outcome{nil, &workload.ErrOutOfMemory{
-					Workload: job.Desc.Name, HeapMB: job.Cfg.HeapMB, Kind: job.Cfg.Collector,
-				}}
-			}
-			return outcome{rec.Result, nil}
-		}
-		e.recordJob(obs.KindCacheMiss, job, k, 0, 0, "")
-	}
-
-	// Telemetry for the run goes into a worker-owned per-job buffer — a
-	// recorder already set on the config, or the engine's, receives the
-	// whole run's events in one batch at the job boundary, so concurrent
-	// invocations never contend the shared sink per event. A simulator run
-	// records from exactly one goroutine, so the buffer needs no lock.
-	base := obs.Or(job.Cfg.Recorder)
-	if !base.Enabled() {
-		base = e.rec
-	}
+// runJob is the bracket around one executed job's work, on the worker (or
+// inline in the submitter after Close): it lends the work a pooled
+// jobRecorder when anything consumes telemetry, emits the started and
+// finish points, counts the execution, flushes the buffer to base and
+// writes the job's trace. work returns the job's task-clock total and
+// error; a trace that cannot be written fails a job whose work succeeded.
+func (e *Engine) runJob(id jobInfo, base obs.Recorder, work func(rec obs.Recorder) (cpu float64, err error)) error {
+	rec := obs.Nop
 	var buf *jobRecorder
 	if base.Enabled() || e.traceDir != "" {
 		buf = e.bufs.Get().(*jobRecorder)
-		buf.reset(string(k), job.Desc.Name, job.Cfg.Collector.String())
-		job.Cfg.Recorder = buf
+		buf.reset(string(id.key), id.benchmark, id.collector)
+		rec = buf
 	}
 
-	e.emit(jobEvent(JobStarted, job))
-	e.recordJob(obs.KindJobStart, job, k, 0, 0, "")
+	e.emit(id.event(JobStarted))
+	e.recordJob(obs.KindJobStart, id, 0, 0, nil)
 	hostStart := time.Now()
-	res, err := e.runFn(job.Desc, job.Cfg)
+	cpu, err := work(rec)
 	atomic.AddInt64(&e.executed, 1)
-	out := outcome{res, err}
 
 	if buf != nil {
 		obs.RecordAll(base, buf.events)
 		if e.traceDir != "" {
-			if werr := e.writeJobTrace(k, buf.events); werr != nil && out.err == nil {
-				out = outcome{nil, fmt.Errorf("exper: writing %s trace: %w", job.Desc.Name, werr)}
+			if werr := e.writeJobTrace(id.key, buf.events); werr != nil && err == nil {
+				err = fmt.Errorf("exper: writing %s trace: %w", id.benchmark, werr)
 			}
 		}
 		e.bufs.Put(buf)
 	}
+	e.recordJob(obs.KindJobFinish, id, float64(time.Since(hostStart)), cpu, err)
+	return err
+}
 
-	if err != nil {
-		e.recordJob(obs.KindJobFinish, job, k, float64(time.Since(hostStart)), 0, err.Error())
-	} else {
-		var cpu float64
-		for _, it := range res.Iterations {
-			cpu += it.CPUNS
+// execute satisfies an invocation from the cache or runs it, entirely on
+// the calling (worker) goroutine.
+func (e *Engine) execute(job Job) (*workload.Result, error) {
+	id := job.info()
+	if e.cache != nil {
+		if rec, ok := e.cache.getInvocation(id.key); ok {
+			atomic.AddInt64(&e.cacheHits, 1)
+			e.emit(id.event(JobCacheHit))
+			e.recordJob(obs.KindCacheHit, id, 0, 0, nil)
+			if rec.OOM {
+				return nil, &workload.ErrOutOfMemory{
+					Workload: job.Desc.Name, HeapMB: job.Cfg.HeapMB, Kind: job.Cfg.Collector,
+				}
+			}
+			return rec.Result, nil
 		}
-		e.recordJob(obs.KindJobFinish, job, k, float64(time.Since(hostStart)), cpu, "")
+		e.recordJob(obs.KindCacheMiss, id, 0, 0, nil)
 	}
 
-	if out.err != nil {
+	// A recorder already set on the config, or else the engine's, receives
+	// the run's events.
+	base := obs.Or(job.Cfg.Recorder)
+	if !base.Enabled() {
+		base = e.rec
+	}
+	var res *workload.Result
+	err := e.runJob(id, base, func(rec obs.Recorder) (float64, error) {
+		cfg := job.Cfg
+		if rec.Enabled() {
+			cfg.Recorder = rec
+		}
+		var err error
+		if res, err = e.runFn(job.Desc, cfg); err != nil {
+			return 0, err
+		}
+		_, cpu := totals(res)
+		return cpu, nil
+	})
+
+	if err != nil {
 		var oom *workload.ErrOutOfMemory
-		if errors.As(out.err, &oom) {
+		if errors.As(err, &oom) {
 			atomic.AddInt64(&e.ooms, 1)
 			if e.cache != nil {
-				e.cache.putInvocation(k, e.record(job, nil, true))
+				e.cache.putInvocation(id.key, e.record(job, nil, true))
 			}
 		} else {
 			atomic.AddInt64(&e.failures, 1)
 		}
-		ev := jobEvent(JobFailed, job)
-		ev.Err = out.err.Error()
-		e.emit(ev)
-		return out
+		e.emit(id.failed(err))
+		return nil, err
 	}
 
 	if e.cache != nil {
-		e.cache.putInvocation(k, e.record(job, out.res, false))
+		e.cache.putInvocation(id.key, e.record(job, res, false))
 	}
-	ev := jobEvent(JobFinished, job)
-	for _, it := range out.res.Iterations {
-		ev.WallNS += it.WallNS
-		ev.CPUNS += it.CPUNS
-	}
+	ev := id.event(JobFinished)
+	ev.WallNS, ev.CPUNS = totals(res)
 	e.emit(ev)
-	return out
+	return res, nil
+}
+
+// totals sums a result's wall and task-clock time over its iterations.
+func totals(res *workload.Result) (wall, cpu float64) {
+	for _, it := range res.Iterations {
+		wall += it.WallNS
+		cpu += it.CPUNS
+	}
+	return wall, cpu
 }
 
 func (e *Engine) record(job Job, res *workload.Result, oom bool) *persist.InvocationRecord {

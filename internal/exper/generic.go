@@ -3,7 +3,6 @@ package exper
 import (
 	"encoding/json"
 	"sync/atomic"
-	"time"
 
 	"chopin/internal/obs"
 	"chopin/internal/persist"
@@ -24,30 +23,14 @@ import (
 // cacheable failure outcomes (a fleet replica OOMing is a stable property
 // of the cell) encode them inside the returned payload.
 
-// genOutcome is one generic job's resolution.
-type genOutcome struct {
-	data []byte
-	err  error
-}
-
-// genCall is one in-flight generic execution, shared by deduplicated
-// tickets. out is written before done closes and read only after it.
-type genCall struct {
-	done chan struct{}
-	out  genOutcome
-}
-
 // GenericTicket is a handle to a submitted generic job.
 type GenericTicket struct {
 	key Key
-	c   *genCall
+	c   *call[[]byte]
 }
 
 // Wait blocks until the job completes and returns its payload.
-func (t *GenericTicket) Wait() ([]byte, error) {
-	<-t.c.done
-	return t.c.out.data, t.c.out.err
-}
+func (t *GenericTicket) Wait() ([]byte, error) { return t.c.wait() }
 
 // Key returns the job's canonical content hash.
 func (t *GenericTicket) Key() Key { return t.key }
@@ -77,30 +60,9 @@ func (e *Engine) SubmitGeneric(kind string, payload any, run func(rec obs.Record
 	if err != nil {
 		return nil, err
 	}
-	sh := e.shard(k)
-	sh.mu.Lock()
-	if out, ok := sh.genMemo[k]; ok {
-		sh.mu.Unlock()
-		atomic.AddInt64(&e.memoHits, 1)
-		c := &genCall{done: make(chan struct{}), out: out}
-		close(c.done)
-		return &GenericTicket{key: k, c: c}, nil
-	}
-	if c, ok := sh.geninflight[k]; ok {
-		sh.mu.Unlock()
-		atomic.AddInt64(&e.deduped, 1)
-		return &GenericTicket{key: k, c: c}, nil
-	}
-	c := &genCall{done: make(chan struct{})}
-	sh.geninflight[k] = c
-	sh.mu.Unlock()
-
-	e.emit(Event{Kind: JobQueued, Key: k, Benchmark: kind})
-	if !e.pool.submit(func() { e.runGeneric(kind, k, c, run) }) {
-		// Pool already closed: execute inline in the submitter, same
-		// no-drop contract as ordinary jobs.
-		e.runGeneric(kind, k, c, run)
-	}
+	id := jobInfo{key: k, benchmark: kind}
+	c := submit(e, &e.generics, id, false, func(err error) bool { return err == nil },
+		func() ([]byte, error) { return e.executeGeneric(id, run) })
 	return &GenericTicket{key: k, c: c}, nil
 }
 
@@ -113,87 +75,35 @@ func (e *Engine) RunGeneric(kind string, payload any, run func(rec obs.Recorder)
 	return t.Wait()
 }
 
-// runGeneric is the single flight for a registered generic call.
-func (e *Engine) runGeneric(kind string, k Key, c *genCall, run func(rec obs.Recorder) ([]byte, error)) {
-	out := e.executeGeneric(kind, k, run)
-	sh := e.shard(k)
-	sh.mu.Lock()
-	delete(sh.geninflight, k)
-	if e.memoize && out.err == nil {
-		sh.genMemo[k] = out
-	}
-	sh.mu.Unlock()
-	c.out = out
-	close(c.done)
-}
-
 // executeGeneric satisfies a generic job from the cache or runs it, on the
 // calling (worker) goroutine.
-func (e *Engine) executeGeneric(kind string, k Key, run func(rec obs.Recorder) ([]byte, error)) genOutcome {
+func (e *Engine) executeGeneric(id jobInfo, run func(rec obs.Recorder) ([]byte, error)) ([]byte, error) {
 	if e.cache != nil {
-		if rec, ok := e.cache.getGeneric(k); ok {
+		if rec, ok := e.cache.getGeneric(id.key); ok {
 			atomic.AddInt64(&e.cacheHits, 1)
-			e.emit(Event{Kind: JobCacheHit, Key: k, Benchmark: kind})
-			e.recordGeneric(obs.KindCacheHit, kind, k, 0, "")
-			return genOutcome{data: []byte(rec.Data)}
+			e.emit(id.event(JobCacheHit))
+			e.recordJob(obs.KindCacheHit, id, 0, 0, nil)
+			return []byte(rec.Data), nil
 		}
-		e.recordGeneric(obs.KindCacheMiss, kind, k, 0, "")
+		e.recordJob(obs.KindCacheMiss, id, 0, 0, nil)
 	}
 
-	// Telemetry buffering mirrors the invocation path: the run's events land
-	// in a worker-owned buffer, flushed to the shared sink in one batch at
-	// the job boundary.
-	rec := obs.Recorder(obs.Nop)
-	var buf *jobRecorder
-	if e.rec.Enabled() || e.traceDir != "" {
-		buf = e.bufs.Get().(*jobRecorder)
-		buf.reset(string(k), kind, "")
-		rec = buf
-	}
-
-	e.emit(Event{Kind: JobStarted, Key: k, Benchmark: kind})
-	e.recordGeneric(obs.KindJobStart, kind, k, 0, "")
-	hostStart := time.Now()
-	data, err := run(rec)
-	atomic.AddInt64(&e.executed, 1)
-
-	if buf != nil {
-		obs.RecordAll(e.rec, buf.events)
-		if e.traceDir != "" {
-			if werr := e.writeJobTrace(k, buf.events); werr != nil && err == nil {
-				err = werr
-			}
-		}
-		e.bufs.Put(buf)
-	}
-
+	var data []byte
+	err := e.runJob(id, e.rec, func(rec obs.Recorder) (float64, error) {
+		var err error
+		data, err = run(rec)
+		return 0, err
+	})
 	if err != nil {
 		atomic.AddInt64(&e.failures, 1)
-		e.recordGeneric(obs.KindJobFinish, kind, k, float64(time.Since(hostStart)), err.Error())
-		e.emit(Event{Kind: JobFailed, Key: k, Benchmark: kind, Err: err.Error()})
-		return genOutcome{err: err}
+		e.emit(id.failed(err))
+		return nil, err
 	}
-	e.recordGeneric(obs.KindJobFinish, kind, k, float64(time.Since(hostStart)), "")
 	if e.cache != nil {
-		e.cache.putGeneric(k, &persist.GenericRecord{
-			Key: string(k), Kind: kind, Data: json.RawMessage(data),
+		e.cache.putGeneric(id.key, &persist.GenericRecord{
+			Key: string(id.key), Kind: id.benchmark, Data: json.RawMessage(data),
 		})
 	}
-	e.emit(Event{Kind: JobFinished, Key: k, Benchmark: kind})
-	return genOutcome{data: data}
-}
-
-// recordGeneric emits an engine-level telemetry event for a generic job.
-func (e *Engine) recordGeneric(kind obs.Kind, jobKind string, k Key, dur float64, errStr string) {
-	if !e.rec.Enabled() {
-		return
-	}
-	e.rec.Record(obs.Event{
-		Kind:      kind,
-		TNS:       time.Now().UnixNano(),
-		Run:       string(k),
-		Benchmark: jobKind,
-		DurNS:     dur,
-		Err:       errStr,
-	})
+	e.emit(id.event(JobFinished))
+	return data, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"chopin/internal/gc"
 	"chopin/internal/nominal"
@@ -28,34 +27,18 @@ const (
 // all workloads up front and attach each grid as a dependent the moment its
 // anchor resolves.
 type MinHeapTicket struct {
-	key  Key
-	done chan struct{}
-	mb   float64
-	err  error
+	key Key
+	c   *call[float64]
 }
 
 // Wait blocks until the measurement completes and returns the bound in MB.
-func (t *MinHeapTicket) Wait() (float64, error) {
-	<-t.done
-	return t.mb, t.err
-}
+func (t *MinHeapTicket) Wait() (float64, error) { return t.c.wait() }
 
 // Done is closed when the measurement completes.
-func (t *MinHeapTicket) Done() <-chan struct{} { return t.done }
+func (t *MinHeapTicket) Done() <-chan struct{} { return t.c.done }
 
 // Key returns the canonical content hash of the measurement.
 func (t *MinHeapTicket) Key() Key { return t.key }
-
-func newMinHeapTicket(k Key) *MinHeapTicket {
-	return &MinHeapTicket{key: k, done: make(chan struct{})}
-}
-
-func resolvedMinHeapTicket(k Key, mb float64) *MinHeapTicket {
-	t := newMinHeapTicket(k)
-	t.mb = mb
-	close(t.done)
-	return t
-}
 
 // SubmitMinHeap starts measuring the benchmark's minimum viable heap under p
 // and returns immediately with a ticket for the bound. The search runs on a
@@ -76,32 +59,14 @@ func (e *Engine) SubmitMinHeap(d *workload.Descriptor, p MinHeapParams) (*MinHea
 		return nil, err
 	}
 
-	sh := e.shard(k)
-	sh.mu.Lock()
-	if mb, ok := sh.minMemo[k]; ok {
-		sh.mu.Unlock()
-		return resolvedMinHeapTicket(k, mb), nil
+	c, j := e.minHeaps.join(k)
+	if j == lead {
+		go func() {
+			mb, err := e.minHeap(k, d, p)
+			e.minHeaps.settle(k, c, mb, err, err == nil)
+		}()
 	}
-	if t, ok := sh.minflight[k]; ok {
-		sh.mu.Unlock()
-		return t, nil
-	}
-	t := newMinHeapTicket(k)
-	sh.minflight[k] = t
-	sh.mu.Unlock()
-
-	go func() {
-		mb, err := e.minHeap(k, d, p)
-		sh.mu.Lock()
-		delete(sh.minflight, k)
-		if err == nil {
-			sh.minMemo[k] = mb
-		}
-		sh.mu.Unlock()
-		t.mb, t.err = mb, err
-		close(t.done)
-	}()
-	return t, nil
+	return &MinHeapTicket{key: k, c: c}, nil
 }
 
 // MinHeapMB measures the benchmark's minimum viable heap under p: a
@@ -121,8 +86,10 @@ func (e *Engine) MinHeapMB(d *workload.Descriptor, p MinHeapParams) (float64, er
 	return t.Wait()
 }
 
-func minHeapEvent(kind EventKind, d *workload.Descriptor, k Key, mb float64) Event {
-	return Event{Kind: kind, Key: k, Benchmark: d.Name, MinHeapMB: mb}
+// minHeapEvent is a min-heap measurement's progress event, which carries the
+// bound as MinHeapMB rather than as the heap.
+func minHeapEvent(kind EventKind, id jobInfo) Event {
+	return Event{Kind: kind, Key: id.key, Benchmark: id.benchmark, MinHeapMB: id.heapMB}
 }
 
 // minHeapBase is the probe configuration every measurement derives from:
@@ -141,17 +108,19 @@ func minHeapBase(p MinHeapParams) workload.RunConfig {
 // bisection search, seed validation, then — only on success — the cache
 // write, so a search aborted by Close never persists a partial result.
 func (e *Engine) minHeap(k Key, d *workload.Descriptor, p MinHeapParams) (float64, error) {
+	id := jobInfo{key: k, benchmark: d.Name}
 	if e.cache != nil {
 		if rec, ok := e.cache.getMinHeap(k); ok {
 			atomic.AddInt64(&e.minHeapCacheHits, 1)
-			e.emit(minHeapEvent(MinHeapCacheHit, d, k, rec.MinHeapMB))
-			e.recordMinHeap(obs.KindCacheHit, d, k, rec.MinHeapMB)
+			id.heapMB = rec.MinHeapMB
+			e.emit(minHeapEvent(MinHeapCacheHit, id))
+			e.recordJob(obs.KindCacheHit, id, 0, 0, nil)
 			return rec.MinHeapMB, nil
 		}
-		e.recordMinHeap(obs.KindCacheMiss, d, k, 0)
+		e.recordJob(obs.KindCacheMiss, id, 0, 0, nil)
 	}
 
-	e.emit(minHeapEvent(MinHeapStarted, d, k, 0))
+	e.emit(minHeapEvent(MinHeapStarted, id))
 	atomic.AddInt64(&e.minHeapSearches, 1)
 
 	base := minHeapBase(p)
@@ -170,21 +139,10 @@ func (e *Engine) minHeap(k Key, d *workload.Descriptor, p MinHeapParams) (float6
 			return 0, fmt.Errorf("exper: caching %s min heap: %w", d.Name, werr)
 		}
 	}
-	e.emit(minHeapEvent(MinHeapFinished, d, k, bound))
-	e.recordMinHeap(obs.KindMinHeap, d, k, bound)
+	id.heapMB = bound
+	e.emit(minHeapEvent(MinHeapFinished, id))
+	e.recordJob(obs.KindMinHeap, id, 0, 0, nil)
 	return bound, nil
-}
-
-// recordMinHeap emits a telemetry event for min-heap measurement accounting;
-// Value carries the measured bound in MB (zero before measurement).
-func (e *Engine) recordMinHeap(kind obs.Kind, d *workload.Descriptor, k Key, mb float64) {
-	if !e.rec.Enabled() {
-		return
-	}
-	e.rec.Record(obs.Event{
-		Kind: kind, TNS: time.Now().UnixNano(),
-		Run: string(k), Benchmark: d.Name, Value: mb,
-	})
 }
 
 // probe runs one min-heap probe as an engine job and waits for it. Probes
@@ -196,7 +154,7 @@ func (e *Engine) probe(d *workload.Descriptor, cfg workload.RunConfig) (*workloa
 	if err != nil {
 		return nil, err
 	}
-	return e.submitJob(job, submitFlags{cancelOnClose: true}).Wait()
+	return e.submitJob(job, true).Wait()
 }
 
 // validateMinHeap confirms the searched bound completes under every

@@ -14,7 +14,7 @@ import (
 // It captures the run's whole event stream in memory, stamping job identity
 // (key, benchmark, collector) onto events that do not already carry it —
 // replicating obs.WithRun — and is flushed to the shared sink in a single
-// batch at the job boundary (obs.RecordAll), so concurrent invocations
+// batch at the job boundary (obs.RecordAll), so concurrent jobs
 // contend the sink once per job instead of once per event.
 //
 // A simulator run records from exactly one goroutine, and the buffer is

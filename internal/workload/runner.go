@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"chopin/internal/cpuarch"
 	"chopin/internal/gc"
@@ -287,7 +288,7 @@ func newRunner(d *Descriptor, cfg RunConfig) (*runner, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.HeapMB <= 0 {
+	if cfg.HeapMB <= 0 || math.IsNaN(cfg.HeapMB) || math.IsInf(cfg.HeapMB, 0) {
 		return nil, fmt.Errorf("workload %s: heap %vMB invalid", d.Name, cfg.HeapMB)
 	}
 	if cfg.Machine.Name == "" {

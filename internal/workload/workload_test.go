@@ -358,6 +358,14 @@ func TestValidateRejections(t *testing.T) {
 			t.Errorf("case %d: invalid descriptor accepted", i)
 		}
 	}
+	// A heap that is not a positive finite size is rejected before anything
+	// is simulated.
+	for _, heap := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		_, err := Run(Lusearch, RunConfig{HeapMB: heap, Collector: gc.G1, Iterations: 1, Events: 100, Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "MB invalid") {
+			t.Errorf("heap %v: err = %v, want an invalid-heap rejection", heap, err)
+		}
+	}
 }
 
 func TestSizingHelpers(t *testing.T) {
