@@ -58,7 +58,9 @@ test:
 # Each benchmark runs five times and benchjson records the per-metric median,
 # so the committed BENCH_sim.json baseline is median-of-five — directly
 # comparable to the median-of-five gate runs and robust to scheduler noise on
-# loaded hosts.
+# loaded hosts. benchjson reads, reduces and writes through
+# internal/obs/benchdiff, the one reader and writer of both bench formats, so
+# the baseline it writes and the gate that reads it agree on every sample.
 .PHONY: bench
 bench:
 	( go test -run='^$$' -bench='BenchmarkEngine' -benchmem -benchtime=300ms \
@@ -122,10 +124,11 @@ bench-scaling:
 # invocation cache record (FuzzDecodeInvocation), the JSON result and cache
 # archives with their v1->v2 migration (FuzzLoadArchive), the JSONL telemetry
 # stream (FuzzDecodeStream), unified-logging GC logs (FuzzParseAll), the
-# bench gate's inputs, BENCH_sim.json maps and go test -bench text
-# (FuzzParse), benchjson's go test -bench text (FuzzParseBench) and runbms
-# experiment plans (FuzzDecodePlan); and of the Chrome trace writer's integer
-# number fast path against strconv (FuzzChromeNumber). go test -fuzz takes one
+# BENCH_sim.json maps and go test -bench text that benchdiff reads and writes
+# for both bench commands (FuzzParse), benchjson's echo and median map
+# (FuzzParseBench) and runbms experiment plans (FuzzDecodePlan); and of the
+# Chrome trace writer's integer number fast path against strconv
+# (FuzzChromeNumber). go test -fuzz takes one
 # target per run, so each gets its own fixed time budget. The committed seed
 # corpora under testdata/fuzz also run as ordinary tests in tier1.
 .PHONY: fuzz

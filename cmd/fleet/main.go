@@ -104,7 +104,7 @@ func main() {
 	check(err)
 	sw.Collectors, err = exper.ParseCollectors(*gcsFlag)
 	check(err)
-	sw.Rates, err = exper.ParseFactors(*rates)
+	sw.Rates, err = exper.ParseFactors("-rates", *rates)
 	check(err)
 
 	eng, err := cli.Build(os.Stderr, "fleet: ")

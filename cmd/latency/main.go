@@ -52,7 +52,7 @@ func main() {
 	check(err)
 	defer cli.CloseOrWarn(os.Stderr, "latency: ")
 
-	factors, err := exper.ParseFactors(*factorsFlag)
+	factors, err := exper.ParseFactors("-factors", *factorsFlag)
 	check(err)
 	opt := harness.Options{
 		Events:     *events,

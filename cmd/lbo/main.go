@@ -54,7 +54,7 @@ func main() {
 		Seed:        *seed,
 		Engine:      eng,
 	}
-	opt.HeapFactors, err = exper.ParseFactors(*factorsFlag)
+	opt.HeapFactors, err = exper.ParseFactors("-factors", *factorsFlag)
 	check(err)
 	opt.Collectors, err = exper.ParseCollectors(*gcsFlag)
 	check(err)

@@ -46,8 +46,9 @@ const writeDepth = 128
 // each other. Reads consult the pending map first, making the deferral
 // invisible; write errors latch and surface at Flush (which Engine.Close
 // calls), degrading a full disk to a cold next run rather than a failed
-// sweep. Min-heap records are rare (one per workload per sweep shape) and
-// stay synchronous.
+// sweep. Min-heap and generic records are rare (one per workload per sweep
+// shape, one per fleet cell) and stay synchronous: a failed generic write
+// latches like an invocation write, a failed min-heap write fails its search.
 type Cache struct {
 	dir  string
 	mode CacheMode
@@ -135,11 +136,21 @@ func (c *Cache) writer() {
 		if cur, ok := c.pending[w.key]; ok && cur == w.rec {
 			delete(c.pending, w.key)
 		}
-		if err != nil && c.err == nil {
-			c.err = fmt.Errorf("exper: caching %s: %w", w.key, err)
-		}
 		c.mu.Unlock()
+		c.latch(w.key, err)
 	}
+}
+
+// latch keeps the first failed write's error for the next Flush.
+func (c *Cache) latch(k Key, err error) {
+	if err == nil {
+		return
+	}
+	c.mu.Lock()
+	if c.err == nil {
+		c.err = fmt.Errorf("exper: caching %s: %w", k, err)
+	}
+	c.mu.Unlock()
 }
 
 // Flush blocks until every queued invocation write has reached disk and
@@ -217,8 +228,10 @@ func (c *Cache) getGeneric(k Key) (*persist.GenericRecord, bool) {
 	return rec, true
 }
 
-func (c *Cache) putGeneric(k Key, rec *persist.GenericRecord) error {
-	return persist.SaveGeneric(c.path(k), rec)
+// putGeneric writes a generic job's record; a failure latches like an
+// invocation write's, so Flush (and Engine.Close) report it.
+func (c *Cache) putGeneric(k Key, rec *persist.GenericRecord) {
+	c.latch(k, persist.SaveGeneric(c.path(k), rec))
 }
 
 func (c *Cache) getMinHeap(k Key) (*persist.MinHeapRecord, bool) {

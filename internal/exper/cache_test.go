@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"chopin/internal/obs"
 	"chopin/internal/persist"
 	"chopin/internal/workload"
 )
@@ -248,5 +250,41 @@ func TestWrongKeyArchiveIsMiss(t *testing.T) {
 	}
 	if _, ok := c.getInvocation(k); ok {
 		t.Fatal("archive with mismatched key served as a hit")
+	}
+}
+
+// TestGenericWriteErrorLatches: a generic job (a fleet sweep cell) whose
+// record cannot be written still hands back its payload, but the failure
+// latches like an invocation write's and Engine.Close reports it — the
+// cell does not silently re-run on the next pass.
+func TestGenericWriteErrorLatches(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCache(dir, ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	k, err := GenericKey("probe", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A file where the key's shard directory belongs fails the write.
+	if err := os.WriteFile(filepath.Join(dir, k.Shard()), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{Workers: 1, Cache: c})
+	data, err := e.RunGeneric("probe", 1, func(obs.Recorder) ([]byte, error) { return []byte("1"), nil })
+	if err != nil || string(data) != "1" {
+		t.Fatalf("RunGeneric = %q, %v; want the payload despite the failed write", data, err)
+	}
+	err = e.Close()
+	if want := "exper: caching " + string(k) + ": "; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("Close = %v, want an error starting %q", err, want)
+	}
+	if _, ok := c.getGeneric(k); ok {
+		t.Fatal("record served although its write failed")
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatalf("second Flush = %v, want the latch cleared", err)
 	}
 }

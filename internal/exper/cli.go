@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	_ "net/http/pprof" // -pprof serves the standard profiling endpoints
 	"os"
@@ -186,17 +187,18 @@ func SelectBenchmarks(list string) ([]*workload.Descriptor, error) {
 	return ds, nil
 }
 
-// ParseFactors parses a comma-separated list of positive heap factors; an
-// empty string means "use the defaults" (nil).
-func ParseFactors(s string) ([]float64, error) {
+// ParseFactors parses the value of the flag called name (heap factors,
+// request rates) as a comma-separated list of finite positive numbers; an
+// empty string means "use the defaults" (nil). Errors name the flag.
+func ParseFactors(name, s string) ([]float64, error) {
 	if s == "" {
 		return nil, nil
 	}
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || f <= 0 {
-			return nil, fmt.Errorf("bad heap factor %q", part)
+		if err != nil || !(f > 0) || math.IsInf(f, 1) {
+			return nil, fmt.Errorf("%s: bad factor %q", name, part)
 		}
 		out = append(out, f)
 	}

@@ -2,10 +2,12 @@
 // two sets of benchmark measurements and decides — with a significance test,
 // not eyeballing — whether the new side got worse.
 //
-// Inputs come in either of the repo's two benchmark formats, sniffed
-// automatically: the BENCH_sim.json map written by cmd/benchjson
-// (name → {ns_per_op, b_per_op, allocs_per_op, …}, one sample per name), or
-// raw `go test -bench` text, where `-count=N` yields N samples per name.
+// It is also the only code that knows the repo's two benchmark formats.
+// Parse reads either, sniffed automatically: the BENCH_sim.json map
+// (name → Record {ns_per_op, b_per_op, allocs_per_op, iterations}, one
+// sample per name), or raw `go test -bench` text, where `-count=N` yields N
+// samples per name. Samples.WriteJSON writes the map, one per-metric median
+// Record per name; cmd/benchjson is a thin command over the two.
 // Each benchmark is compared per metric: ns/op always, and — when both
 // sides carry them (`-benchmem`) — B/op and allocs/op, so an allocation
 // regression fails the gate exactly like a time regression. With three or
@@ -23,12 +25,16 @@ package benchdiff
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"chopin/internal/report"
@@ -60,43 +66,131 @@ func (m Metric) String() string {
 	}
 }
 
-// Series holds one benchmark's samples, one slice per metric (empty when the
-// input did not carry that column).
-type Series struct {
-	m [numMetrics][]float64
+// Record is one benchmark measurement in BENCH_sim.json's value shape: one
+// `go test -bench` result line, one map entry, or the per-metric median of
+// several (Series.Median). The -benchmem columns are pointers so a
+// benchmark recorded without them is distinguishable from one that
+// genuinely allocates zero.
+type Record struct {
+	NsPerOp     float64 `json:"ns_per_op"`
+	BPerOp      *int64  `json:"b_per_op,omitempty"`
+	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
+	Iterations  int64   `json:"iterations"`
 }
 
-// Add appends one sample for metric m.
-func (s *Series) Add(m Metric, v float64) { s.m[m] = append(s.m[m], v) }
+// check refuses what no benchmark run records: an ns/op that is not a
+// finite number ≥ 0, or a negative count.
+func (r Record) check() error {
+	if !(r.NsPerOp >= 0) || math.IsInf(r.NsPerOp, 1) {
+		return fmt.Errorf("ns/op %v is not a finite number ≥ 0", r.NsPerOp)
+	}
+	if r.Iterations < 0 || r.BPerOp != nil && *r.BPerOp < 0 || r.AllocsPerOp != nil && *r.AllocsPerOp < 0 {
+		return errors.New("negative count")
+	}
+	return nil
+}
 
-// Samples returns the recorded values for metric m (nil if none).
-func (s *Series) Samples(m Metric) []float64 {
-	if s == nil {
+// Series holds one benchmark's samples in input order.
+type Series []Record
+
+// Samples returns the values recorded for metric m, in input order (nil if
+// none).
+func (s Series) Samples(m Metric) []float64 {
+	var vs []float64
+	for _, r := range s {
+		switch {
+		case m == NsPerOp:
+			vs = append(vs, r.NsPerOp)
+		case m == BytesPerOp && r.BPerOp != nil:
+			vs = append(vs, float64(*r.BPerOp))
+		case m == AllocsPerOp && r.AllocsPerOp != nil:
+			vs = append(vs, float64(*r.AllocsPerOp))
+		}
+	}
+	return vs
+}
+
+// Median reduces the series metric by metric — the median ns/op run is not
+// necessarily the median-allocation run, and a per-metric median is the
+// robust baseline for the gate. ns/op takes the float median; B/op and
+// allocs/op the upper-middle recorded value (absent if none is recorded);
+// iterations the mean of the middle two, truncated. s must not be empty.
+func (s Series) Median() Record {
+	ns := s.Samples(NsPerOp)
+	sort.Float64s(ns)
+	med := Record{NsPerOp: ns[len(ns)/2]}
+	if len(ns)%2 == 0 {
+		// Halves first: the sum of two large finite values may overflow.
+		med.NsPerOp = ns[len(ns)/2-1]/2 + ns[len(ns)/2]/2
+	}
+	var iters, bs, allocs []int64
+	for _, r := range s {
+		iters = append(iters, r.Iterations)
+		if r.BPerOp != nil {
+			bs = append(bs, *r.BPerOp)
+		}
+		if r.AllocsPerOp != nil {
+			allocs = append(allocs, *r.AllocsPerOp)
+		}
+	}
+	slices.Sort(iters)
+	lo, hi := iters[(len(iters)-1)/2], iters[len(iters)/2]
+	med.Iterations = lo + (hi-lo)/2 // counts are ≥ 0, so this cannot overflow
+	med.BPerOp, med.AllocsPerOp = upperMiddle(bs), upperMiddle(allocs)
+	return med
+}
+
+func upperMiddle(vs []int64) *int64 {
+	if len(vs) == 0 {
 		return nil
 	}
-	return s.m[m]
+	slices.Sort(vs)
+	return &vs[len(vs)/2]
 }
 
-// Samples maps benchmark name → per-metric sample series.
-type Samples map[string]*Series
+// Samples maps benchmark name → its samples.
+type Samples map[string]Series
 
-func (s Samples) series(name string) *Series {
-	sr := s[name]
-	if sr == nil {
-		sr = &Series{}
-		s[name] = sr
+// WriteJSON writes s as a BENCH_sim.json map: one line per benchmark, in
+// name order, holding the Median of its samples.
+func (s Samples) WriteJSON(w io.Writer) error {
+	names := make([]string, 0, len(s))
+	for n := range s {
+		names = append(names, n)
 	}
-	return sr
+	sort.Strings(names)
+	var b bytes.Buffer
+	b.WriteString("{\n")
+	for i, n := range names {
+		key, _ := json.Marshal(n) // a string always marshals
+		val, err := json.Marshal(s[n].Median())
+		if err != nil {
+			return fmt.Errorf("%s: %w", n, err)
+		}
+		sep := ","
+		if i == len(names)-1 {
+			sep = ""
+		}
+		fmt.Fprintf(&b, "  %s: %s%s\n", key, val, sep)
+	}
+	b.WriteString("}\n")
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
-// measurement mirrors cmd/benchjson's JSON value shape. The -benchmem
-// columns are pointers so a benchmark recorded without them is
-// distinguishable from one that genuinely allocates zero.
-type measurement struct {
-	NsPerOp     float64  `json:"ns_per_op"`
-	BPerOp      *float64 `json:"b_per_op"`
-	AllocsPerOp *float64 `json:"allocs_per_op"`
+// ParseError is a `go test -bench` result line the reader refused: a
+// Record cannot hold it exactly.
+type ParseError struct {
+	Line int
+	Text string
+	Err  error
 }
+
+func (e *ParseError) Error() string {
+	return fmt.Sprintf("line %d: %v: %q", e.Line, e.Err, e.Text)
+}
+
+func (e *ParseError) Unwrap() error { return e.Err }
 
 // ParseFile loads benchmark samples from path, sniffing the format: a file
 // whose first non-space byte is '{' is a BENCH_sim.json map, anything else
@@ -106,20 +200,21 @@ func ParseFile(path string) (Samples, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := Parse(strings.NewReader(string(data)))
+	s, err := Parse(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
 }
 
-// Parse reads samples from r, sniffing the format as ParseFile does.
+// Parse reads samples from r, sniffing the format as ParseFile does, and
+// adds the derived parallel-efficiency series.
 func Parse(r io.Reader) (Samples, error) {
 	br := bufio.NewReader(r)
 	for {
 		c, err := br.ReadByte()
 		if err != nil {
-			return nil, fmt.Errorf("benchdiff: empty input")
+			return nil, errors.New("empty input")
 		}
 		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
 			continue
@@ -131,133 +226,147 @@ func Parse(r io.Reader) (Samples, error) {
 		} else {
 			s, err = parseBenchText(br)
 		}
+		if err == nil {
+			err = deriveEfficiency(s)
+		}
 		if err != nil {
 			return nil, err
 		}
-		deriveEfficiency(s)
 		return s, nil
 	}
 }
 
-// effSuffix names derived parallel-efficiency entries (workers=1 ns ÷
+// EffSuffix names derived parallel-efficiency entries (workers=1 ns ÷
 // workers=8 ns). The metric is higher-is-better, so compareMetric inverts
 // the verdict direction for names carrying it.
-const effSuffix = "/parallel-efficiency"
+const EffSuffix = "/parallel-efficiency"
 
-// deriveEfficiency synthesizes <base>/parallel-efficiency sample series
-// from each benchmark's workers=1 and workers=8 ns samples, paired
-// positionally — mirroring cmd/benchjson, so a raw `go test -bench` gate
-// run compares cleanly against a JSON baseline that already carries the
-// derived entry. Names already present (JSON baselines) are left alone.
-func deriveEfficiency(s Samples) {
-	for name, sr := range s {
+// deriveEfficiency adds a <base>/parallel-efficiency series for each
+// benchmark recorded at both workers=1 and workers=8 (the full-suite
+// scaling pair): per-sample speedups, paired positionally (-count runs emit
+// them in the same order), so a raw `go test -bench` gate run compares
+// cleanly against a JSON baseline that already carries the derived entry.
+// Names already present (JSON baselines) are left alone. A ratio that is not
+// finite is refused, naming the pair.
+func deriveEfficiency(s Samples) error {
+	for name, w1 := range s {
 		base, ok := strings.CutSuffix(name, "/workers=1")
-		if !ok || s[base+effSuffix] != nil {
+		if _, done := s[base+EffSuffix]; !ok || done {
 			continue
 		}
-		w1 := sr.Samples(NsPerOp)
-		w8 := s[base+"/workers=8"].Samples(NsPerOp)
+		w8 := s[base+"/workers=8"]
+		var eff Series
 		for i := 0; i < len(w1) && i < len(w8); i++ {
-			if w8[i] <= 0 {
-				continue
+			r := w1[i].NsPerOp / w8[i].NsPerOp
+			if math.IsNaN(r) || math.IsInf(r, 0) {
+				return fmt.Errorf("%s sample %d: %v ns/op at workers=1 ÷ %v ns/op at workers=8 is not finite",
+					base+EffSuffix, i+1, w1[i].NsPerOp, w8[i].NsPerOp)
 			}
-			s.series(base+effSuffix).Add(NsPerOp, w1[i]/w8[i])
+			eff = append(eff, Record{NsPerOp: r, Iterations: 1})
+		}
+		if eff != nil {
+			s[base+EffSuffix] = eff
 		}
 	}
+	return nil
 }
 
 func parseJSON(r io.Reader) (Samples, error) {
-	var m map[string]measurement
+	var m map[string]Record
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("benchdiff: bad JSON benchmark map: %w", err)
+		return nil, fmt.Errorf("bad JSON benchmark map: %w", err)
+	}
+	if len(m) == 0 {
+		return nil, errors.New("no benchmarks in JSON map")
 	}
 	s := Samples{}
-	for name, meas := range m {
-		sr := s.series(name)
-		sr.Add(NsPerOp, meas.NsPerOp)
-		if meas.BPerOp != nil {
-			sr.Add(BytesPerOp, *meas.BPerOp)
+	for name, rec := range m {
+		if err := rec.check(); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		if meas.AllocsPerOp != nil {
-			sr.Add(AllocsPerOp, *meas.AllocsPerOp)
-		}
-	}
-	if len(s) == 0 {
-		return nil, fmt.Errorf("benchdiff: no benchmarks in JSON map")
+		s[name] = Series{rec}
 	}
 	return s, nil
 }
 
-// parseBenchText accumulates every matching line, so `go test -bench
-// -count=N` output yields N samples per benchmark name (GOMAXPROCS suffix
-// stripped, matching cmd/benchjson).
+// parseBenchText reads `go test -bench` output: every result line is one
+// sample, so -count=N yields N samples per benchmark name. A result line is
+// one that starts with "Benchmark" and carries an ns/op column; every other
+// line is skipped. A result line a Record cannot hold exactly is refused
+// with a *ParseError.
 func parseBenchText(r io.Reader) (Samples, error) {
 	s := Samples{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		name, vals, has, ok := parseBenchLine(sc.Text())
-		if !ok {
-			continue
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Text()
+		name, rec, err := parseBenchLine(line)
+		if err != nil {
+			return nil, &ParseError{Line: n, Text: line, Err: err}
 		}
-		sr := s.series(name)
-		for m := Metric(0); m < numMetrics; m++ {
-			if has[m] {
-				sr.Add(m, vals[m])
-			}
+		if name != "" {
+			s[name] = append(s[name], rec)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	if len(s) == 0 {
-		return nil, fmt.Errorf("benchdiff: no benchmark lines found")
+		return nil, errors.New("no benchmark lines found")
 	}
 	return s, nil
 }
 
-// parseBenchLine extracts the metric columns from one `go test -bench` line.
-// The layout after the iteration count is (value, unit) token pairs;
-// benchmarks that call b.ReportMetric interleave custom units between ns/op
-// and the -benchmem columns, so the pairs are scanned by unit rather than by
-// position.
-func parseBenchLine(line string) (name string, vals [numMetrics]float64, has [numMetrics]bool, ok bool) {
-	if !strings.HasPrefix(line, "Benchmark") {
-		return "", vals, has, false
-	}
+// parseBenchLine reads one result line: the name (GOMAXPROCS suffix
+// stripped, so names are stable across machines), the iteration count,
+// then (value, unit) pairs. Benchmarks that call b.ReportMetric interleave
+// custom units between ns/op and the -benchmem columns, so pairs are
+// matched by unit, not position, and custom units are skipped. It returns
+// an empty name for a line that is not a result line.
+func parseBenchLine(line string) (name string, rec Record, err error) {
 	fields := strings.Fields(line)
-	if len(fields) < 4 {
-		return "", vals, has, false
+	if !strings.HasPrefix(line, "Benchmark") || !slices.Contains(fields[1:], "ns/op") {
+		return "", rec, nil
+	}
+	if len(fields)%2 != 0 {
+		return "", rec, errors.New("want a name, an iteration count and value-unit pairs")
 	}
 	name = fields[0]
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		// Strip the GOMAXPROCS suffix, matching cmd/benchjson.
-		if allDigits(name[i+1:]) {
-			name = name[:i]
-		}
+	if i := strings.LastIndex(name, "-"); i > 0 && allDigits(name[i+1:]) {
+		name = name[:i]
 	}
-	for i := 2; i+1 < len(fields); i += 2 {
-		var m Metric
-		switch fields[i+1] {
+	if rec.Iterations, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
+		return "", rec, fmt.Errorf("iterations: %w", err)
+	}
+	seen := map[string]bool{}
+	for i := 2; i < len(fields); i += 2 {
+		v, unit := fields[i], fields[i+1]
+		var count **int64
+		switch unit {
 		case "ns/op":
-			m = NsPerOp
+			if rec.NsPerOp, err = strconv.ParseFloat(v, 64); err != nil {
+				return "", rec, fmt.Errorf("ns/op: %w", err)
+			}
 		case "B/op":
-			m = BytesPerOp
+			count = &rec.BPerOp
 		case "allocs/op":
-			m = AllocsPerOp
+			count = &rec.AllocsPerOp
 		default:
 			continue // custom b.ReportMetric unit
 		}
-		var v float64
-		if _, err := fmt.Sscanf(fields[i], "%g", &v); err != nil {
-			return "", vals, has, false
+		if seen[unit] {
+			return "", rec, fmt.Errorf("%s given twice", unit)
 		}
-		vals[m], has[m] = v, true
+		seen[unit] = true
+		if count != nil {
+			c, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				return "", rec, fmt.Errorf("%s: %w", unit, err)
+			}
+			*count = &c
+		}
 	}
-	if !has[NsPerOp] {
-		return "", vals, has, false
-	}
-	return name, vals, has, true
+	return name, rec, rec.check()
 }
 
 func allDigits(s string) bool {
@@ -467,7 +576,7 @@ func compareMetric(name string, m Metric, o, n []float64, opt Options) Delta {
 		}
 		// Parallel efficiency is a speedup ratio: higher is better, so a
 		// significant drop is the regression.
-		if strings.HasSuffix(name, effSuffix) && d.Verdict != Unchanged {
+		if strings.HasSuffix(name, EffSuffix) && d.Verdict != Unchanged {
 			if d.Verdict == Regression {
 				d.Verdict = Improvement
 			} else {

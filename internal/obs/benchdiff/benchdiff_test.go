@@ -2,10 +2,15 @@ package benchdiff
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -13,11 +18,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // one builds a single-sample Series for threshold-fallback tests.
-func one(ns float64) *Series {
-	s := &Series{}
-	s.Add(NsPerOp, ns)
-	return s
-}
+func one(ns float64) Series { return Series{{NsPerOp: ns}} }
 
 func TestParseJSON(t *testing.T) {
 	s, err := Parse(strings.NewReader(`{
@@ -70,26 +71,96 @@ func TestParseBenchText(t *testing.T) {
 // them and still find B/op and allocs/op.
 func TestParseBenchLineCustomMetrics(t *testing.T) {
 	line := "BenchmarkFigure1GeomeanLBO-8   1   5771234567 ns/op   12.34 lbo-pct   56.7 sweeps/op   1048576 B/op   30912345 allocs/op"
-	name, vals, has, ok := parseBenchLine(line)
-	if !ok {
-		t.Fatal("line with custom metrics rejected")
+	name, rec, err := parseBenchLine(line)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if name != "BenchmarkFigure1GeomeanLBO" {
 		t.Fatalf("name = %q", name)
 	}
-	if !has[NsPerOp] || vals[NsPerOp] != 5771234567 {
-		t.Fatalf("ns = %v (has %v)", vals[NsPerOp], has[NsPerOp])
-	}
-	if !has[BytesPerOp] || vals[BytesPerOp] != 1048576 {
-		t.Fatalf("B/op = %v (has %v)", vals[BytesPerOp], has[BytesPerOp])
-	}
-	if !has[AllocsPerOp] || vals[AllocsPerOp] != 30912345 {
-		t.Fatalf("allocs/op = %v (has %v)", vals[AllocsPerOp], has[AllocsPerOp])
+	b, allocs := int64(1048576), int64(30912345)
+	if want := (Record{NsPerOp: 5771234567, BPerOp: &b, AllocsPerOp: &allocs, Iterations: 1}); !reflect.DeepEqual(rec, want) {
+		t.Fatalf("record = %+v, want %+v", rec, want)
 	}
 	// Without -benchmem the line ends after the custom metrics.
-	_, _, has, ok = parseBenchLine("BenchmarkX-8   100   50.0 ns/op   3.0 widgets/op")
-	if !ok || has[BytesPerOp] || has[AllocsPerOp] {
-		t.Fatalf("no-benchmem line: ok=%v has=%v", ok, has)
+	_, rec, err = parseBenchLine("BenchmarkX-8   100   50.0 ns/op   3.0 widgets/op")
+	if err != nil || rec.BPerOp != nil || rec.AllocsPerOp != nil {
+		t.Fatalf("no-benchmem line: %+v, %v", rec, err)
+	}
+}
+
+// TestParseRefuses: a result line a Record cannot hold exactly is a
+// *ParseError naming its line, never skipped and never approximated; lines
+// that are not results are skipped.
+func TestParseRefuses(t *testing.T) {
+	for _, tc := range []struct{ text, want string }{
+		{"BenchmarkC-2 10 NaN ns/op", "ns/op NaN is not a finite number ≥ 0"},
+		{"BenchmarkC-2 10 +Inf ns/op", "ns/op +Inf is not a finite number ≥ 0"},
+		{"BenchmarkC-2 10 1e400 ns/op", "ns/op: strconv.ParseFloat"},
+		{"BenchmarkC-2 10 -5 ns/op", "ns/op -5 is not a finite number ≥ 0"},
+		{"BenchmarkC-2 10 fast ns/op", "ns/op: strconv.ParseFloat"},
+		{"BenchmarkF-2 10 5 ns/op 12.5 B/op 1 allocs/op", "B/op: strconv.ParseInt"},
+		{"BenchmarkF-2 10 5 ns/op 1 B/op 2.5 allocs/op", "allocs/op: strconv.ParseInt"},
+		{"BenchmarkF-2 10 5 ns/op -1 B/op", "negative count"},
+		{"BenchmarkF-2 1.5 5 ns/op", "iterations: strconv.ParseInt"},
+		{"BenchmarkF-2 -1 5 ns/op", "negative count"},
+		{"BenchmarkF-2 5 ns/op", "want a name, an iteration count and value-unit pairs"},
+		{"BenchmarkF-2 10 5 ns/op 6 ns/op", "ns/op given twice"},
+	} {
+		_, err := Parse(strings.NewReader("goos: linux\nBenchmarkOK-2 10 5 ns/op\n" + tc.text + "\nPASS\n"))
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Line != 3 || pe.Text != tc.text || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: err = %v, want a line-3 ParseError containing %q", tc.text, err, tc.want)
+		}
+	}
+	s, err := Parse(strings.NewReader("BenchmarkX\n--- FAIL: BenchmarkX-2\n    BenchmarkX 1 2 ns/op\nBenchmarkX-2 10 0 widgets/op\nBenchmarkB-2 10 1e3 ns/op\n"))
+	if err != nil || len(s) != 1 || s["BenchmarkB"][0].NsPerOp != 1000 {
+		t.Fatalf("non-result lines not skipped: %v, %v", s, err)
+	}
+	if _, err := Parse(strings.NewReader(`{"BenchmarkX": {"ns_per_op": -1}}`)); err == nil || !strings.Contains(err.Error(), "BenchmarkX: ns/op -1") {
+		t.Fatalf("negative JSON ns_per_op: err = %v", err)
+	}
+	if _, err := Parse(strings.NewReader(`{"BenchmarkX": {"ns_per_op": 1, "b_per_op": 12.5}}`)); err == nil {
+		t.Fatal("fractional JSON b_per_op accepted")
+	}
+}
+
+// TestDeriveEfficiency: each workers=1/workers=8 pair gains a per-sample
+// speedup series; a speedup that is not finite (a workers=8 ns/op that
+// underflows) is refused, naming the pair.
+func TestDeriveEfficiency(t *testing.T) {
+	s, err := Parse(strings.NewReader("BenchmarkS/workers=1-2 1 300 ns/op\nBenchmarkS/workers=8-2 1 100 ns/op\n" +
+		"BenchmarkS/workers=1-2 1 400 ns/op\nBenchmarkS/workers=8-2 1 100 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Series{{NsPerOp: 3, Iterations: 1}, {NsPerOp: 4, Iterations: 1}}); !reflect.DeepEqual(s["BenchmarkS"+EffSuffix], want) {
+		t.Fatalf("efficiency = %+v, want %+v", s["BenchmarkS"+EffSuffix], want)
+	}
+	_, err = Parse(strings.NewReader("BenchmarkS/workers=1-2 1 1000 ns/op\n" +
+		"BenchmarkS/workers=8-2 1 0." + strings.Repeat("0", 319) + "1 ns/op\n"))
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkS/parallel-efficiency sample 1") {
+		t.Fatalf("underflowing workers=8: err = %v, want an error naming the pair", err)
+	}
+}
+
+// TestMedian: ns/op takes the float median, B/op and allocs/op the
+// upper-middle recorded value, iterations the truncated mean of the middle
+// two; a metric no sample records stays absent.
+func TestMedian(t *testing.T) {
+	i := func(v int64) *int64 { return &v }
+	s := Series{
+		{NsPerOp: 4, BPerOp: i(10), Iterations: 7},
+		{NsPerOp: 1, BPerOp: i(30), Iterations: 2},
+		{NsPerOp: 3, BPerOp: i(20), Iterations: 4},
+		{NsPerOp: 2, Iterations: 1},
+	}
+	if got, want := s.Median(), (Record{NsPerOp: 2.5, BPerOp: i(20), Iterations: 3}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("median = %+v, want %+v", got, want)
+	}
+	big := Series{{NsPerOp: math.MaxFloat64}, {NsPerOp: math.MaxFloat64}}
+	if got := big.Median().NsPerOp; got != math.MaxFloat64 {
+		t.Fatalf("median of two MaxFloat64 = %v", got)
 	}
 }
 
@@ -236,12 +307,12 @@ func TestCompareSmallSampleFallback(t *testing.T) {
 // overlapping samples must NOT be flagged — that is the whole point of the
 // statistical gate.
 func TestCompareSignificanceGuards(t *testing.T) {
-	oldS, newS := &Series{}, &Series{}
+	var oldS, newS Series
 	for _, v := range []float64{100, 180, 95, 170, 105} {
-		oldS.Add(NsPerOp, v)
+		oldS = append(oldS, Record{NsPerOp: v})
 	}
 	for _, v := range []float64{165, 98, 175, 102, 160} {
-		newS.Add(NsPerOp, v)
+		newS = append(newS, Record{NsPerOp: v})
 	}
 	rep := Compare(Samples{"BenchmarkX": oldS}, Samples{"BenchmarkX": newS}, Options{Threshold: 0.05})
 	if rep.Regressions != 0 {
@@ -292,14 +363,62 @@ func TestRenderGolden(t *testing.T) {
 	}
 }
 
+// writeBench writes samples back as `go test -bench` lines, in name order,
+// with the -1 GOMAXPROCS suffix go test appends.
+func writeBench(s Samples) string {
+	names := make([]string, 0, len(s))
+	for n := range s {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, n := range names {
+		for _, r := range s[n] {
+			fmt.Fprintf(&b, "%s-1\t%d\t%s ns/op", n, r.Iterations, strconv.FormatFloat(r.NsPerOp, 'g', -1, 64))
+			if r.BPerOp != nil {
+				fmt.Fprintf(&b, "\t%d B/op", *r.BPerOp)
+			}
+			if r.AllocsPerOp != nil {
+				fmt.Fprintf(&b, "\t%d allocs/op", *r.AllocsPerOp)
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
 // FuzzParse holds Parse to its contract on any input, in either format it
-// sniffs: it never panics, and it either returns an error or a non-empty
-// set of samples.
+// sniffs: it never panics; it returns an error or a non-empty set of
+// samples; whatever it accepts, WriteJSON writes a map Parse reads back;
+// and accepted samples survive a round trip through their own format —
+// written as bench lines (text) or as a BENCH_sim.json map (JSON), they
+// read back identical.
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := Parse(bytes.NewReader(b))
-		if err == nil && len(s) == 0 {
+		if err != nil {
+			return
+		}
+		if len(s) == 0 {
 			t.Fatalf("Parse returned no samples and no error for %q", b)
+		}
+		var js bytes.Buffer
+		if err := s.WriteJSON(&js); err != nil {
+			t.Fatalf("WriteJSON: %v", err)
+		}
+		fromJSON, err := Parse(&js)
+		if err != nil {
+			t.Fatalf("written map rejected: %v\n%s", err, js.Bytes())
+		}
+		again, text := fromJSON, js.String()
+		if trim := bytes.TrimLeft(b, " \t\r\n"); trim[0] != '{' {
+			text = writeBench(s)
+			if again, err = Parse(strings.NewReader(text)); err != nil {
+				t.Fatalf("written bench lines rejected: %v\n%s", err, text)
+			}
+		}
+		if !reflect.DeepEqual(s, again) {
+			t.Fatalf("samples do not round-trip:\n%+v\n%+v\n%s", s, again, text)
 		}
 	})
 }
