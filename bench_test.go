@@ -579,8 +579,11 @@ func BenchmarkRunInvocationOpenLoop(b *testing.B) {
 // TestRunInvocationMarginalAllocs pins the hot path's allocation discipline:
 // growing a run by 2000 events must cost (near) zero additional Go
 // allocations, because event frames recycle through the runner's free list
-// and the collector's fast path allocates nothing. The small slack covers
-// amortized growth of the trace log's event/pause slices.
+// and the collector's fast path allocates nothing. The GC log grows in
+// pooled scratch and is copied out once, so it adds no allocations per
+// event either; the small slack covers what the Go runtime itself may do
+// during a longer run, such as a pool scratch lost to a collection and
+// regrown.
 func TestRunInvocationMarginalAllocs(t *testing.T) {
 	run := func(events int) float64 {
 		return testing.AllocsPerRun(3, func() {

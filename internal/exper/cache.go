@@ -121,8 +121,11 @@ func (c *Cache) invPath(k Key) string {
 
 // writer is the write-behind goroutine: it drains the queue, serializing
 // records one at a time and retiring them from the pending map, and answers
-// flush sentinels with the latched error.
+// flush sentinels with the latched error. Every record is encoded into one
+// buffer the writer keeps, so a sweep's records cost no allocation beyond
+// the largest one's.
 func (c *Cache) writer() {
+	var buf []byte
 	for w := range c.writes {
 		if w.ack != nil {
 			c.mu.Lock()
@@ -131,7 +134,8 @@ func (c *Cache) writer() {
 			w.ack <- err
 			continue
 		}
-		err := persist.SaveInvocation(c.invPath(w.key), w.rec)
+		var err error
+		buf, err = persist.SaveInvocation(c.invPath(w.key), w.rec, buf)
 		c.mu.Lock()
 		if cur, ok := c.pending[w.key]; ok && cur == w.rec {
 			delete(c.pending, w.key)

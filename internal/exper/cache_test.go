@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"os"
@@ -234,6 +235,49 @@ func TestPreBinaryJSONArchiveIsMiss(t *testing.T) {
 	}
 }
 
+// TestWriterBufferSharedAcrossRecords: the write-behind goroutine encodes
+// every record into one buffer it keeps. A large record, then a small one
+// into the grown buffer, then a large one again must each land on disk as
+// exactly its own bytes, and reload from a fresh cache.
+func TestWriterBufferSharedAcrossRecords(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCache(dir, ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []*persist.InvocationRecord{
+		logRecord(t, Key("00aa00aa00aa00aa")),
+		testRecord(Key("11bb11bb11bb11bb")),
+		logRecord(t, Key("22cc22cc22cc22cc")),
+	}
+	for _, rec := range recs {
+		if err := c.putInvocation(Key(rec.Key), rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := OpenCache(dir, ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for _, rec := range recs {
+		want, err := persist.EncodeInvocation(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := Key(rec.Key)
+		if got, err := os.ReadFile(c.invPath(k)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: file holds %d bytes (err %v), want its own %d-byte encoding", k, len(got), err, len(want))
+		}
+		if got, ok := fresh.getInvocation(k); !ok || !reflect.DeepEqual(got, rec) {
+			t.Fatalf("%s: reload missed or differs from the record written", k)
+		}
+	}
+}
+
 // TestWrongKeyArchiveIsMiss guards the content-address check: an archive
 // whose embedded key disagrees with its filename (say, a hand-copied file)
 // must not be served for the key it squats on.
@@ -245,7 +289,7 @@ func TestWrongKeyArchiveIsMiss(t *testing.T) {
 	}
 	k := Key("8899aabbccddeeff")
 	other := Key("1122334455667788")
-	if err := persist.SaveInvocation(c.invPath(k), testRecord(other)); err != nil {
+	if _, err := persist.SaveInvocation(c.invPath(k), testRecord(other), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.getInvocation(k); ok {

@@ -150,20 +150,42 @@ func Run(d *workload.Descriptor, cfg Config, rec obs.Recorder) (*Report, error) 
 	return fr.report()
 }
 
-// fleetScratch is a run's pooled per-request state: retry depth per logical
-// request and the pending-retry queue. Pooling it (and the tracer's
-// per-replica accumulators) keeps the driving loop's allocations constant in
-// fleet size and request count after warmup — the property the scale
-// benchmark asserts with allocs/op.
+// fleetScratch is a run's reusable state: retry depth per logical request, the
+// pending-retry queue, and each replica's workload.Scratch (its GC log,
+// arrival queue and latency record), indexed by replica so a rerun of the
+// same fleet hands every replica the storage it grew last time. Reusing it
+// (and the tracer's per-replica accumulators) keeps the driving loop free of
+// allocations after warmup at any fleet size and request count — the
+// property the scale benchmark asserts with allocs/op.
 type fleetScratch struct {
 	depth   []int32
 	retries []pendingRetry
+	runs    []workload.Scratch
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(fleetScratch) }}
+// freeScratch holds released fleet scratch for later runs. It is a plain
+// free list, not a sync.Pool: a pool can hand the next run a fresh scratch
+// (a collection emptied it, or the goroutine resumed on another P than the
+// one that put it back), and a fresh scratch grows its replicas' logs
+// inside the driving loop. The list holds at most one scratch per fleet run
+// that was ever in flight at once.
+var freeScratch struct {
+	sync.Mutex
+	list []*fleetScratch
+}
 
-func getScratch(requests int) *fleetScratch {
-	s := scratchPool.Get().(*fleetScratch)
+func getScratch(requests, replicas int) *fleetScratch {
+	var s *fleetScratch
+	freeScratch.Lock()
+	if n := len(freeScratch.list); n > 0 {
+		s = freeScratch.list[n-1]
+		freeScratch.list = freeScratch.list[:n-1]
+	}
+	freeScratch.Unlock()
+	if s == nil {
+		s = new(fleetScratch)
+	}
+	s.runs = grow(s.runs, replicas)
 	if cap(s.depth) < requests {
 		s.depth = make([]int32, requests)
 	} else {
@@ -208,9 +230,9 @@ func (fr *fleetRun) report() (*Report, error) {
 	if err := fr.run(); err != nil {
 		return nil, err
 	}
-	fr.release()
 	rep := buildReport(fr.d, fr.cfg, fr.reps, fr.retried)
 	recordReport(fr.rec, fr.d, fr.cfg, fr.reps, rep)
+	fr.release()
 	return rep, nil
 }
 
@@ -237,6 +259,8 @@ func newFleetRun(d *workload.Descriptor, cfg Config, rec obs.Recorder) (*fleetRu
 	fr.reps = make([]*workload.Replica, cfg.Replicas)
 	fr.engines = make([]*sim.Engine, cfg.Replicas)
 	fr.backs = make([]backend, cfg.Replicas)
+	// Drawn first: each replica is built on its own entry of it.
+	fr.scratch = getScratch(cfg.Requests, cfg.Replicas)
 	for i := range fr.reps {
 		rcfg := cfg.Run
 		rcfg.Seed += uint64(i) * replicaSeedStride
@@ -249,7 +273,7 @@ func newFleetRun(d *workload.Descriptor, cfg Config, rec obs.Recorder) (*fleetRu
 			rcfg.Recorder = obs.WithRun(obs.WithReplica(rec, i), "", d.Name,
 				rcfg.Collector.String())
 		}
-		rp, err := workload.NewReplica(d, rcfg, i)
+		rp, err := workload.NewReplica(d, rcfg, i, &fr.scratch.runs[i])
 		if err != nil {
 			return fr, err
 		}
@@ -291,7 +315,6 @@ func newFleetRun(d *workload.Descriptor, cfg Config, rec obs.Recorder) (*fleetRu
 		sim.NewRNG(cfg.Run.Seed^arrivalSeedSalt))
 
 	fr.cluster = sim.NewCluster(fr.engines...)
-	fr.scratch = getScratch(cfg.Requests)
 	return fr, nil
 }
 
@@ -409,15 +432,24 @@ func (fr *fleetRun) run() error {
 	return nil
 }
 
-// release recycles the run's pooled state after a successful run. It is a
+// release recycles the run's pooled state after a successful run: the
+// tracer, then every replica's scratch (workload.Replica.Release), then the
+// fleet scratch that holds them, so the next run's replicas append into
+// storage this run already grew. It runs once the report is built —
+// buildReport reads the replicas' latencies — and is a
 // separate step (not the tail of run) so the scale benchmark times only the
 // driving loop: a sync.Pool Put can rebuild its per-P chain after a GC —
 // once-per-run housekeeping, not per-event cost. Error paths never release —
 // the next run draws fresh state rather than inherit possibly-inconsistent
 // scratch.
 func (fr *fleetRun) release() {
-	scratchPool.Put(fr.scratch)
-	fr.scratch = nil
 	fr.tr.release()
 	fr.tr = nil
+	for _, rp := range fr.reps {
+		rp.Release()
+	}
+	freeScratch.Lock()
+	freeScratch.list = append(freeScratch.list, fr.scratch)
+	freeScratch.Unlock()
+	fr.scratch = nil
 }

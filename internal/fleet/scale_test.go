@@ -14,19 +14,16 @@ import (
 // O(N) — runs outside the timer, so ns/op, ns/event and allocs/op cover only
 // the hot loop. With the O(log N) cluster heap and balancer tree, ns/event
 // grows only logarithmically from 16 to 1024 replicas (the bench gate holds
-// 1024 under 4× the 64-replica figure). allocs/op is not flat in N: the
-// loop's scratch is pooled and every index structure is pre-sized at
-// construction, yet BENCH_sim.json records 265, 515 and 412 allocs/op
-// (2–5 MB/op) at 16, 64 and 256 replicas against 0 at 1024, and the gate
-// holds only the 1024 rung at zero. A -memprofilerate=1 profile of the timed
-// loop (pprof -focus on fleetRun.run) at 16 and 64 replicas traces them to
-// append growth of per-replica state. The GC log's trace.(*Log).AddPause and
-// AddEvent, reached from gc.(*Collector).endPause, make ~72% of the loop's
-// allocations (92% of its bytes at 16 replicas). The open-loop arrival
-// queue grown by workload.(*runner).injectArrival makes ~25%; at 256
-// replicas only the GC log still grows. All of it scales with the requests
-// each replica serves (2048/N): at 1024 replicas the 2 requests each fit
-// the initial capacities, which is why that rung reads 0.
+// 1024 under 4× the 64-replica figure). The loop allocates nothing at any
+// rung, and BENCH_sim.json holds all four at 0 allocs/op. The per-replica
+// state that grows with the requests a replica serves (2048/N) — the GC log
+// appended from gc.(*Collector).endPause, the open-loop arrival queue grown
+// by injectArrival, and the latency record — lives in the replica's
+// workload.Scratch. The run's fleet scratch keeps those by replica index
+// and fleetRun.release hands them back, so from the second run on every
+// replica appends into storage its predecessor already grew. The fleet
+// scratch sits on a plain free list rather than a sync.Pool: a pool that
+// handed the timed run a fresh scratch would regrow it in the loop.
 //
 // Total request volume is fixed across the ladder, so the work per op is
 // comparable: more replicas means the same stream spread thinner, not a

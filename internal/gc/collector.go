@@ -241,6 +241,11 @@ func New(p Params, eng *sim.Engine, h *heap.Heap, log *trace.Log) *Collector {
 	return c
 }
 
+// SetLog rebinds the collector's GC log. A run detaches it (nil) before
+// handing the log's storage to another run; the collector must not run
+// again after that.
+func (c *Collector) SetLog(l *trace.Log) { c.log = l }
+
 // Params returns the collector's configuration.
 func (c *Collector) Params() Params { return c.p }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 
 	"chopin/internal/trace"
 	"chopin/internal/workload"
@@ -67,13 +68,16 @@ var ErrCorrupt = errors.New("corrupt invocation record")
 
 var le = binary.LittleEndian
 
-// SaveInvocation writes one cached invocation record, write-then-rename.
-func SaveInvocation(path string, r *InvocationRecord) error {
-	data, err := EncodeInvocation(r)
+// SaveInvocation writes one cached invocation record, write-then-rename,
+// encoding it into buf's storage (AppendInvocation(buf[:0], r)). It returns
+// the buffer, so a writer that passes it back encodes every record into the
+// same storage; nil is a fine first buffer.
+func SaveInvocation(path string, r *InvocationRecord, buf []byte) ([]byte, error) {
+	data, err := AppendInvocation(buf[:0], r)
 	if err != nil {
-		return err
+		return buf, err
 	}
-	return writeFile(path, data)
+	return data, writeFile(path, data)
 }
 
 // LoadInvocation reads one cached invocation record.
@@ -92,22 +96,30 @@ func LoadInvocation(path string) (*InvocationRecord, error) {
 // EncodeInvocation frames the record in the binary invocation format. A
 // record must carry a Result with its GC log, or be an OOM.
 func EncodeInvocation(r *InvocationRecord) ([]byte, error) {
+	return AppendInvocation(nil, r)
+}
+
+// AppendInvocation appends the record's EncodeInvocation bytes to dst and
+// returns the extended buffer, growing it at most once. A writer that
+// passes the previous record's buffer back as dst[:0] encodes every record
+// into the same storage. On error dst is returned unchanged.
+func AppendInvocation(dst []byte, r *InvocationRecord) ([]byte, error) {
 	if !r.OOM && r.Result == nil {
-		return nil, fmt.Errorf("persist: invocation record %q with neither result nor OOM", r.Key)
+		return dst, fmt.Errorf("persist: invocation record %q with neither result nor OOM", r.Key)
 	}
 	if r.Result != nil && r.Result.Log == nil {
-		return nil, fmt.Errorf("persist: invocation record %q: result without GC log", r.Key)
+		return dst, fmt.Errorf("persist: invocation record %q: result without GC log", r.Key)
 	}
 	hdr, err := json.Marshal(header(r))
 	if err != nil {
-		return nil, fmt.Errorf("persist: encoding invocation %q: %w", r.Key, err)
+		return dst, fmt.Errorf("persist: encoding invocation %q: %w", r.Key, err)
 	}
 	size := len(invMagic) + 8 + len(hdr)
 	if r.Result != nil {
 		log := r.Result.Log
 		size += 3*8 + len(log.Events)*eventBytes + len(log.Pauses)*pauseBytes
 	}
-	b := make([]byte, 0, size)
+	b := slices.Grow(dst, size)
 	b = append(b, invMagic[:]...)
 	b = le.AppendUint64(b, uint64(len(hdr)))
 	b = append(b, hdr...)

@@ -121,6 +121,53 @@ func TestInvocationExactRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendInvocationMatchesEncode: whatever buffer a writer hands
+// AppendInvocation — one still holding a previous record's bytes, one too
+// short to hold the record, one with room to spare — the bytes it appends
+// are exactly EncodeInvocation's, for every collector, closed and open
+// loop, and for an OOM-only record. Bytes already in dst are kept.
+func TestAppendInvocationMatchesEncode(t *testing.T) {
+	recs := map[string]*InvocationRecord{
+		"oom": {Key: "k", Workload: "fop", Collector: "G1", HeapMB: 3, Seed: 1, OOM: true},
+	}
+	for _, kind := range gc.AllKinds {
+		recs[kind.String()+"/closed"] = realRecord(t, workload.Fop, workload.RunConfig{
+			HeapMB: 2 * workload.Fop.MinHeapMB, Collector: kind, Iterations: 1, Events: 100, Seed: 42,
+		})
+		recs[kind.String()+"/open"] = realRecord(t, workload.Spring, workload.RunConfig{
+			HeapMB: 2 * workload.Spring.MinHeapMB, Collector: kind, Iterations: 1, Events: 100, Seed: 42,
+			OpenLoop: true, OpenLoopHeadroom: 1.5, RecordLatency: true,
+		})
+	}
+	var dirty []byte
+	for name, rec := range recs {
+		want, err := EncodeInvocation(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		long := make([]byte, 0, 4*len(want))
+		for _, dst := range map[string][]byte{
+			"dirty": dirty[:0], "short": make([]byte, 0, 3), "long": long, "prefixed": []byte("xyz"),
+		} {
+			prefix := string(dst)
+			got, err := AppendInvocation(dst, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got[:len(prefix)]) != prefix || !bytes.Equal(got[len(prefix):], want) {
+				t.Fatalf("%s: AppendInvocation's bytes differ from EncodeInvocation's", name)
+			}
+		}
+		if dirty, err = AppendInvocation(dirty[:0], rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := &InvocationRecord{Key: "k"}
+	if got, err := AppendInvocation([]byte("keep"), bad); err == nil || string(got) != "keep" {
+		t.Fatalf("a rejected record: got %q, %v; want dst unchanged and an error", got, err)
+	}
+}
+
 // TestTraceFieldGuard fails when a field is added to the GC log types: the
 // invocation codec writes their fields one by one, so a new field would
 // otherwise be dropped from every cached record without a sound.
@@ -195,11 +242,11 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 // min-heap archive's positive-bound rule rides along.
 func TestInvocationWithoutPayloadRejected(t *testing.T) {
 	rec := &InvocationRecord{Key: "k", Workload: "fop"}
-	if err := SaveInvocation(tempPath(t, "empty.inv"), rec); err == nil {
+	if _, err := SaveInvocation(tempPath(t, "empty.inv"), rec, nil); err == nil {
 		t.Fatal("saving an invocation with neither result nor OOM should error")
 	}
 	noLog := &InvocationRecord{Key: "k", Workload: "fop", Result: &workload.Result{Workload: "fop"}}
-	if err := SaveInvocation(tempPath(t, "nolog.inv"), noLog); err == nil {
+	if _, err := SaveInvocation(tempPath(t, "nolog.inv"), noLog, nil); err == nil {
 		t.Fatal("saving a result without its GC log should error")
 	}
 	hdr, err := json.Marshal(rec)

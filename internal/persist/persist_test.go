@@ -158,7 +158,7 @@ func sampleInvocation() *InvocationRecord {
 func TestInvocationRoundTrip(t *testing.T) {
 	path := tempPath(t, "inv.inv")
 	rec := sampleInvocation()
-	if err := SaveInvocation(path, rec); err != nil {
+	if _, err := SaveInvocation(path, rec, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadInvocation(path)
@@ -182,7 +182,7 @@ func TestInvocationRoundTrip(t *testing.T) {
 func TestInvocationOOMRoundTrip(t *testing.T) {
 	path := tempPath(t, "oom.inv")
 	rec := &InvocationRecord{Key: "k1", Workload: "h2", Collector: "ZGC", HeapMB: 8, OOM: true}
-	if err := SaveInvocation(path, rec); err != nil {
+	if _, err := SaveInvocation(path, rec, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadInvocation(path)

@@ -127,6 +127,20 @@ func (l *Log) PausesBetween(from, to int64) []Pause {
 	return out
 }
 
+// Clone returns a copy of the log whose event and pause slices hold exactly
+// their length (an empty column stays a non-nil empty slice) and share no
+// storage with l.
+func (l *Log) Clone() *Log {
+	c := &Log{
+		Events:  make([]GCEvent, len(l.Events)),
+		Pauses:  make([]Pause, len(l.Pauses)),
+		StallNS: l.StallNS,
+	}
+	copy(c.Events, l.Events)
+	copy(c.Pauses, l.Pauses)
+	return c
+}
+
 // Reset clears the log for reuse between invocations.
 func (l *Log) Reset() {
 	l.Events = l.Events[:0]

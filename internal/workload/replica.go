@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"slices"
+
 	"chopin/internal/sim"
 	"chopin/internal/trace"
 )
@@ -48,10 +50,13 @@ type Completion struct {
 // any per-replica offset; cfg.Iterations bounds JIT warmup (the live set and
 // JIT factor advance one iteration per Events completions, capped at
 // Iterations-1). Latency recording is always on — the replica's recorded
-// events are the fleet's measurement.
-func NewReplica(d *Descriptor, cfg RunConfig, idx int) (*Replica, error) {
+// events are the fleet's measurement. The replica grows s (its GC log,
+// arrival queue and latency record) until Release; a fleet that hands the
+// same replica index the same Scratch on every run appends without growth
+// once a first run has sized it.
+func NewReplica(d *Descriptor, cfg RunConfig, idx int, s *Scratch) (*Replica, error) {
 	cfg.OpenLoop = true
-	r, err := newRunner(d, cfg)
+	r, err := newRunner(d, cfg, s)
 	if err != nil {
 		return nil, err
 	}
@@ -64,13 +69,10 @@ func NewReplica(d *Descriptor, cfg RunConfig, idx int) (*Replica, error) {
 	rp.injectFn = rp.arrive
 	r.onComplete = rp.completed
 	r.recording = true
-	if r.latencies == nil {
-		r.latencies = make([]Event, 0, r.events)
-	}
+	r.latencies = slices.Grow(s.lat[:0], r.events)
 	r.iter = 0
 	r.h.SetTargetLive(r.targetLive(0))
 	r.ol.busy = make([]bool, len(r.workers))
-	r.ol.queue = make([]olItem, 0, 8)
 	// Pre-mint one event frame per worker (each carries two bound method
 	// values) so a replica's first requests never allocate frames on the
 	// fleet driving loop; a standalone run warms the same pool within its
@@ -170,11 +172,27 @@ func (rp *Replica) Served() int64 { return rp.served }
 
 // Latencies returns every recorded completion (arrival → completion), in
 // completion order — identical, for a single-replica fleet under constant
-// arrivals, to the open-loop runner's recorded events on the same seed.
+// arrivals, to the open-loop runner's recorded events on the same seed. The
+// slice is the replica's own record until Release.
 func (rp *Replica) Latencies() []Event { return rp.r.latencies }
 
-// Log returns the replica's GC telemetry log.
+// Log returns the replica's GC telemetry log; nil after Release.
 func (rp *Replica) Log() *trace.Log { return rp.r.log }
+
+// Release hands the replica's Scratch back to the caller that supplied it,
+// to reuse for the next run. Call it once everything needed has been read
+// from the log and latencies: afterwards Log and Latencies return
+// nil and the replica must not be stepped again. A second Release is a
+// no-op.
+func (rp *Replica) Release() {
+	r := rp.r
+	if r.scratch == nil {
+		return
+	}
+	r.scratch.lat = r.latencies[:0]
+	r.latencies = nil
+	r.release()
+}
 
 // GCCPU returns the total CPU consumed by the replica's collector, in
 // virtual nanoseconds.

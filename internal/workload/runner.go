@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"chopin/internal/cpuarch"
 	"chopin/internal/gc"
@@ -161,6 +163,49 @@ type runner struct {
 	// steady-state invocation path allocates nothing per event.
 	freeFrames *eventFrame
 	ol         openLoopState
+
+	// scratch backs log and ol.queue until release hands it back.
+	scratch *Scratch
+}
+
+// Scratch is the storage a run grows with its length: the GC log the
+// collector appends to, the open-loop arrival queue and a fleet replica's
+// latency record. A run appends into a Scratch an earlier run already grew
+// instead of regrowing fresh slices several times over. Run draws its own
+// from scratchPool and hands its caller an exact-size copy of the log
+// (trace.Log.Clone); a fleet keeps one per replica across its runs (see
+// NewReplica). The zero value is ready to use.
+type Scratch struct {
+	log   trace.Log
+	queue []olItem
+	// lat backs a fleet replica's latency record. Run hands its latencies
+	// to its Result, so a standalone run never uses it.
+	lat []Event
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// bind empties s for a new run. A fresh scratch starts at capacities a
+// short run (a fleet replica serving a handful of requests) never outgrows.
+func (s *Scratch) bind() {
+	s.log.Reset()
+	s.log.Events = slices.Grow(s.log.Events, 64)
+	s.log.Pauses = slices.Grow(s.log.Pauses, 64)
+	s.queue = slices.Grow(s.queue[:0], 8)
+}
+
+// release hands the scratch back to its owner's keeping. Nothing the run
+// leaves behind reaches it afterwards: the collector drops the log, and the
+// sampler's stall gauge reads it through r.log, which is cleared. A second
+// release is a no-op.
+func (r *runner) release() {
+	s := r.scratch
+	if s == nil {
+		return
+	}
+	s.queue = r.ol.queue[:0]
+	r.col.SetLog(nil)
+	r.log, r.ol.queue, r.scratch = nil, nil, nil
 }
 
 // eventFrame is the pooled continuation state for one in-flight event: the
@@ -283,13 +328,16 @@ func (f *eventFrame) complete() {
 // engine/heap/collector construction, RNG seeding, worker registration,
 // sampler attachment — shared verbatim by Run and by fleet replicas
 // (NewReplica), so a replica's simulation state is bit-identical to a
-// standalone invocation's at iteration start.
-func newRunner(d *Descriptor, cfg RunConfig) (*runner, error) {
+// standalone invocation's at iteration start. The run grows s until release.
+func newRunner(d *Descriptor, cfg RunConfig, s *Scratch) (*runner, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.HeapMB <= 0 || math.IsNaN(cfg.HeapMB) || math.IsInf(cfg.HeapMB, 0) {
 		return nil, fmt.Errorf("workload %s: heap %vMB invalid", d.Name, cfg.HeapMB)
+	}
+	if cfg.CollectorParams == nil && !slices.Contains(gc.AllKinds, cfg.Collector) {
+		return nil, fmt.Errorf("workload %s: unknown collector %v", d.Name, cfg.Collector)
 	}
 	if cfg.Machine.Name == "" {
 		cfg.Machine = cpuarch.Zen4
@@ -298,9 +346,11 @@ func newRunner(d *Descriptor, cfg RunConfig) (*runner, error) {
 		cfg.Iterations = 1
 	}
 
-	p := cfg.Collector.Params(cfg.Machine.Cores)
+	var p gc.Params
 	if cfg.CollectorParams != nil {
 		p = *cfg.CollectorParams
+	} else {
+		p = cfg.Collector.Params(cfg.Machine.Cores)
 	}
 	expansion := p.Expansion
 	if cfg.DisableCompressedOops && expansion < 1.30 {
@@ -310,13 +360,8 @@ func newRunner(d *Descriptor, cfg RunConfig) (*runner, error) {
 	eng := sim.NewEngine(cfg.Machine.HWThreads, cfg.Machine.Capacity(d.Arch.SMTContention))
 	eng.SetEventLimit(500_000_000)
 	h := heap.New(heap.Config{SizeBytes: cfg.HeapMB * MB, Expansion: expansion}, d.Demo)
-	// Pre-sized so early GC cycles append without growth on a stepping hot
-	// loop; long runs amortize further doublings as usual.
-	log := &trace.Log{
-		Events: make([]trace.GCEvent, 0, 64),
-		Pauses: make([]trace.Pause, 0, 64),
-	}
-	col := gc.New(p, eng, h, log)
+	s.bind()
+	col := gc.New(p, eng, h, &s.log)
 	if rec := obs.Or(cfg.Recorder); rec.Enabled() {
 		eng.SetRecorder(rec)
 		col.SetRecorder(rec)
@@ -332,7 +377,9 @@ func newRunner(d *Descriptor, cfg RunConfig) (*runner, error) {
 	}
 
 	r := &runner{
-		d: d, cfg: cfg, eng: eng, h: h, col: col, log: log,
+		d: d, cfg: cfg, eng: eng, h: h, col: col, log: &s.log,
+		scratch:    s,
+		ol:         openLoopState{queue: s.queue},
 		rng:        sim.NewRNG(cfg.Seed ^ hashName(d.Name)),
 		events:     events,
 		medianNS:   d.ServiceMedianNS(events),
@@ -346,11 +393,6 @@ func newRunner(d *Descriptor, cfg RunConfig) (*runner, error) {
 	}
 	if d.BuildFrac > 0 {
 		r.buildEvents = int(float64(events) * d.BuildFrac)
-	}
-	if d.LatencySensitive || cfg.RecordLatency {
-		// One latency buffer per run, reused across recorded iterations; the
-		// final iteration's events become Result.Events.
-		r.latencies = make([]Event, 0, events)
 	}
 	for i := 0; i < threads; i++ {
 		w := eng.NewThread(fmt.Sprintf("%s-worker-%d", d.Name, i))
@@ -368,7 +410,7 @@ func newRunner(d *Descriptor, cfg RunConfig) (*runner, error) {
 			LiveEst:      h.TargetLive,
 			GCCPUNS:      col.GCCPU,
 			MutatorCPUNS: r.mutatorCPU,
-			StallNS:      func() float64 { return log.StallNS },
+			StallNS:      func() float64 { return r.log.StallNS },
 		}).Attach(eng)
 	}
 	return r, nil
@@ -376,13 +418,21 @@ func newRunner(d *Descriptor, cfg RunConfig) (*runner, error) {
 
 // Run executes the workload under cfg and returns its measurements.
 func Run(d *Descriptor, cfg RunConfig) (*Result, error) {
-	r, err := newRunner(d, cfg)
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
+	r, err := newRunner(d, cfg, s)
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	cfg = r.cfg // normalized defaults (machine, iterations)
+	if d.LatencySensitive || cfg.RecordLatency {
+		// One latency buffer per run, reused across recorded iterations; the
+		// final iteration's events become Result.Events.
+		r.latencies = make([]Event, 0, r.events)
+	}
 
-	res := &Result{Workload: d.Name, Config: cfg, Log: r.log}
+	res := &Result{Workload: d.Name, Config: cfg}
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		var it IterationResult
 		var err error
@@ -397,6 +447,7 @@ func Run(d *Descriptor, cfg RunConfig) (*Result, error) {
 		res.Iterations = append(res.Iterations, it)
 	}
 	res.Events = r.latencies
+	res.Log = r.log.Clone()
 	res.GCCPUNS = r.col.GCCPU()
 	res.MutatorCPUNS = r.mutatorCPU()
 	return res, nil

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"chopin/internal/cpuarch"
 	"chopin/internal/gc"
 	"chopin/internal/trace"
 )
@@ -365,6 +366,17 @@ func TestValidateRejections(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "MB invalid") {
 			t.Errorf("heap %v: err = %v, want an invalid-heap rejection", heap, err)
 		}
+	}
+	// So is a collector with no preset, unless explicit parameters stand in
+	// for the preset.
+	_, err := Run(Fop, RunConfig{HeapMB: 100, Collector: gc.Kind(99)})
+	if err == nil || !strings.Contains(err.Error(), "unknown collector") {
+		t.Errorf("Kind(99): err = %v, want an unknown-collector rejection", err)
+	}
+	p := gc.G1.Params(cpuarch.Zen4.Cores)
+	if _, err := Run(Fop, RunConfig{HeapMB: 100, Collector: gc.Kind(99), CollectorParams: &p,
+		Iterations: 1, Events: 50, Seed: 1}); err != nil {
+		t.Errorf("Kind(99) with explicit params: %v", err)
 	}
 }
 
