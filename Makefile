@@ -54,7 +54,9 @@ test:
 # to a stable ns/op instead of one cold N=1 sample (a single ~30ms sweep op
 # varies ~30% run to run; 300ms amortizes it), while the minutes-scale
 # FullSuite stays at -benchtime=1x and FleetScale and EngineColdCache at 3
-# runs per sample.
+# runs per sample. FleetTelemetry/jsonl-roundtrip runs at a fixed 3 as well:
+# at 200ms it ran 2 or 3 times, and its B/op, which amortizes setup over
+# b.N, swung ~6% with the count.
 # Each benchmark runs five times and benchjson records the per-metric median,
 # so the committed BENCH_sim.json baseline is median-of-five — directly
 # comparable to the median-of-five gate runs and robust to scheduler noise on
@@ -77,8 +79,11 @@ bench:
 		./internal/fleet && \
 	  go test -run='^$$' -bench='BenchmarkFleetScale' -benchtime=3x -count=5 \
 		./internal/fleet && \
-	  go test -run='^$$' -bench='BenchmarkFleetTelemetry' -benchtime=200ms \
-		-count=5 ./internal/fleet ) \
+	  go test -run='^$$' \
+		-bench='BenchmarkFleetTelemetry/(recorder-off|recorder-on|hook-disabled)$$' \
+		-benchtime=200ms -count=5 ./internal/fleet && \
+	  go test -run='^$$' -bench='BenchmarkFleetTelemetry/jsonl-roundtrip$$' \
+		-benchtime=3x -count=5 ./internal/fleet ) \
 		| go run ./cmd/benchjson -out BENCH_sim.json
 
 # Statistical perf-regression gate: run the hot-path microbenchmarks five
@@ -104,8 +109,11 @@ bench-gate:
 		./internal/fleet && \
 	  go test -run='^$$' -bench='BenchmarkFleetScale' -benchtime=3x -count=5 \
 		./internal/fleet && \
-	  go test -run='^$$' -bench='BenchmarkFleetTelemetry' -benchtime=200ms \
-		-count=5 ./internal/fleet ) \
+	  go test -run='^$$' \
+		-bench='BenchmarkFleetTelemetry/(recorder-off|recorder-on|hook-disabled)$$' \
+		-benchtime=200ms -count=5 ./internal/fleet && \
+	  go test -run='^$$' -bench='BenchmarkFleetTelemetry/jsonl-roundtrip$$' \
+		-benchtime=3x -count=5 ./internal/fleet ) \
 		| tee bench-gate.txt
 	go run ./cmd/benchdiff -threshold 0.10 BENCH_sim.json bench-gate.txt
 	go run ./cmd/benchjson -out /dev/null -scaling-min auto < bench-gate.txt > /dev/null

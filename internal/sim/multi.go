@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // Multi-instance stepping.
 //
 // A fleet simulation runs N independent engines — one per replica, each with
@@ -10,16 +12,16 @@ package sim
 // the sequence of step times is non-decreasing and every engine's Now stays
 // at or before the time of the last step taken — which is what lets a driver
 // inject work (an arriving request) at time t into any engine with exact
-// timer deadlines, provided it injects before the cluster steps past t.
+// timer deadlines, provided it injects before the cluster steps past t. The
+// cluster holds one slot per engine in a MinIndex, re-keyed in place when an
+// engine changes.
 
 // NextEventAt returns the virtual time of the engine's next event — the
-// earliest quantum completion or live timer — without advancing anything. It
+// earliest quantum completion or timer — without advancing anything. It
 // reports false when the engine is quiescent. The earliest completion is the
 // minimum over the same queues Step consults (the engine heap and every
-// thawed group's sub-heap). Stale completion entries and cancelled timers
-// surfacing at their heap tops are discarded, exactly as Step would discard
-// them, so the peek is allocation-free and does not perturb the subsequent
-// step.
+// thawed group's sub-heap). Every queue holds only live entries, so the peek
+// is a pure read of their tops.
 func (e *Engine) NextEventAt() (float64, bool) {
 	if e.runCount == 0 {
 		at, ok := e.nextTimerAt()
@@ -48,25 +50,6 @@ func (e *Engine) NextEventAt() (float64, bool) {
 	return e.now + dt, true
 }
 
-// clusterEntry is the event-heap entry for one engine: the engine's next
-// event as of generation gen. An entry whose gen lags the engine's current
-// generation is stale — superseded by a fresher push — and is discarded when
-// it surfaces at the top, exactly like the timer queue's lazy cancellation.
-// The key is (time, index), so exact-time ties resolve to the lowest engine
-// index, as a linear scan over the engines would.
-type clusterEntry struct {
-	at  float64
-	idx int32
-	gen uint64
-}
-
-func (a clusterEntry) lessThan(b clusterEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.idx < b.idx
-}
-
 // Cluster interleaves the steps of several independent engines in global
 // virtual-time order. All engines advance on one logical clock: Step always
 // steps the engine whose next event is earliest (ties broken by lowest
@@ -74,24 +57,20 @@ func (a clusterEntry) lessThan(b clusterEntry) bool {
 // non-decreasing order. Engines may still be driven directly between cluster
 // steps (scheduling timers, injecting work, reading clocks).
 //
-// The cluster maintains a min-heap of (next-event time, engine index)
-// entries so Peek costs O(log N) amortized instead of a linear scan's O(N):
-// every engine state change bumps the engine's generation counter and marks
-// it dirty in its cluster, Peek re-derives dirty engines' entries before
-// reading the top, and entries stamped with an older generation are popped
-// as stale when they surface (or swept in bulk once they outnumber live
-// ones). An engine that went quiescent carries no entry; the dirty mark from
-// the timer arming that wakes it (e.g. a fleet driver injecting an arrival)
-// is what resurfaces it. The package tests keep the O(N) scan as the
-// differential oracle.
+// The cluster keeps a MinIndex over the engines' next-event times, so Peek
+// costs O(log N) instead of a linear scan's O(N). A quiescent engine is
+// keyed +Inf (so an event armed at +Inf never runs in a cluster). Every
+// engine state change marks the engine dirty in its cluster, and Peek
+// re-reads the dirty engines' next events into the index before reading its
+// minimum. The timer arming that wakes a quiescent engine (e.g. a fleet
+// driver injecting an arrival) marks it dirty like any other change. The
+// package tests keep the O(N) scan as the differential oracle.
 type Cluster struct {
 	engines []*Engine
 
-	heap     ordHeap[clusterEntry]
-	dirty    []int32 // engines whose entry must be re-derived before peeking
-	isDirty  []bool
-	entryGen []uint64 // generation of engine i's live entry; 0 = none pushed
-	stale    int      // superseded entries awaiting lazy discard or sweep
+	next    *MinIndex[float64] // engine i's next-event time, +Inf if quiescent
+	dirty   []int32            // engines whose time must be re-read before peeking
+	isDirty []bool
 }
 
 // NewCluster builds a cluster over the given engines. The slice is retained;
@@ -100,15 +79,11 @@ type Cluster struct {
 // cluster at a time.
 func NewCluster(engines ...*Engine) *Cluster {
 	c := &Cluster{
-		engines:  engines,
-		dirty:    make([]int32, 0, len(engines)),
-		isDirty:  make([]bool, len(engines)),
-		entryGen: make([]uint64, len(engines)),
+		engines: engines,
+		next:    NewMinIndex(len(engines), math.Inf(1)),
+		dirty:   make([]int32, 0, len(engines)),
+		isDirty: make([]bool, len(engines)),
 	}
-	// One live entry per engine plus slack for lazily-invalidated stale ones
-	// before the bulk sweep: sized here so steady-state stepping never grows
-	// the heap.
-	c.heap.a = make([]clusterEntry, 0, 2*len(engines))
 	for i, e := range engines {
 		if e.cl != nil && e.cl != c {
 			panic("sim: engine already belongs to another cluster")
@@ -125,9 +100,9 @@ func (c *Cluster) Len() int { return len(c.engines) }
 // Engine returns the i-th engine.
 func (c *Cluster) Engine(i int) *Engine { return c.engines[i] }
 
-// markDirty queues engine i for re-derivation at the next Peek. Duplicate
-// marks between peeks collapse, so a step that bumps the generation many
-// times (timer fires, thread transitions) costs one queue slot.
+// markDirty queues engine i for a re-read at the next Peek. Duplicate marks
+// between peeks collapse, so a step that changes the engine many times
+// (timer fires, thread transitions) costs one queue slot.
 func (c *Cluster) markDirty(i int32) {
 	if c.isDirty[i] {
 		return
@@ -136,52 +111,28 @@ func (c *Cluster) markDirty(i int32) {
 	c.dirty = append(c.dirty, i)
 }
 
-// refresh re-derives the next-event entries of every dirty engine.
-func (c *Cluster) refresh() {
-	for len(c.dirty) > 0 {
-		i := c.dirty[len(c.dirty)-1]
-		c.dirty = c.dirty[:len(c.dirty)-1]
-		c.isDirty[i] = false
-		e := c.engines[i]
-		if c.entryGen[i] != 0 {
-			// The previous entry for this engine is now superseded.
-			c.stale++
-		}
-		if at, alive := e.NextEventAt(); alive {
-			c.heap.push(clusterEntry{at: at, idx: i, gen: e.gen})
-			c.entryGen[i] = e.gen
-		} else {
-			c.entryGen[i] = 0
-		}
-	}
-	// Sweep superseded entries in bulk once they outnumber live ones, so an
-	// engine whose next event keeps moving earlier cannot bury the heap in
-	// stale entries that never surface.
-	if c.heap.len() >= 64 && c.stale*2 > c.heap.len() {
-		c.heap.filter(func(en clusterEntry) bool {
-			return en.gen == c.engines[en.idx].gen && en.gen == c.entryGen[en.idx]
-		})
-		c.stale = 0
-	}
-}
-
 // Peek returns the index and next-event time of the engine the next Step
 // would advance: the earliest next event across the cluster, lowest engine
 // index on exact ties. ok is false when every engine is quiescent.
 func (c *Cluster) Peek() (idx int, at float64, ok bool) {
-	c.refresh()
-	for c.heap.len() > 0 {
-		top := c.heap.peek()
-		if top.gen != c.engines[top.idx].gen {
-			// Superseded: a fresher entry (or none, if the engine went
-			// quiescent) was pushed by a later refresh.
-			c.heap.pop()
-			c.stale--
-			continue
+	for _, i := range c.dirty {
+		c.isDirty[i] = false
+		at, alive := c.engines[i].NextEventAt()
+		if !alive {
+			at = math.Inf(1)
 		}
-		return int(top.idx), top.at, true
+		c.next.Set(int(i), at)
 	}
-	return -1, 0, false
+	c.dirty = c.dirty[:0]
+	idx = c.next.Min()
+	if idx < 0 {
+		return -1, 0, false
+	}
+	at = c.next.Key(idx)
+	if math.IsInf(at, 1) {
+		return -1, 0, false
+	}
+	return idx, at, true
 }
 
 // Step advances the globally earliest engine by one event and returns its

@@ -48,19 +48,6 @@ func TestNextEventAtQuiescent(t *testing.T) {
 	}
 }
 
-// TestNextEventAtCancelledTimer: a cancelled timer at the heap top must not
-// surface as the next event.
-func TestNextEventAtCancelledTimer(t *testing.T) {
-	e := NewEngine(1, nil)
-	tm := e.After(100, func() { t.Fatal("cancelled timer fired") })
-	e.After(250, func() {})
-	tm.Cancel()
-	at, ok := e.NextEventAt()
-	if !ok || at != 250 {
-		t.Fatalf("peek = (%v, %v), want (250, true)", at, ok)
-	}
-}
-
 // TestClusterInterleavesInTimeOrder: cluster steps advance engines in global
 // event-time order with ties to the lowest index, and every engine's clock
 // stays at or before the last step's time.

@@ -84,27 +84,6 @@ func (h *ordHeap[E]) siftDown(i int) {
 	}
 }
 
-// filter drops every entry for which keep returns false, re-establishes the
-// heap invariant in O(n), and returns how many entries were removed. It is
-// the compaction primitive behind lazy cancellation: both queues tolerate
-// stale entries and sweep them out in bulk once they outnumber live ones.
-func (h *ordHeap[E]) filter(keep func(E) bool) int {
-	live := h.a[:0]
-	for _, x := range h.a {
-		if keep(x) {
-			live = append(live, x)
-		}
-	}
-	removed := len(h.a) - len(live)
-	var zero E
-	for i := len(live); i < len(h.a); i++ {
-		h.a[i] = zero
-	}
-	h.a = live
-	h.heapify()
-	return removed
-}
-
 // heapify re-establishes the heap invariant over the whole slice in O(n).
 // On a slice that is already heap-ordered it only compares: every siftDown
 // returns at its first level.

@@ -64,45 +64,3 @@ func TestOrdHeapInterleavedPushPop(t *testing.T) {
 		}
 	}
 }
-
-func TestOrdHeapFilter(t *testing.T) {
-	var h ordHeap[testEntry]
-	for i := 0; i < 300; i++ {
-		h.push(testEntry{key: float64((i * 7919) % 1000), seq: int64(i)})
-	}
-	removed := h.filter(func(e testEntry) bool { return e.seq%3 != 0 })
-	if removed != 100 {
-		t.Fatalf("removed %d entries, want 100", removed)
-	}
-	if h.len() != 200 {
-		t.Fatalf("len after filter = %d, want 200", h.len())
-	}
-	prev := testEntry{key: -1}
-	for h.len() > 0 {
-		e := h.pop()
-		if e.seq%3 == 0 {
-			t.Fatalf("filtered entry survived: %+v", e)
-		}
-		if e.lessThan(prev) {
-			t.Fatalf("heap order violated after filter: %+v before %+v", prev, e)
-		}
-		prev = e
-	}
-}
-
-func TestOrdHeapFilterAll(t *testing.T) {
-	var h ordHeap[testEntry]
-	for i := 0; i < 50; i++ {
-		h.push(testEntry{key: float64(i)})
-	}
-	if removed := h.filter(func(testEntry) bool { return false }); removed != 50 {
-		t.Fatalf("removed %d, want 50", removed)
-	}
-	if h.len() != 0 {
-		t.Fatalf("len = %d, want 0", h.len())
-	}
-	h.push(testEntry{key: 1})
-	if got := h.pop(); got.key != 1 {
-		t.Fatalf("heap unusable after full filter: %+v", got)
-	}
-}

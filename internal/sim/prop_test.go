@@ -8,10 +8,11 @@ import (
 
 // Differential property test: the virtual-service-time engine and the eager
 // reference engine (reference_test.go) are driven through the same seeded
-// randomized schedule of Exec / Block / Unblock / Abandon / Finish / timer /
-// cancel traffic, plus Group freezes (Block/Unblock) and gang quanta
-// (Group.Exec), and must produce identical event traces and telemetry within
-// timeEps.
+// randomized schedule of Exec / Block / Unblock / Abandon / Finish / timer
+// traffic, plus Group freezes (Block/Unblock) and gang quanta (Group.Exec),
+// and must produce identical event traces and telemetry within timeEps. After
+// every step the fast engine's completion queues are audited (auditQueues):
+// they must hold exactly one live entry per quantum in flight.
 //
 // The script's only inputs are the RNG stream and engine-visible state
 // (State(), Now()); if the two steppers are equivalent, every callback fires
@@ -34,6 +35,7 @@ type propCoverage struct {
 }
 
 type propResult struct {
+	audit   string // the first failed queue audit, with its step
 	cov     propCoverage
 	trace   []propEvent
 	now     float64
@@ -46,7 +48,7 @@ type propResult struct {
 
 // runPropScript runs seed's script on the engine mk builds and returns what
 // it observed, plus the script's two groups.
-func runPropScript[E simAPI[T, G, M], T simThread, G simGroup[T], M interface{ Cancel() }](
+func runPropScript[E simAPI[T, G], T simThread, G simGroup[T]](
 	seed uint64, mk func(hw int, capacity CapacityFunc) E) (propResult, [2]G) {
 	rng := NewRNG(seed)
 	hw := 1 + int(rng.Uint64()%4)
@@ -131,8 +133,8 @@ func runPropScript[E simAPI[T, G, M], T simThread, G simGroup[T], M interface{ C
 	}
 
 	// Meddler timers perturb the threads: STW-style block/unblock pairs,
-	// abandons, finishes, extra work injection, cancellation games, group
-	// freezes and gang quanta.
+	// abandons, finishes, extra work injection, bare timers, group freezes
+	// and gang quanta.
 	nT := 4 + int(rng.Uint64()%10)
 	for j := 0; j < nT; j++ {
 		j := j
@@ -170,11 +172,11 @@ func runPropScript[E simAPI[T, G, M], T simThread, G simGroup[T], M interface{ C
 					tgt.Finish()
 				}
 			})
-		case 4: // cancellation: the cancel may land before or after the fire
-			tm := e.After(at, func() {
+		case 4: // bare timers, touching no thread
+			e.After(at, func() {
 				res.trace = append(res.trace, propEvent{"timer", j, e.NowF()})
 			})
-			e.After(float64(1+rng.Uint64()%6000), tm.Cancel)
+			e.After(float64(1+rng.Uint64()%6000), func() {})
 		case 5: // inject extra work into an idle worker
 			e.After(at, func() {
 				res.trace = append(res.trace, propEvent{"timer", j, e.NowF()})
@@ -214,8 +216,16 @@ func runPropScript[E simAPI[T, G, M], T simThread, G simGroup[T], M interface{ C
 	for i := range ths {
 		kick(i)
 	}
-	if err := e.Run(); err != nil {
-		panic(err)
+	// Step rather than Run, so the fast engine's queues are audited between
+	// events; the reference engine has nothing to audit.
+	auditor, _ := any(e).(interface{ auditQueues() error })
+	for step := 0; e.Step(); step++ {
+		if auditor == nil || res.audit != "" {
+			continue
+		}
+		if err := auditor.auditQueues(); err != nil {
+			res.audit = fmt.Sprintf("after step %d: %v", step, err)
+		}
 	}
 
 	res.now = e.NowF()
@@ -237,8 +247,11 @@ func TestPropertyFastMatchesReference(t *testing.T) {
 	const cases = 1200
 	var cov propCoverage
 	for seed := uint64(0); seed < cases; seed++ {
-		fast, groups := runPropScript[*Engine, *Thread, *Group, Timer](seed, NewEngine)
-		ref, _ := runPropScript[*refEngine, *refThread, *refGroup, *refTimer](seed, newRefEngine)
+		fast, groups := runPropScript[*Engine, *Thread, *Group](seed, NewEngine)
+		ref, _ := runPropScript[*refEngine, *refThread, *refGroup](seed, newRefEngine)
+		if fast.audit != "" {
+			t.Fatalf("seed %d: queue audit %s", seed, fast.audit)
+		}
 		if n := groups[0].q.len() + groups[1].q.len(); n != 0 {
 			t.Fatalf("seed %d: %d sub-heap entries outlive every quantum", seed, n)
 		}

@@ -19,8 +19,8 @@ import (
 // the gap.
 
 // simThread, simGroup and simAPI are the engine surface the differential
-// tests drive. The production engine satisfies simAPI[*Thread, *Group,
-// Timer]; the oracle satisfies simAPI[*refThread, *refGroup, *refTimer].
+// tests drive. The production engine satisfies simAPI[*Thread, *Group]; the
+// oracle satisfies simAPI[*refThread, *refGroup].
 type simThread interface {
 	Exec(cpuNS float64, done func())
 	Block()
@@ -41,12 +41,13 @@ type simGroup[T simThread] interface {
 	isFrozen() bool
 }
 
-type simAPI[T simThread, G simGroup[T], M interface{ Cancel() }] interface {
+type simAPI[T simThread, G simGroup[T]] interface {
 	NewThread(name string) T
 	NewGroup(ts ...T) G
-	After(d float64, fn func()) M
+	After(d float64, fn func())
 	SetSampler(intervalNS float64, fn func(tNS float64))
 	NowF() float64
+	Step() bool
 	Run() error
 	TaskClock() float64
 	Events() int64
@@ -95,11 +96,9 @@ type refGroup struct {
 }
 
 type refTimer struct {
-	at    float64
-	seq   int64
-	fn    func()
-	eng   *refEngine
-	armed bool // pending: neither fired nor cancelled
+	at  float64
+	seq int64
+	fn  func()
 }
 
 func newRefEngine(hw int, capacity CapacityFunc) *refEngine {
@@ -137,21 +136,12 @@ func (e *refEngine) crossSamples() {
 	}
 }
 
-func (e *refEngine) After(d float64, fn func()) *refTimer {
+func (e *refEngine) After(d float64, fn func()) {
 	if fn == nil {
 		panic("sim: nil timer callback")
 	}
 	e.timerSeq++
-	tm := &refTimer{at: e.now + max(d, 0), seq: e.timerSeq, fn: fn, eng: e, armed: true}
-	e.timers = append(e.timers, tm)
-	return tm
-}
-
-func (tm *refTimer) Cancel() {
-	if tm.armed {
-		tm.armed = false
-		tm.eng.dropTimer(tm)
-	}
+	e.timers = append(e.timers, &refTimer{at: e.now + max(d, 0), seq: e.timerSeq, fn: fn})
 }
 
 func (e *refEngine) dropTimer(tm *refTimer) {
@@ -182,7 +172,6 @@ func (e *refEngine) fireTimers() {
 		if tm == nil || tm.at > e.now+timeEps {
 			return
 		}
-		tm.armed = false
 		e.dropTimer(tm)
 		tm.fn()
 	}

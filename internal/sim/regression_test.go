@@ -8,14 +8,14 @@ import (
 // interval — blockedNS was never credited, though Abandon credited it.
 func TestFinishCreditsInFlightBlockedInterval(t *testing.T) {
 	t.Run("fast", func(t *testing.T) {
-		finishCreditsBlockedInterval[*Engine, *Thread, *Group, Timer](t, NewEngine(2, nil))
+		finishCreditsBlockedInterval[*Engine, *Thread, *Group](t, NewEngine(2, nil))
 	})
 	t.Run("reference", func(t *testing.T) {
-		finishCreditsBlockedInterval[*refEngine, *refThread, *refGroup, *refTimer](t, newRefEngine(2, nil))
+		finishCreditsBlockedInterval[*refEngine, *refThread, *refGroup](t, newRefEngine(2, nil))
 	})
 }
 
-func finishCreditsBlockedInterval[E simAPI[T, G, M], T simThread, G simGroup[T], M interface{ Cancel() }](
+func finishCreditsBlockedInterval[E simAPI[T, G], T simThread, G simGroup[T]](
 	t *testing.T, e E) {
 	th := e.NewThread("w")
 	driver := e.NewThread("driver")
@@ -39,70 +39,37 @@ func finishCreditsBlockedInterval[E simAPI[T, G, M], T simThread, G simGroup[T],
 	}
 }
 
-// Regression: the timer queue used to retain cancelled timers until popped,
-// so schedule-and-cancel loops (pacer re-arming) grew the heap without
-// bound. Lazy-cancel compaction must bound it near twice the live count.
-func TestCancelledTimersDoNotGrowHeap(t *testing.T) {
-	e := NewEngine(1, nil)
-	fired := 0
-	e.After(1e15, func() { fired++ }) // one live far-future timer
-	for i := 0; i < 100_000; i++ {
-		tm := e.After(1e12+float64(i), func() { t.Fatal("cancelled timer fired") })
-		tm.Cancel()
-	}
-	if n := e.timers.len(); n > 64 {
-		t.Fatalf("timer heap holds %d entries after 100k schedule-and-cancel cycles, want bounded", n)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("live timer fired %d times, want 1", fired)
-	}
-}
-
-// The timer free list must make steady-state schedule/cancel/fire traffic
-// allocation-free.
+// Steady-state schedule-and-fire timer traffic must not allocate: entries are
+// values on the heap's slice, which a warm engine never grows.
 func TestTimerFreeListRecyclesNodes(t *testing.T) {
 	e := NewEngine(1, nil)
-	nop := func() {}
-	// Warm the heap slice and free list.
+	fired := 0
+	count := func() { fired++ }
+	// Warm the heap slice.
 	for i := 0; i < 1000; i++ {
-		e.After(float64(i), nop).Cancel()
+		e.After(float64(i), count)
 	}
-	allocs := testing.AllocsPerRun(2000, func() {
-		e.After(1e9, nop).Cancel()
-	})
-	if allocs > 0 {
-		t.Fatalf("schedule-and-cancel allocates %v objects per op, want 0", allocs)
-	}
-}
-
-// A handle whose timer already fired must stay inert even after its node is
-// recycled for a new timer: Cancel on it must not cancel the new arming.
-func TestStaleTimerHandleCannotCancelRecycledNode(t *testing.T) {
-	e := NewEngine(1, nil)
-	var stale Timer
-	stale = e.After(10, func() {})
-	if err := e.Run(); err != nil { // fires; node goes to the free list
-		t.Fatal(err)
-	}
-	fired := false
-	fresh := e.After(10, func() { fired = true }) // recycles the node
-	if fresh.n != stale.n {
-		t.Skip("free list did not recycle the node; invariant untestable here")
-	}
-	stale.Cancel()
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !fired {
-		t.Fatal("stale handle's Cancel killed a recycled timer")
+	allocs := testing.AllocsPerRun(2000, func() {
+		e.After(1e3, count)
+		e.After(1e3, count)
+		if !e.Step() {
+			t.Fatal("engine quiesced with two timers armed")
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("schedule-and-fire allocates %v objects per op, want 0", allocs)
+	}
+	if want := 1000 + 2*2001; fired != want {
+		t.Fatalf("%d timers fired, want %d", fired, want)
 	}
 }
 
-// Block/unblock churn orphans completion-heap entries; compaction must keep
-// the heap proportional to the live runnable set.
+// A thread that leaves its quantum mid-flight takes its completion entry
+// with it: block/unblock churn must never leave the heap holding more
+// entries than there are threads with a quantum in flight.
 func TestOrphanedCompletionsAreCompacted(t *testing.T) {
 	e := NewEngine(4, nil)
 	th := e.NewThread("w")
@@ -117,15 +84,18 @@ func TestOrphanedCompletionsAreCompacted(t *testing.T) {
 			return
 		}
 		th.Block()
-		th.Unblock() // re-activates: pushes a fresh entry, orphaning none live
+		th.Unblock() // re-activates: removes the old entry, pushes a fresh one
+		if n := e.comp.len(); n > e.runCount {
+			t.Fatalf("cycle %d: completion heap holds %d entries for %d active threads", cycles, n, e.runCount)
+		}
 		driver.Exec(1, churn)
 	}
 	driver.Exec(1, churn)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.comp.len(); n > 64 {
-		t.Fatalf("completion heap holds %d entries after 50k block/unblock cycles, want bounded", n)
+	if n := e.comp.len(); n != 0 {
+		t.Fatalf("completion heap holds %d entries after the run drained", n)
 	}
 }
 

@@ -69,8 +69,8 @@ func TestSamplerIdleJump(t *testing.T) {
 // engine and demands identical tick sequences — the sampler is part of the
 // differential-oracle contract like every other observable.
 func TestSamplerParity(t *testing.T) {
-	fast := samplerTicks[*Engine, *Thread, *Group, Timer](t, NewEngine(2, nil))
-	ref := samplerTicks[*refEngine, *refThread, *refGroup, *refTimer](t, newRefEngine(2, nil))
+	fast := samplerTicks[*Engine, *Thread, *Group](t, NewEngine(2, nil))
+	ref := samplerTicks[*refEngine, *refThread, *refGroup](t, newRefEngine(2, nil))
 	if len(fast) != len(ref) {
 		t.Fatalf("fast fired %d ticks, reference %d", len(fast), len(ref))
 	}
@@ -82,7 +82,7 @@ func TestSamplerParity(t *testing.T) {
 }
 
 // samplerTicks runs TestSamplerParity's schedule on e and returns the ticks.
-func samplerTicks[E simAPI[T, G, M], T simThread, G simGroup[T], M interface{ Cancel() }](
+func samplerTicks[E simAPI[T, G], T simThread, G simGroup[T]](
 	t *testing.T, e E) []float64 {
 	var ticks []float64
 	e.SetSampler(75, func(tNS float64) { ticks = append(ticks, tNS) })

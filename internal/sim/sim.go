@@ -62,6 +62,16 @@
 //     popped. A member released mid-quantum drops out and the entry lives on
 //     while any member remains.
 //
+// # Live queues
+//
+// Every scheduler queue holds only live entries, so every queue top is a
+// real next event. A timer cannot be cancelled and fires exactly once. A thread that leaves its quantum early (Block, Abandon, Finish, or a
+// group freeze moving its entry into the sub-heap) has its completion entry
+// removed at once from the heap that holds it, by a scan: a heap holds at
+// most one entry per active thread, a handful in practice. A Cluster keeps
+// one slot per engine in a MinIndex and re-keys it in place when the engine
+// changes. NextEventAt is therefore a pure read of the queue tops.
+//
 // All state is confined to a single goroutine; the engine is deterministic
 // given a seed, which is what lets invocations be replayed and confidence
 // intervals be honest.
@@ -92,16 +102,13 @@ type CapacityFunc func(runnable int) float64
 
 // compEntry is the completion-heap entry for one runnable stint of a thread:
 // the thread completes its quantum when the engine's service credit reaches
-// finishS. On the engine heap, entries are orphaned (not removed) when a
-// thread leaves the runnable set early; the epoch stamp identifies them as
-// stale when they surface or when the heap compacts. A group's sub-heap
-// removes them at once instead. A gang entry (Group.Exec) points at its
-// group's lead sentinel instead of a member and stands for every member
-// still running the gang quantum.
+// finishS. Every entry is live: a thread that leaves the runnable set early
+// has its entry removed at once from whichever heap holds it. A gang entry
+// (Group.Exec) points at its group's lead sentinel instead of a member and
+// stands for every member still running the gang quantum.
 type compEntry struct {
 	finishS float64
 	id      int32
-	epoch   uint32
 	t       *Thread
 }
 
@@ -125,9 +132,8 @@ type Engine struct {
 	// Completion queue, plus one sub-heap per Group, linked through
 	// Group.next. A frozen group's sub-heap takes no part in next-event
 	// lookup.
-	comp      ordHeap[compEntry]
-	staleComp int // orphaned entries awaiting lazy discard or compaction
-	groups    *Group
+	comp   ordHeap[compEntry]
+	groups *Group
 
 	// Runnable-set aggregates, maintained incrementally on every state
 	// transition so Step never rescans threads:
@@ -137,21 +143,16 @@ type Engine struct {
 	cpuBase   float64 // Σ materialized cpu over all threads
 
 	// Timer queue (see timer.go).
-	timers          ordHeap[timerEntry]
-	cancelledTimers int
-	freeTimer       *timerNode
-	timerSeq        int64
+	timers   ordHeap[timerEntry]
+	timerSeq int64
 
 	events     int64
 	maxEv      int64
 	timerFires int64
 
-	// Cluster membership (see multi.go). gen counts state changes that can
-	// move the engine's next event: every processed step, thread transition,
-	// timer arming and cancellation bumps it, staling any cluster-heap entry
-	// carrying an older stamp. cl/clIdx notify the owning cluster so a
-	// quiescent engine woken by an injection resurfaces in the event heap.
-	gen   uint64
+	// Cluster membership (see multi.go): every state change that can move
+	// the engine's next event (a processed step, a thread transition, a
+	// timer arming) tells the owning cluster to re-read it.
 	cl    *Cluster
 	clIdx int32
 
@@ -195,7 +196,6 @@ func NewEngine(hw int, capacity CapacityFunc) *Engine {
 	e.comp.a = make([]compEntry, 0, 32)
 	e.batch = make([]*Thread, 0, 16)
 	e.rates = make([]float64, 0, 32)
-	e.releaseTimer(e.newTimerBlock())
 	if e.capacity == nil {
 		e.capacity = func(n int) float64 {
 			if n > hw {
@@ -282,11 +282,9 @@ func (e *Engine) TaskClock() float64 {
 const timeEps = 1e-6 // tolerance for float time comparisons, in ns
 
 // mutated records a state change that may have moved the engine's next event:
-// the generation counter stales any cluster-heap entry stamped before it, and
-// the owning cluster (if any) is told to re-derive this engine's entry on its
-// next Peek. Standalone engines pay one increment and one nil check.
+// the owning cluster (if any) is told to re-read this engine's next event on
+// its next Peek. Standalone engines pay one nil check.
 func (e *Engine) mutated() {
-	e.gen++
 	if e.cl != nil {
 		e.cl.markDirty(e.clIdx)
 	}
@@ -323,7 +321,7 @@ func (e *Engine) activate(t *Thread) {
 // group's sub-heap, or on the engine heap if it has no group or the group is
 // frozen.
 func (e *Engine) enqueue(t *Thread) {
-	en := compEntry{finishS: t.finishS, id: t.id, epoch: t.epoch, t: t}
+	en := compEntry{finishS: t.finishS, id: t.id, t: t}
 	if g := t.grp; g != nil && !g.frozen {
 		t.inSub = true
 		g.q.push(en)
@@ -333,16 +331,27 @@ func (e *Engine) enqueue(t *Thread) {
 	e.comp.push(en)
 }
 
-// unqueue drops t's completion entry after its thread left the quantum
-// mid-flight: lazily on the engine heap, where deactivate's epoch bump has
-// already staled it, and eagerly from a sub-heap, which never holds a stale
-// entry.
+// unqueue removes t's completion entry (t may be a gang sentinel) from
+// whichever heap holds it, after its thread left the quantum mid-flight.
 func (e *Engine) unqueue(t *Thread) {
 	if t.inSub {
-		t.grp.remove(t)
+		t.inSub = false
+		removeEntry(&t.grp.q, t)
 		return
 	}
-	e.orphanEntry()
+	removeEntry(&e.comp, t)
+}
+
+// removeEntry deletes t's entry from q. Completion heaps hold a handful of
+// entries (at most one per active thread), so a scan finds it.
+func removeEntry(q *ordHeap[compEntry], t *Thread) {
+	for i := range q.a {
+		if q.a[i].t == t {
+			q.removeAt(i)
+			return
+		}
+	}
+	panic(fmt.Sprintf("sim: no completion entry for thread %q", t.name))
 }
 
 // start is activate's arithmetic without the push: the thread's stint
@@ -356,18 +365,11 @@ func (e *Engine) start(t *Thread) {
 }
 
 // deactivate removes a thread from the runnable set, materializing the CPU
-// it consumed during this stint from the service-credit delta, and stales
-// its completion entry. The caller decides what becomes of t.remaining (zero
-// on completion/abandon, the residual finishS−S on block) and whether a heap
-// entry was orphaned.
+// it consumed during this stint from the service-credit delta. The caller
+// decides what becomes of t.remaining (zero on completion/abandon, the
+// residual finishS−S on block) and of its completion entry (popped on
+// completion, removed on release, kept by a group freeze to re-key at thaw).
 func (e *Engine) deactivate(t *Thread) {
-	e.settle(t)
-	t.epoch++
-}
-
-// settle is deactivate's arithmetic without staling the entry: a group
-// freeze keeps the entry to re-key it at thaw.
-func (e *Engine) settle(t *Thread) {
 	delta := e.vs - t.startS
 	if delta < 0 {
 		delta = 0
@@ -384,33 +386,13 @@ func (e *Engine) settle(t *Thread) {
 	t.active = false
 }
 
-// orphanEntry records that a deactivated thread left its engine-heap entry
-// behind (Block/Abandon/Finish mid-quantum) and compacts the heap once stale
-// entries outnumber live ones, so block-heavy workloads cannot grow it
-// without bound.
-func (e *Engine) orphanEntry() {
-	e.staleComp++
-	if e.comp.len() < 64 || e.staleComp*2 <= e.comp.len() {
-		return
-	}
-	e.comp.filter(func(en compEntry) bool { return en.epoch == en.t.epoch })
-	e.staleComp = 0
-}
-
-// nextComp returns the heap whose top is the earliest live completion, in
+// nextComp returns the heap whose top is the earliest completion, in
 // (finishS, id) order, across the engine heap and every thawed group's
-// sub-heap; nil when none holds one. Stale engine-heap tops are discarded on
-// the way.
+// sub-heap; nil when none holds one.
 func (e *Engine) nextComp() *ordHeap[compEntry] {
 	var best *ordHeap[compEntry]
-	for e.comp.len() > 0 {
-		top := &e.comp.a[0]
-		if top.epoch == top.t.epoch {
-			best = &e.comp
-			break
-		}
-		e.comp.pop()
-		e.staleComp--
+	if e.comp.len() > 0 {
+		best = &e.comp
 	}
 	for g := e.groups; g != nil; g = g.next {
 		if g.frozen || len(g.q.a) == 0 {
@@ -444,12 +426,11 @@ func (e *Engine) collect(en compEntry) {
 		}
 	}
 	g.gangLive = 0
-	t.epoch++
 }
 
 // Step advances the simulation to the next event (quantum completion or timer
 // expiry) and dispatches callbacks. It returns false when the simulation is
-// quiescent: no runnable threads and no pending (live) timers.
+// quiescent: no runnable threads and no pending timers.
 func (e *Engine) Step() bool {
 	if e.runCount == 0 {
 		at, ok := e.nextTimerAt()
@@ -471,8 +452,8 @@ func (e *Engine) Step() bool {
 
 	rate := e.rateFor(e.runCount)
 
-	// Earliest quantum completion: the earliest live top across the
-	// completion queues completes when S reaches its credit.
+	// Earliest quantum completion: the earliest top across the completion
+	// queues completes when S reaches its credit.
 	q := e.nextComp()
 	if q == nil {
 		panic("sim: runnable threads without completion entries")
@@ -496,7 +477,7 @@ func (e *Engine) Step() bool {
 		e.crossSamples()
 	}
 
-	// Collect quantum completions: every live entry whose credit is reached,
+	// Collect quantum completions: every entry whose credit is reached,
 	// merged across the queues in (finishS, id) order so the deactivations —
 	// and the float sums they feed — run in one fixed order.
 	e.batch = e.batch[:0]

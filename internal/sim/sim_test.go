@@ -143,19 +143,6 @@ func TestTimersFireInOrder(t *testing.T) {
 	}
 }
 
-func TestTimerCancel(t *testing.T) {
-	e := NewEngine(1, nil)
-	fired := false
-	tm := e.After(100, func() { fired = true })
-	tm.Cancel()
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("cancelled timer fired")
-	}
-}
-
 func TestTimerDuringIdleMachine(t *testing.T) {
 	// No runnable threads: the clock must jump to the timer.
 	e := NewEngine(2, nil)

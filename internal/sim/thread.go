@@ -37,7 +37,6 @@ func (s State) String() string {
 // the runnable set or an accessor is called.
 type Thread struct {
 	id         int32
-	epoch      uint32 // bumped when leaving the runnable set; stales heap entries
 	state      State
 	active     bool // quantum in flight, counted in aggregates
 	held       bool // blocked by its group's Block, awaiting the group's Unblock
@@ -146,7 +145,6 @@ func (t *Thread) releaseQuantum() {
 	g := t.grp
 	g.gangLive--
 	if g.gangLive == 0 {
-		g.lead.epoch++
 		e.unqueue(&g.lead)
 	}
 }

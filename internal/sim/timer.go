@@ -3,32 +3,16 @@ package sim
 // Timer subsystem.
 //
 // Timers live in an ordHeap of small value entries ordered by (deadline,
-// sequence), so same-instant timers fire in creation order. Cancellation is
-// lazy: Cancel only marks the timer's node; the heap entry stays put and is
-// discarded when it surfaces, or swept out in bulk once cancelled entries
-// outnumber live ones — a workload that repeatedly schedules-and-cancels
-// (e.g. a pacer re-arming its deadline) therefore cannot grow the heap
-// without bound. Fired and cancelled nodes are recycled through a free list,
-// so steady-state timer traffic does not churn the Go allocator. Node reuse
-// is made safe by sequence stamping: a Timer handle captures the sequence it
-// was armed with, and Cancel on a handle whose node has since been recycled
-// is a no-op.
+// sequence), so same-instant timers fire in creation order. A timer cannot
+// be cancelled: every entry on the heap is live and fires exactly once, so
+// the heap never holds an entry it must skip. A caller that may no longer
+// want a callback checks its own state when the callback runs.
 
-// timerNode is the engine-owned state of one scheduled callback. Nodes are
-// recycled through the engine's free list once they fire, are swept, or are
-// discarded from the top of the heap.
-type timerNode struct {
-	fn        func()
-	seq       int64 // sequence of the current arming; 0 = on the free list
-	cancelled bool
-	next      *timerNode // free-list link
-}
-
-// timerEntry is the heap entry for one arming of a timer.
+// timerEntry is the heap entry for one scheduled callback.
 type timerEntry struct {
 	at  float64
-	seq int64
-	n   *timerNode
+	seq int64 // arming order, the same-instant FIFO tie-break
+	fn  func()
 }
 
 func (a timerEntry) lessThan(b timerEntry) bool {
@@ -38,34 +22,12 @@ func (a timerEntry) lessThan(b timerEntry) bool {
 	return a.seq < b.seq
 }
 
-// Timer is a handle to a scheduled callback. It is a value: copying it is
-// cheap and safe, and a handle outliving its timer (fired, cancelled, or
-// swept) is inert.
-type Timer struct {
-	e   *Engine
-	n   *timerNode
-	seq int64
-}
-
-// Cancel prevents the timer from firing. Cancelling an already-fired or
-// already-cancelled timer is a no-op.
-func (tm Timer) Cancel() {
-	if tm.n == nil || tm.n.seq != tm.seq || tm.n.cancelled {
-		return
-	}
-	tm.n.cancelled = true
-	tm.e.cancelledTimers++
-	tm.e.maybeCompactTimers()
-	tm.e.mutated()
-}
-
-// After schedules fn to run at now+d. It returns a handle that can cancel
-// the timer before it fires.
-func (e *Engine) After(d float64, fn func()) Timer {
+// After schedules fn to run at now+d.
+func (e *Engine) After(d float64, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return e.schedule(e.now+d, fn)
+	e.schedule(e.now+d, fn)
 }
 
 // At schedules fn at the absolute virtual time t (a t already in the past
@@ -73,108 +35,37 @@ func (e *Engine) After(d float64, fn func()) Timer {
 // given — no relative round-trip through floating point — so a caller can
 // reproduce a precomputed schedule bit-for-bit while arming timers one at a
 // time.
-func (e *Engine) At(t float64, fn func()) Timer {
+func (e *Engine) At(t float64, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	return e.schedule(t, fn)
+	e.schedule(t, fn)
 }
 
-func (e *Engine) schedule(at float64, fn func()) Timer {
+func (e *Engine) schedule(at float64, fn func()) {
 	if fn == nil {
 		panic("sim: nil timer callback")
 	}
-	n := e.freeTimer
-	if n != nil {
-		e.freeTimer = n.next
-		n.next = nil
-	} else {
-		n = e.newTimerBlock()
-	}
 	e.timerSeq++
-	n.fn = fn
-	n.seq = e.timerSeq
-	n.cancelled = false
-	e.timers.push(timerEntry{at: at, seq: e.timerSeq, n: n})
+	e.timers.push(timerEntry{at: at, seq: e.timerSeq, fn: fn})
 	e.mutated()
-	return Timer{e: e, n: n, seq: e.timerSeq}
 }
 
-// newTimerBlock grows the free list by one block of nodes and returns the
-// first. Block allocation keeps nodes cache-adjacent and makes free-list
-// growth one allocation per eight timers instead of one each — NewEngine
-// seeds one block so a typical engine never grows it on the stepping path.
-func (e *Engine) newTimerBlock() *timerNode {
-	block := make([]timerNode, 8)
-	for i := 1; i < len(block); i++ {
-		block[i].next = e.freeTimer
-		e.freeTimer = &block[i]
-	}
-	return &block[0]
-}
-
-// releaseTimer returns a node to the free list. seq 0 marks it free, so any
-// surviving handle's Cancel fails the sequence check and does nothing.
-func (e *Engine) releaseTimer(n *timerNode) {
-	n.fn = nil
-	n.seq = 0
-	n.cancelled = false
-	n.next = e.freeTimer
-	e.freeTimer = n
-}
-
-// nextTimerAt returns the deadline of the earliest live timer, discarding
-// cancelled entries that have surfaced at the top of the heap.
+// nextTimerAt returns the deadline of the earliest timer.
 func (e *Engine) nextTimerAt() (float64, bool) {
-	for e.timers.len() > 0 {
-		top := e.timers.peek()
-		if top.n.cancelled {
-			e.timers.pop()
-			e.cancelledTimers--
-			e.releaseTimer(top.n)
-			continue
-		}
-		return top.at, true
+	if e.timers.len() == 0 {
+		return 0, false
 	}
-	return 0, false
+	return e.timers.peek().at, true
 }
 
-// fireTimers dispatches every live timer due at or before now, in (time,
+// fireTimers dispatches every timer due at or before now, in (time,
 // creation) order. Callbacks may schedule further timers; those are honoured
 // too if already due.
 func (e *Engine) fireTimers() {
-	for e.timers.len() > 0 {
-		top := e.timers.peek()
-		if top.n.cancelled {
-			e.timers.pop()
-			e.cancelledTimers--
-			e.releaseTimer(top.n)
-			continue
-		}
-		if top.at > e.now+timeEps {
-			return
-		}
-		e.timers.pop()
-		fn := top.n.fn
-		e.releaseTimer(top.n)
+	for e.timers.len() > 0 && e.timers.peek().at <= e.now+timeEps {
+		fn := e.timers.pop().fn
 		e.timerFires++
 		fn()
 	}
-}
-
-// maybeCompactTimers sweeps cancelled entries out of the heap once they
-// outnumber live ones. The threshold keeps the sweep amortized O(1) per
-// cancellation while bounding the heap at twice its live size.
-func (e *Engine) maybeCompactTimers() {
-	if e.timers.len() < 32 || e.cancelledTimers*2 <= e.timers.len() {
-		return
-	}
-	e.timers.filter(func(en timerEntry) bool {
-		if en.n.cancelled {
-			e.releaseTimer(en.n)
-			return false
-		}
-		return true
-	})
-	e.cancelledTimers = 0
 }

@@ -367,8 +367,18 @@ func TestValidateRejections(t *testing.T) {
 			t.Errorf("heap %v: err = %v, want an invalid-heap rejection", heap, err)
 		}
 	}
-	// So is a collector with no preset, unless explicit parameters stand in
-	// for the preset.
+	// The smallest positive heaps pass that check and reach heap.New, whose
+	// positive-size assertion they must not trip: 5e-324 MB is still a
+	// positive byte count. Both runs end as OutOfMemory.
+	for _, heap := range []float64{1e-7, 5e-324} {
+		_, err := Run(Lusearch, RunConfig{HeapMB: heap, Collector: gc.G1, Iterations: 1, Events: 100, Seed: 1})
+		var oom *ErrOutOfMemory
+		if !errors.As(err, &oom) {
+			t.Errorf("heap %v MB: err = %v, want OutOfMemory", heap, err)
+		}
+	}
+	// A collector with no preset is rejected too, unless explicit parameters
+	// stand in for the preset.
 	_, err := Run(Fop, RunConfig{HeapMB: 100, Collector: gc.Kind(99)})
 	if err == nil || !strings.Contains(err.Error(), "unknown collector") {
 		t.Errorf("Kind(99): err = %v, want an unknown-collector rejection", err)
