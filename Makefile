@@ -57,12 +57,13 @@ test:
 # runs per sample. FleetTelemetry/jsonl-roundtrip runs at a fixed 3 as well:
 # at 200ms it ran 2 or 3 times, and its B/op, which amortizes setup over
 # b.N, swung ~6% with the count.
-# Each benchmark runs five times and benchjson records the per-metric median,
-# so the committed BENCH_sim.json baseline is median-of-five — directly
-# comparable to the median-of-five gate runs and robust to scheduler noise on
-# loaded hosts. benchjson reads, reduces and writes through
-# internal/obs/benchdiff, the one reader and writer of both bench formats, so
-# the baseline it writes and the gate that reads it agree on every sample.
+# Each benchmark runs five times and benchdiff's write mode (-out) records the
+# per-metric median, so the committed BENCH_sim.json baseline is
+# median-of-five — directly comparable to the median-of-five gate runs and
+# robust to scheduler noise on loaded hosts. Both of benchdiff's modes read,
+# reduce and write through internal/obs/benchdiff, the one reader and writer
+# of both bench formats, so the baseline it writes and the gate that reads it
+# agree on every sample.
 .PHONY: bench
 bench:
 	( go test -run='^$$' -bench='BenchmarkEngine' -benchmem -benchtime=300ms \
@@ -84,7 +85,7 @@ bench:
 		-benchtime=200ms -count=5 ./internal/fleet && \
 	  go test -run='^$$' -bench='BenchmarkFleetTelemetry/jsonl-roundtrip$$' \
 		-benchtime=3x -count=5 ./internal/fleet ) \
-		| go run ./cmd/benchjson -out BENCH_sim.json
+		| go run ./cmd/benchdiff -out BENCH_sim.json
 
 # Statistical perf-regression gate: run the hot-path microbenchmarks five
 # times and compare the distributions against the committed BENCH_sim.json
@@ -116,7 +117,7 @@ bench-gate:
 		-benchtime=3x -count=5 ./internal/fleet ) \
 		| tee bench-gate.txt
 	go run ./cmd/benchdiff -threshold 0.10 BENCH_sim.json bench-gate.txt
-	go run ./cmd/benchjson -out /dev/null -scaling-min auto < bench-gate.txt > /dev/null
+	go run ./cmd/benchdiff -out /dev/null -scaling-min auto < bench-gate.txt > /dev/null
 
 # Whole-suite scaling gate, standalone: run only BenchmarkFullSuite at
 # workers ∈ {1, 8, NumCPU} and fail if the derived parallel efficiency
@@ -126,15 +127,15 @@ bench-gate:
 .PHONY: bench-scaling
 bench-scaling:
 	go test -run='^$$' -bench='BenchmarkFullSuite' -benchtime=1x -count=5 . \
-		| go run ./cmd/benchjson -out /dev/null -scaling-min auto
+		| go run ./cmd/benchdiff -out /dev/null -scaling-min auto
 
 # Native fuzzing of the decoders of bytes a run did not just write: the binary
 # invocation cache record (FuzzDecodeInvocation), the JSON result and cache
-# archives with their v1->v2 migration (FuzzLoadArchive), the JSONL telemetry
-# stream (FuzzDecodeStream), unified-logging GC logs (FuzzParseAll), the
-# BENCH_sim.json maps and go test -bench text that benchdiff reads and writes
-# for both bench commands (FuzzParse), benchjson's echo and median map
-# (FuzzParseBench) and runbms experiment plans (FuzzDecodePlan); and of the
+# archives (FuzzLoadArchive), the JSONL telemetry stream (FuzzDecodeStream),
+# unified-logging GC logs (FuzzParseAll), the BENCH_sim.json maps and go test
+# -bench text that internal/obs/benchdiff reads and writes (FuzzParse),
+# cmd/benchdiff's write mode with its echo and median map (FuzzParseBench)
+# and runbms experiment plans (FuzzDecodePlan); and of the
 # Chrome trace writer's integer number fast path against strconv
 # (FuzzChromeNumber). go test -fuzz takes one
 # target per run, so each gets its own fixed time budget. The committed seed
@@ -147,8 +148,33 @@ fuzz:
 	go test -run='^$$' -fuzz='^FuzzParseAll$$' -fuzztime=60s ./internal/gclog
 	go test -run='^$$' -fuzz='^FuzzChromeNumber$$' -fuzztime=60s ./internal/obs/traceview
 	go test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=60s ./internal/obs/benchdiff
-	go test -run='^$$' -fuzz='^FuzzParseBench$$' -fuzztime=60s ./cmd/benchjson
+	go test -run='^$$' -fuzz='^FuzzParseBench$$' -fuzztime=60s ./cmd/benchdiff
 	go test -run='^$$' -fuzz='^FuzzDecodePlan$$' -fuzztime=60s ./cmd/runbms
+
+# The paper-facing artifacts: every file under results/ is written by one
+# runbms plan, experiments/results.json, on one engine. Both targets start
+# from an empty cache under .bench_build/ and delete it afterwards (~2.9 GB):
+# a cache entry is keyed by a job's parameters, not by the simulator's code,
+# so a warm cache would re-render the numbers of whatever code filled it.
+# `make results` rewrites results/ from scratch; `make results-check`
+# regenerates into a temporary directory and fails on any difference from
+# the committed results/. Cold, each takes about a minute on 2 cores, which
+# keeps results-check out of tier1.
+RESULTS_CACHE := .bench_build/results-cache
+
+.PHONY: results
+results:
+	rm -rf results $(RESULTS_CACHE)
+	go run ./cmd/runbms -plan experiments/results.json -out results -cache $(RESULTS_CACHE)
+	rm -rf $(RESULTS_CACHE)
+
+.PHONY: results-check
+results-check:
+	rm -rf $(RESULTS_CACHE)
+	tmp=$$(mktemp -d) && \
+	go run ./cmd/runbms -plan experiments/results.json -out $$tmp -cache $(RESULTS_CACHE) && \
+	diff -r results $$tmp; \
+	status=$$?; rm -rf $$tmp $(RESULTS_CACHE); exit $$status
 
 # CPU and heap profiles for the invocation hot path; inspect with
 # `go tool pprof cpu.pprof` / `go tool pprof -sample_index=alloc_objects

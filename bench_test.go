@@ -124,16 +124,12 @@ func BenchmarkFigure4PCA(b *testing.B) {
 
 func characterizeSuiteQuick(b *testing.B) *nominal.SuiteTable {
 	b.Helper()
-	var chars []*nominal.Characterization
-	for _, d := range workload.All() {
-		c, err := nominal.Characterize(d, nominal.Options{
-			Events: 200, Invocations: 2, WarmupIters: 8,
-			SkipSizeVariants: true, Seed: 42,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		chars = append(chars, c)
+	chars, err := nominal.CharacterizeSuite(workload.All(), nominal.Options{
+		Events: 200, Invocations: 2, WarmupIters: 8,
+		SkipSizeVariants: true, Seed: 42,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 	return nominal.BuildSuite(chars)
 }
@@ -417,7 +413,7 @@ func BenchmarkAblationGenerational(b *testing.B) {
 // while merged results stay byte-identical (the harness golden pins that).
 // The workers=NumCPU variant (literal name, so the recorded baseline is
 // comparable across hosts) measures the saturated point on whatever the
-// host offers. `make bench` records all three, benchjson derives the
+// host offers. `make bench` records all three, benchdiff -out derives the
 // parallel-efficiency ratio (workers=1 ns ÷ workers=8 ns), and `make
 // bench-scaling` gates on it — so scaling regressions fail the gate, not
 // just per-op times.

@@ -347,19 +347,16 @@ func Characterize(b *Benchmark, opt NominalOptions) (*Characterization, error) {
 	return nominal.Characterize(b, opt)
 }
 
-// CharacterizeSuite characterizes every given benchmark (nil = whole suite)
-// and assembles the ranked suite table behind Tables 2-3 and Figure 4.
+// CharacterizeSuite characterizes every given benchmark (nil = whole suite),
+// one goroutine per benchmark, and assembles the ranked suite table behind
+// Tables 2-3 and Figure 4.
 func CharacterizeSuite(bs []*Benchmark, opt NominalOptions) (*SuiteTable, error) {
 	if bs == nil {
 		bs = workload.All()
 	}
-	chars := make([]*Characterization, 0, len(bs))
-	for _, b := range bs {
-		c, err := nominal.Characterize(b, opt)
-		if err != nil {
-			return nil, err
-		}
-		chars = append(chars, c)
+	chars, err := nominal.CharacterizeSuite(bs, opt)
+	if err != nil {
+		return nil, err
 	}
 	return nominal.BuildSuite(chars), nil
 }

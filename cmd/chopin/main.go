@@ -109,7 +109,7 @@ func main() {
 		table := nominal.BuildSuite([]*nominal.Characterization{c})
 		out, err := figures.BenchmarkTable(table, d.Name)
 		check(err)
-		fmt.Printf("%s: %s\n(ranks/scores are against this benchmark alone; use cmd/nominal for suite-wide ranking)\n\n%s",
+		fmt.Printf("%s: %s\n(ranks/scores are against this benchmark alone; a runbms plan of type nominal ranks against the suite)\n\n%s",
 			d.Name, d.Description, out)
 		return
 	}

@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	lbo -bench lusearch -telemetry run.jsonl
+//	runbms -plan experiments/kick-the-tires.json -out out -telemetry run.jsonl
 //	obsreport run.jsonl
 //	obsreport -collector Shenandoah run.jsonl   # restrict to one collector
 //	obsreport -trace-out run.trace.json run.jsonl

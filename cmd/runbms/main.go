@@ -1,18 +1,20 @@
 // Command runbms is the experiment runner (the running-ng analogue from the
-// paper's artifact): it executes a JSON experiment plan — suites of LBO
-// sweeps, latency experiments and heap traces — and writes rendered figures
-// and CSV data into a results directory.
+// paper's artifact) and the one producer of the paper's figures and tables:
+// it executes a JSON experiment plan and writes rendered figures, tables and
+// CSV data into a results directory.
 //
 // Usage:
 //
-//	runbms -plan experiments/lbo.json -out results/
-//	runbms -plan experiments/kick-the-tires.json -out results/
-//	runbms -plan experiments/lbo.json -out results/ -progress   # per-job events
-//	runbms -plan experiments/lbo.json -out results/ -cold       # ignore cached results
+//	runbms -plan experiments/results.json -out results/    # every file under results/
+//	runbms -plan experiments/kick-the-tires.json -out out/
+//	runbms -plan experiments/lbo.json -out out/ -progress  # per-job events
+//	runbms -plan experiments/lbo.json -out out/ -cold      # ignore cached results
 //
 // Completed invocations persist in a content-addressed cache (default
 // <out>/cache), so re-running a plan — after an interrupt, a crash, or an
-// edit that adds experiments — re-executes only what is missing.
+// edit that adds experiments — re-executes only what is missing. A cache
+// entry is keyed by the job's parameters, not by the simulator's code: after
+// a model change, re-run with -cold (or a fresh -cache) to recompute.
 //
 // A plan looks like:
 //
@@ -27,7 +29,17 @@
 //	}
 //
 // Omitting "benchmarks" selects the whole suite; omitting collectors or
-// factors selects the paper's defaults.
+// factors selects the paper's defaults. Each type writes, for an experiment
+// called <name>:
+//
+//	lbo          <name>_geomean.{txt,csv} (Figure 1) and <name>_<bench>.{txt,csv}
+//	latency      <name>_<bench>.txt: latency percentiles, pauses and MMU (Figures 2, 3, 6)
+//	heaptrace    <name>_<bench>.txt: the post-GC heap-size timeline
+//	pca          <name>_pca.txt: Figure 4 and the most determinant metrics
+//	nominal      <name>_table1.txt, <name>_table2.txt, <name>_<bench>.txt
+//	             (Tables 1-3) and <name>_arch.txt (Section 6.4)
+//	calibration  <name>.txt: measured nominal statistics vs published targets
+//	appendix     <name>_<bench>.txt: one Appendix B chapter per benchmark
 package main
 
 import (
@@ -35,11 +47,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"chopin/internal/exper"
 	"chopin/internal/figures"
-	"chopin/internal/gc"
 	"chopin/internal/harness"
 	"chopin/internal/nominal"
 	"chopin/internal/workload"
@@ -133,6 +143,17 @@ func submit(eng *exper.Engine, exp Experiment, outDir string) (func() error, err
 		Seed:        exp.Seed,
 		Engine:      eng,
 	}
+	// Characterizations skip the size-variant min-heap searches, the most
+	// expensive part, and take the plan's invocations as the sample size
+	// of their invocation-series statistics.
+	nopt := nominal.Options{
+		Events:           exp.Events,
+		Invocations:      exp.Invocations,
+		Seed:             exp.Seed,
+		SkipSizeVariants: true,
+		Run:              eng.Run,
+	}
+	w := writer{dir: outDir, prefix: exp.Name}
 
 	switch exp.Type {
 	case "lbo":
@@ -142,30 +163,21 @@ func submit(eng *exper.Engine, exp Experiment, outDir string) (func() error, err
 			if err != nil {
 				return err
 			}
-			var names []string
-			for _, k := range optCollectors(opt) {
-				names = append(names, k.String())
-			}
-			if err := writeFile(outDir, exp.Name+"_geomean.txt",
-				figures.GeomeanFigure(pts, names)); err != nil {
-				return err
-			}
+			w.file("_geomean.txt", figures.GeomeanFigure(pts, collectorNames(opt)))
+			w.file("_geomean.csv", geomeanCSV(pts))
 			for _, g := range grids {
-				min := 0.0
-				for _, c := range g.Cells {
-					if c.HeapFactor == 1 || min == 0 {
-						min = c.HeapMB / c.HeapFactor
-					}
-				}
-				out, err := figures.LBOFigure(g, min)
+				out, err := figures.LBOFigure(g, gridMinHeap(g))
 				if err != nil {
 					return err
 				}
-				if err := writeFile(outDir, exp.Name+"_"+g.Benchmark+".txt", out); err != nil {
+				csv, err := gridCSV(g)
+				if err != nil {
 					return err
 				}
+				w.file("_"+g.Benchmark+".txt", out)
+				w.file("_"+g.Benchmark+".csv", csv)
 			}
-			return nil
+			return w.err
 		}, nil
 	case "latency":
 		pending := make([]*harness.PendingLatency, len(ds))
@@ -178,98 +190,140 @@ func submit(eng *exper.Engine, exp Experiment, outDir string) (func() error, err
 				if err != nil {
 					return err
 				}
-				body := figures.LatencyFigure(results) + "\n" +
-					figures.PauseSummary(results) + "\n" + figures.MMUFigure(results)
-				if err := writeFile(outDir, exp.Name+"_"+d.Name+".txt", body); err != nil {
-					return err
-				}
+				w.file("_"+d.Name+".txt", figures.LatencyFigure(results)+
+					"GC pauses versus user-experienced latency (Recommendation L1):\n"+
+					figures.PauseSummary(results)+
+					"\nminimum mutator utilization (Figure 2 methodology):\n"+
+					figures.MMUFigure(results))
 			}
-			return nil
+			return w.err
 		}, nil
 	case "heaptrace":
-		// HeapTimeline is a two-job chain (min-heap anchor, one trace run);
-		// one orchestration goroutine per benchmark submits them all now.
-		samples := make([][]harness.HeapSample, len(ds))
-		errs := make([]error, len(ds))
-		var wg sync.WaitGroup
-		for i, d := range ds {
-			wg.Add(1)
-			go func(i int, d *workload.Descriptor) {
-				defer wg.Done()
-				samples[i], errs[i] = harness.HeapTimeline(d, opt)
-			}(i, d)
-		}
+		timelines := startHeapTimelines(ds, opt)
 		return func() error {
-			wg.Wait()
 			for i, d := range ds {
-				if errs[i] != nil {
-					return errs[i]
-				}
-				if err := writeFile(outDir, exp.Name+"_"+d.Name+".txt",
-					figures.HeapTimelineFigure(d.Name, samples[i])); err != nil {
+				samples, err := timelines[i]()
+				if err != nil {
 					return err
 				}
+				w.file("_"+d.Name+".txt", figures.HeapTimelineFigure(d.Name, samples))
 			}
-			return nil
+			return w.err
 		}, nil
-	case "pca", "nominal":
-		// Characterizations are independent per benchmark: run them all
-		// concurrently over the shared engine (each one's probes are engine
-		// jobs), collect in suite order.
-		chars := make([]*nominal.Characterization, len(ds))
-		errs := make([]error, len(ds))
-		var wg sync.WaitGroup
-		for i, d := range ds {
-			wg.Add(1)
-			go func(i int, d *workload.Descriptor) {
-				defer wg.Done()
-				chars[i], errs[i] = nominal.Characterize(d, nominal.Options{
-					Events: exp.Events, Seed: exp.Seed, SkipSizeVariants: true, Run: eng.Run,
-				})
-			}(i, d)
-		}
+	case "pca", "nominal", "calibration":
+		chars := start(func() ([]*nominal.Characterization, error) {
+			return nominal.CharacterizeSuite(ds, nopt)
+		})
 		return func() error {
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return err
-				}
-			}
-			table := nominal.BuildSuite(chars)
-			if exp.Type == "pca" {
-				out, err := figures.PCAFigure(table)
-				if err != nil {
-					return err
-				}
-				return writeFile(outDir, exp.Name+"_pca.txt", out)
-			}
-			if err := writeFile(outDir, exp.Name+"_table2.txt", figures.Table2(table)); err != nil {
+			cs, err := chars()
+			if err != nil {
 				return err
 			}
-			for _, d := range ds {
-				out, err := figures.BenchmarkTable(table, d.Name)
+			table := nominal.BuildSuite(cs)
+			switch exp.Type {
+			case "pca":
+				out, err := pcaReport(table)
 				if err != nil {
 					return err
 				}
-				if err := writeFile(outDir, exp.Name+"_"+d.Name+".txt", out); err != nil {
+				w.file("_pca.txt", out)
+			case "nominal":
+				w.file("_table1.txt", figures.Table1())
+				w.file("_table2.txt",
+					"Table 2: the twelve most determinant nominal statistics (rank: value)\n"+
+						figures.Table2(table))
+				for _, d := range ds {
+					out, err := figures.BenchmarkTable(table, d.Name)
+					if err != nil {
+						return err
+					}
+					w.file("_"+d.Name+".txt", fmt.Sprintf("%s: %s\n\n%s", d.Name, d.Description, out))
+				}
+				out, err := archAnalysis()
+				if err != nil {
 					return err
 				}
+				w.file("_arch.txt", out)
+			case "calibration":
+				w.file(".txt", calibrationTable(ds, cs))
 			}
-			return nil
+			return w.err
+		}, nil
+	case "appendix":
+		// The plan's invocations size the LBO grids; the characterization
+		// behind the nominal-statistics section keeps its default sample.
+		nopt.Invocations = 0
+		chars := start(func() ([]*nominal.Characterization, error) {
+			return nominal.CharacterizeSuite(ds, nopt)
+		})
+		grids := make([]*harness.PendingGrid, len(ds))
+		latencies := make([]*harness.PendingLatency, len(ds))
+		for i, d := range ds {
+			grids[i] = harness.SubmitLBOGrid(d, opt)
+			if d.LatencySensitive {
+				latencies[i] = harness.SubmitLatency(d, []float64{2, 6}, opt)
+			}
+		}
+		timelines := startHeapTimelines(ds, opt)
+		return func() error {
+			cs, err := chars()
+			if err != nil {
+				return err
+			}
+			table := nominal.BuildSuite(cs)
+			for i, d := range ds {
+				out, err := appendixChapter(d, table, grids[i], timelines[i], latencies[i])
+				if err != nil {
+					return err
+				}
+				w.file("_"+d.Name+".txt", out)
+			}
+			return w.err
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown experiment type %q", exp.Type)
 }
 
-func optCollectors(opt harness.Options) []gc.Kind {
-	if opt.Collectors != nil {
-		return opt.Collectors
+// start runs f on its own goroutine now and returns a function that waits
+// for its result, so an experiment's orchestration chains (characterizations,
+// heap timelines) submit their engine jobs before anything is collected.
+func start[T any](f func() (T, error)) func() (T, error) {
+	var (
+		v    T
+		err  error
+		done = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		v, err = f()
+	}()
+	return func() (T, error) {
+		<-done
+		return v, err
 	}
-	return gc.Kinds
 }
 
-func writeFile(dir, name, body string) error {
-	return os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644)
+// startHeapTimelines starts one heap timeline per benchmark: each is a
+// two-job chain (min-heap anchor, one trace run).
+func startHeapTimelines(ds []*workload.Descriptor, opt harness.Options) []func() ([]harness.HeapSample, error) {
+	waits := make([]func() ([]harness.HeapSample, error), len(ds))
+	for i, d := range ds {
+		waits[i] = start(func() ([]harness.HeapSample, error) { return harness.HeapTimeline(d, opt) })
+	}
+	return waits
+}
+
+// writer writes an experiment's files, each named after the experiment,
+// and keeps the first write error.
+type writer struct {
+	dir, prefix string
+	err         error
+}
+
+func (w *writer) file(suffix, body string) {
+	if w.err == nil {
+		w.err = os.WriteFile(filepath.Join(w.dir, w.prefix+suffix), []byte(body), 0o644)
+	}
 }
 
 func fail(format string, args ...interface{}) {

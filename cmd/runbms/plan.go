@@ -18,7 +18,7 @@ type Plan struct {
 // Experiment is one entry of a plan.
 type Experiment struct {
 	Name        string    `json:"name"`
-	Type        string    `json:"type"` // lbo | latency | heaptrace | pca | nominal
+	Type        string    `json:"type"` // lbo | latency | heaptrace | pca | nominal | calibration | appendix
 	Benchmarks  []string  `json:"benchmarks"`
 	Collectors  []string  `json:"collectors"`
 	HeapFactors []float64 `json:"heap_factors"`
@@ -35,6 +35,7 @@ type Experiment struct {
 
 var experimentTypes = map[string]bool{
 	"lbo": true, "latency": true, "heaptrace": true, "pca": true, "nominal": true,
+	"calibration": true, "appendix": true,
 }
 
 // PlanError is why decodePlan rejected a plan: the experiment at Index, or

@@ -14,7 +14,6 @@ import (
 
 	"chopin/internal/gc"
 	"chopin/internal/obs"
-	"chopin/internal/workload"
 )
 
 // CLI bundles the engine flags every experiment command shares: cache
@@ -168,23 +167,6 @@ func (c *CLI) CloseOrWarn(w io.Writer, prefix string) {
 func Summary(s Stats) string {
 	return fmt.Sprintf("%d invocations run, %d from cache (%d OOM, %d failed)",
 		s.Executed, s.CacheHits, s.OOMs, s.Failures)
-}
-
-// SelectBenchmarks resolves a comma-separated benchmark list, defaulting to
-// the whole suite when empty.
-func SelectBenchmarks(list string) ([]*workload.Descriptor, error) {
-	if list == "" {
-		return workload.All(), nil
-	}
-	var ds []*workload.Descriptor
-	for _, name := range strings.Split(list, ",") {
-		d, err := workload.ByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		ds = append(ds, d)
-	}
-	return ds, nil
 }
 
 // ParseFactors parses the value of the flag called name (heap factors,

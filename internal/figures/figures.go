@@ -254,22 +254,6 @@ func PauseSummary(results []harness.LatencyResult) string {
 	return t.String()
 }
 
-// CriticalJOPSTable renders a SPECjbb2015-style critical-jOPS comparison of
-// the collectors in a latency experiment (Section 3.2's metric, computed
-// from the same event data as the latency figures). Scores are relative
-// events/second; higher is better.
-func CriticalJOPSTable(results []harness.LatencyResult) string {
-	t := report.NewTable("collector", "heap(x)", "critical-jOPS (events/s)")
-	for _, r := range results {
-		if !r.Completed {
-			t.AddRow(r.Collector, report.FormatFloat(r.HeapFactor), "OOM")
-			continue
-		}
-		t.AddRowf(r.Collector, r.HeapFactor, latency.CriticalJOPS(r.Events, nil))
-	}
-	return t.String()
-}
-
 // PCAFigure renders Figure 4: PC1/PC2 and PC3/PC4 scatter plots of the
 // suite plus the explained-variance summary.
 func PCAFigure(table *nominal.SuiteTable) (string, error) {

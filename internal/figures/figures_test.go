@@ -153,24 +153,6 @@ func TestHeapTimelineFigure(t *testing.T) {
 	}
 }
 
-func TestCriticalJOPSTable(t *testing.T) {
-	results, err := harness.Latency(workload.Kafka, []float64{2}, harness.Options{
-		Collectors: []gc.Kind{gc.Serial}, Events: 300, Iterations: 2, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := CriticalJOPSTable(results)
-	if !strings.Contains(out, "critical-jOPS") || !strings.Contains(out, "Serial") {
-		t.Fatalf("jops table malformed:\n%s", out)
-	}
-	// An OOM row renders as such.
-	out = CriticalJOPSTable([]harness.LatencyResult{{Collector: "ZGC", HeapFactor: 1}})
-	if !strings.Contains(out, "OOM") {
-		t.Fatalf("OOM row missing:\n%s", out)
-	}
-}
-
 func TestPausesOf(t *testing.T) {
 	r := harness.LatencyResult{Pauses: []trace.Pause{{Start: 1, End: 2}}}
 	if got := PausesOf(r); len(got) != 1 {

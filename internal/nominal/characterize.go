@@ -3,6 +3,7 @@ package nominal
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"chopin/internal/bytecode"
 	"chopin/internal/cpuarch"
@@ -68,6 +69,30 @@ func (c *Characterization) Value(name string) float64 {
 		return v
 	}
 	return math.NaN()
+}
+
+// CharacterizeSuite characterizes every benchmark of ds, concurrently (with
+// an engine's Run, each one's probes are engine jobs sharing its pool), and
+// returns the characterizations in the order of ds. The error is the first
+// failure in that order.
+func CharacterizeSuite(ds []*workload.Descriptor, opt Options) ([]*Characterization, error) {
+	chars := make([]*Characterization, len(ds))
+	errs := make([]error, len(ds))
+	var wg sync.WaitGroup
+	for i, d := range ds {
+		wg.Add(1)
+		go func(i int, d *workload.Descriptor) {
+			defer wg.Done()
+			chars[i], errs[i] = Characterize(d, opt)
+		}(i, d)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return chars, nil
 }
 
 // Characterize measures every nominal statistic for the workload: it

@@ -7,7 +7,8 @@
 // (name → Record {ns_per_op, b_per_op, allocs_per_op, iterations}, one
 // sample per name), or raw `go test -bench` text, where `-count=N` yields N
 // samples per name. Samples.WriteJSON writes the map, one per-metric median
-// Record per name; cmd/benchjson is a thin command over the two.
+// Record per name; cmd/benchdiff's write mode (-out) is a thin command over
+// the two.
 // Each benchmark is compared per metric: ns/op always, and — when both
 // sides carry them (`-benchmem`) — B/op and allocs/op, so an allocation
 // regression fails the gate exactly like a time regression. With three or

@@ -1,12 +1,9 @@
-// Package persist saves and reloads experiment results, so expensive
-// sweeps can be archived and figures re-rendered offline — the role
-// running-ng's results directory plays for the paper's artifact.
+// Package persist stores the experiment engine's cache records on disk.
 //
-// Sweep results (LBO grids, geomeans, characterizations) and the experiment
-// engine's small cache records ("minheap": one measured per-benchmark
-// minimum heap; "generic": one opaque job payload) are versioned JSON
-// archives. Schema v2 added the cache kinds; v1 archives of the original
-// kinds load transparently through the migration path.
+// The engine's small records ("minheap": one measured per-benchmark minimum
+// heap; "generic": one opaque job payload) are versioned JSON archives.
+// Only schema v2 is read: v1 archives held sweep results (LBO grids,
+// geomeans, characterizations), kinds this package does not store.
 //
 // The engine's invocation records — one simulator run each, keyed by the
 // canonical job hash and carrying the run's full GC log — are not JSON but
@@ -22,24 +19,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"chopin/internal/lbo"
-	"chopin/internal/nominal"
 )
 
 // Archive is the top-level saved document.
 type Archive struct {
 	// Version guards the schema; bump on incompatible change.
 	Version int `json:"version"`
-	// Kind describes the payload: "lbo-grid", "geomean", "characterization",
-	// "minheap", "generic".
+	// Kind describes the payload: "minheap" or "generic".
 	Kind string `json:"kind"`
 
-	Grid             *lbo.Grid                 `json:"grid,omitempty"`
-	Geomean          []lbo.GeomeanPoint        `json:"geomean,omitempty"`
-	Characterization *nominal.Characterization `json:"characterization,omitempty"`
-	MinHeap          *MinHeapRecord            `json:"min_heap,omitempty"`
-	Generic          *GenericRecord            `json:"generic,omitempty"`
+	MinHeap *MinHeapRecord `json:"min_heap,omitempty"`
+	Generic *GenericRecord `json:"generic,omitempty"`
 }
 
 // MinHeapRecord is one cached minimum-heap measurement: the validated GMD
@@ -62,29 +52,11 @@ type GenericRecord struct {
 }
 
 const (
-	// currentVersion is the archive schema. v2 added the engine's cache
-	// kinds; earlier versions migrate on load.
+	// currentVersion is the archive schema; oldestVersion is the oldest
+	// one Load accepts.
 	currentVersion = 2
-	oldestVersion  = 1
+	oldestVersion  = 2
 )
-
-// CurrentVersion reports the schema version new archives are written with.
-func CurrentVersion() int { return currentVersion }
-
-// SaveGrid writes a benchmark's LBO grid.
-func SaveGrid(path string, g *lbo.Grid) error {
-	return write(path, Archive{Version: currentVersion, Kind: "lbo-grid", Grid: g})
-}
-
-// SaveGeomean writes cross-suite geomean points.
-func SaveGeomean(path string, pts []lbo.GeomeanPoint) error {
-	return write(path, Archive{Version: currentVersion, Kind: "geomean", Geomean: pts})
-}
-
-// SaveCharacterization writes one workload's nominal statistics.
-func SaveCharacterization(path string, c *nominal.Characterization) error {
-	return write(path, Archive{Version: currentVersion, Kind: "characterization", Characterization: c})
-}
 
 // SaveMinHeap writes one cached minimum-heap measurement.
 func SaveMinHeap(path string, r *MinHeapRecord) error {
@@ -130,29 +102,7 @@ func writeFile(path string, data []byte) error {
 	return nil
 }
 
-// migrate upgrades an archive from its stored version to currentVersion,
-// one version step at a time.
-func migrate(a *Archive) error {
-	for a.Version < currentVersion {
-		switch a.Version {
-		case 1:
-			// v1 -> v2: the envelope is unchanged for the original kinds;
-			// the cache kinds did not exist yet, so a v1 archive claiming
-			// one is corrupt rather than old.
-			switch a.Kind {
-			case "minheap", "generic":
-				return fmt.Errorf("kind %q requires version 2, archive claims version 1", a.Kind)
-			}
-			a.Version = 2
-		default:
-			return fmt.Errorf("no migration from version %d", a.Version)
-		}
-	}
-	return nil
-}
-
-// Load reads any archive, migrating older versions, and validates its
-// envelope.
+// Load reads any archive and validates its envelope.
 func Load(path string) (*Archive, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -165,8 +115,8 @@ func Load(path string) (*Archive, error) {
 	return a, nil
 }
 
-// decodeArchive is Load without the file: it parses an archive's bytes,
-// migrates older versions and validates the envelope.
+// decodeArchive is Load without the file: it parses an archive's bytes and
+// validates the envelope.
 func decodeArchive(data []byte) (*Archive, error) {
 	var a Archive
 	if err := json.Unmarshal(data, &a); err != nil {
@@ -176,24 +126,7 @@ func decodeArchive(data []byte) (*Archive, error) {
 		return nil, fmt.Errorf("version %d outside supported range [%d, %d]",
 			a.Version, oldestVersion, currentVersion)
 	}
-	if err := migrate(&a); err != nil {
-		return nil, err
-	}
 	switch a.Kind {
-	case "lbo-grid":
-		if a.Grid == nil {
-			return nil, fmt.Errorf("lbo-grid archive without grid")
-		}
-	case "geomean":
-		// Saving drops an empty point list (omitempty), so an empty one
-		// would load here but not after a save.
-		if len(a.Geomean) == 0 {
-			return nil, fmt.Errorf("geomean archive without points")
-		}
-	case "characterization":
-		if a.Characterization == nil {
-			return nil, fmt.Errorf("characterization archive without payload")
-		}
 	case "minheap":
 		if a.MinHeap == nil {
 			return nil, fmt.Errorf("minheap archive without record")
@@ -212,42 +145,6 @@ func decodeArchive(data []byte) (*Archive, error) {
 		return nil, fmt.Errorf("unknown kind %q", a.Kind)
 	}
 	return &a, nil
-}
-
-// LoadGrid reads an LBO grid archive.
-func LoadGrid(path string) (*lbo.Grid, error) {
-	a, err := Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if a.Kind != "lbo-grid" {
-		return nil, fmt.Errorf("persist: %s holds %q, want lbo-grid", path, a.Kind)
-	}
-	return a.Grid, nil
-}
-
-// LoadGeomean reads a geomean archive.
-func LoadGeomean(path string) ([]lbo.GeomeanPoint, error) {
-	a, err := Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if a.Kind != "geomean" {
-		return nil, fmt.Errorf("persist: %s holds %q, want geomean", path, a.Kind)
-	}
-	return a.Geomean, nil
-}
-
-// LoadCharacterization reads a characterization archive.
-func LoadCharacterization(path string) (*nominal.Characterization, error) {
-	a, err := Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if a.Kind != "characterization" {
-		return nil, fmt.Errorf("persist: %s holds %q, want characterization", path, a.Kind)
-	}
-	return a.Characterization, nil
 }
 
 // LoadMinHeap reads a cached minimum-heap archive.

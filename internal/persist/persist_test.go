@@ -3,15 +3,12 @@ package persist
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"chopin/internal/gc"
-	"chopin/internal/lbo"
-	"chopin/internal/nominal"
 	"chopin/internal/trace"
 	"chopin/internal/workload"
 )
@@ -21,91 +18,20 @@ func tempPath(t *testing.T, name string) string {
 	return filepath.Join(t.TempDir(), name)
 }
 
-func sampleGrid() *lbo.Grid {
-	g := &lbo.Grid{Benchmark: "fop"}
-	g.Add(lbo.Measurement{
-		Collector: "G1", HeapFactor: 2, HeapMB: 26, Completed: true,
-		WallNS: 100, CPUNS: 150, STWWallNS: 10, GCCPUNS: 20,
-		WallSamples: []float64{99, 101}, CPUSamples: []float64{149, 151},
-	})
-	g.Add(lbo.Measurement{Collector: "ZGC", HeapFactor: 1, Completed: false})
-	return g
-}
-
-func TestGridRoundTrip(t *testing.T) {
-	path := tempPath(t, "grid.json")
-	if err := SaveGrid(path, sampleGrid()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadGrid(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Benchmark != "fop" || len(got.Cells) != 2 {
-		t.Fatalf("grid = %+v", got)
-	}
-	if got.Cells[0].WallNS != 100 || len(got.Cells[0].WallSamples) != 2 {
-		t.Fatalf("cell lost data: %+v", got.Cells[0])
-	}
-	// The reloaded grid must still compute overheads.
-	ovs, err := got.Overheads()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ovs) != 2 || !ovs[0].Completed || ovs[1].Completed {
-		t.Fatalf("overheads = %+v", ovs)
-	}
-}
-
-func TestGeomeanRoundTrip(t *testing.T) {
-	path := tempPath(t, "geo.json")
-	pts := []lbo.GeomeanPoint{
-		{Collector: "Serial", HeapFactor: 2, Wall: 1.5, CPU: 1.2, Benchmarks: 22, Complete: true},
-	}
-	if err := SaveGeomean(path, pts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadGeomean(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != pts[0] {
-		t.Fatalf("points = %+v", got)
-	}
-}
-
-func TestCharacterizationRoundTrip(t *testing.T) {
-	path := tempPath(t, "char.json")
-	c := &nominal.Characterization{
-		Workload:  "fop",
-		MinHeapMB: 12.5,
-		Values:    map[string]float64{"ARA": 3340, "GMD": 12.5},
-	}
-	if err := SaveCharacterization(path, c); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCharacterization(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Workload != "fop" || got.Value("ARA") != 3340 {
-		t.Fatalf("characterization = %+v", got)
-	}
-	if !math.IsNaN(got.Value("XYZ")) {
-		t.Fatal("absent metric should be NaN after reload")
-	}
-}
-
 func TestKindMismatch(t *testing.T) {
-	path := tempPath(t, "grid.json")
-	if err := SaveGrid(path, sampleGrid()); err != nil {
+	path := tempPath(t, "minheap.json")
+	if err := SaveMinHeap(path, &MinHeapRecord{Key: "k", Workload: "fop", MinHeapMB: 13}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadGeomean(path); err == nil {
-		t.Fatal("loading a grid as geomean should fail")
+	if _, err := LoadGeneric(path); err == nil {
+		t.Fatal("loading a minheap as generic should fail")
 	}
-	if _, err := LoadCharacterization(path); err == nil {
-		t.Fatal("loading a grid as characterization should fail")
+	gen := tempPath(t, "generic.json")
+	if err := SaveGeneric(gen, &GenericRecord{Key: "k", Kind: "cell", Data: json.RawMessage(`{"x":1}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadMinHeap(gen); err == nil {
+		t.Fatal("loading a generic as minheap should fail")
 	}
 }
 
@@ -210,37 +136,6 @@ func TestMinHeapRoundTrip(t *testing.T) {
 	// Cross-kind loads must fail.
 	if _, err := LoadInvocation(path); err == nil {
 		t.Fatal("loading a minheap as invocation should fail")
-	}
-}
-
-// TestV1Migration feeds Load a hand-written v1 archive — the schema the seed
-// release wrote — and expects it to come back migrated to the current
-// version with its payload intact.
-func TestV1Migration(t *testing.T) {
-	path := tempPath(t, "v1.json")
-	body := `{
-  "version": 1,
-  "kind": "lbo-grid",
-  "grid": {
-    "Benchmark": "fop",
-    "Cells": [
-      {"Collector": "G1", "HeapFactor": 2, "HeapMB": 26, "Completed": true,
-       "WallNS": 100, "CPUNS": 150}
-    ]
-  }
-}`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	a, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Version != CurrentVersion() {
-		t.Fatalf("migrated version = %d, want %d", a.Version, CurrentVersion())
-	}
-	if a.Grid == nil || a.Grid.Benchmark != "fop" || len(a.Grid.Cells) != 1 {
-		t.Fatalf("payload lost in migration: %+v", a.Grid)
 	}
 }
 
