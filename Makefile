@@ -63,29 +63,33 @@ test:
 # robust to scheduler noise on loaded hosts. Both of benchdiff's modes read,
 # reduce and write through internal/obs/benchdiff, the one reader and writer
 # of both bench formats, so the baseline it writes and the gate that reads it
-# agree on every sample.
+# agree on every sample. BENCH_RUNS is the one command list that bench
+# records and bench-gate checks.
+define BENCH_RUNS
+( go test -run='^$$' -bench='BenchmarkEngine' -benchmem -benchtime=300ms \
+	-count=5 ./internal/sim && \
+  go test -run='^$$' -bench='BenchmarkCollectorPause' -benchmem \
+	-benchtime=300ms -count=5 ./internal/gc && \
+  go test -run='^$$' -bench='BenchmarkRunInvocation' -benchmem -count=5 . && \
+  go test -run='^$$' -bench='BenchmarkEngineWarmCache' -benchmem \
+	-benchtime=300ms -count=5 . && \
+  go test -run='^$$' -bench='BenchmarkEngineColdCache' -benchmem \
+	-benchtime=3x -count=5 . && \
+  go test -run='^$$' -bench='BenchmarkFullSuite' -benchtime=1x -count=5 . && \
+  go test -run='^$$' -bench='BenchmarkFleetSweep' -benchtime=300ms -count=5 \
+	./internal/fleet && \
+  go test -run='^$$' -bench='BenchmarkFleetScale' -benchtime=3x -count=5 \
+	./internal/fleet && \
+  go test -run='^$$' \
+	-bench='BenchmarkFleetTelemetry/(recorder-off|recorder-on|hook-disabled)$$' \
+	-benchtime=200ms -count=5 ./internal/fleet && \
+  go test -run='^$$' -bench='BenchmarkFleetTelemetry/jsonl-roundtrip$$' \
+	-benchtime=3x -count=5 ./internal/fleet )
+endef
+
 .PHONY: bench
 bench:
-	( go test -run='^$$' -bench='BenchmarkEngine' -benchmem -benchtime=300ms \
-		-count=5 ./internal/sim && \
-	  go test -run='^$$' -bench='BenchmarkCollectorPause' -benchmem \
-		-benchtime=300ms -count=5 ./internal/gc && \
-	  go test -run='^$$' -bench='BenchmarkRunInvocation' -benchmem -count=5 . && \
-	  go test -run='^$$' -bench='BenchmarkEngineWarmCache' -benchmem \
-		-benchtime=300ms -count=5 . && \
-	  go test -run='^$$' -bench='BenchmarkEngineColdCache' -benchmem \
-		-benchtime=3x -count=5 . && \
-	  go test -run='^$$' -bench='BenchmarkFullSuite' -benchtime=1x -count=5 . && \
-	  go test -run='^$$' -bench='BenchmarkFleetSweep' -benchtime=300ms -count=5 \
-		./internal/fleet && \
-	  go test -run='^$$' -bench='BenchmarkFleetScale' -benchtime=3x -count=5 \
-		./internal/fleet && \
-	  go test -run='^$$' \
-		-bench='BenchmarkFleetTelemetry/(recorder-off|recorder-on|hook-disabled)$$' \
-		-benchtime=200ms -count=5 ./internal/fleet && \
-	  go test -run='^$$' -bench='BenchmarkFleetTelemetry/jsonl-roundtrip$$' \
-		-benchtime=3x -count=5 ./internal/fleet ) \
-		| go run ./cmd/benchdiff -out BENCH_sim.json
+	$(BENCH_RUNS) | go run ./cmd/benchdiff -out BENCH_sim.json
 
 # Statistical perf-regression gate: run the hot-path microbenchmarks five
 # times and compare the distributions against the committed BENCH_sim.json
@@ -96,26 +100,7 @@ bench:
 # whole-suite parallel-efficiency collapse fails bench-gate too.
 .PHONY: bench-gate
 bench-gate:
-	( go test -run='^$$' -bench='BenchmarkEngine' -benchmem -benchtime=300ms \
-		-count=5 ./internal/sim && \
-	  go test -run='^$$' -bench='BenchmarkCollectorPause' -benchmem \
-		-benchtime=300ms -count=5 ./internal/gc && \
-	  go test -run='^$$' -bench='BenchmarkRunInvocation' -benchmem -count=5 . && \
-	  go test -run='^$$' -bench='BenchmarkEngineWarmCache' -benchmem \
-		-benchtime=300ms -count=5 . && \
-	  go test -run='^$$' -bench='BenchmarkEngineColdCache' -benchmem \
-		-benchtime=3x -count=5 . && \
-	  go test -run='^$$' -bench='BenchmarkFullSuite' -benchtime=1x -count=5 . && \
-	  go test -run='^$$' -bench='BenchmarkFleetSweep' -benchtime=300ms -count=5 \
-		./internal/fleet && \
-	  go test -run='^$$' -bench='BenchmarkFleetScale' -benchtime=3x -count=5 \
-		./internal/fleet && \
-	  go test -run='^$$' \
-		-bench='BenchmarkFleetTelemetry/(recorder-off|recorder-on|hook-disabled)$$' \
-		-benchtime=200ms -count=5 ./internal/fleet && \
-	  go test -run='^$$' -bench='BenchmarkFleetTelemetry/jsonl-roundtrip$$' \
-		-benchtime=3x -count=5 ./internal/fleet ) \
-		| tee bench-gate.txt
+	$(BENCH_RUNS) | tee bench-gate.txt
 	go run ./cmd/benchdiff -threshold 0.10 BENCH_sim.json bench-gate.txt
 	go run ./cmd/benchdiff -out /dev/null -scaling-min auto < bench-gate.txt > /dev/null
 

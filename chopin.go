@@ -104,7 +104,7 @@ type (
 	// layout biases measurements (Section 4.3's warning, made demonstrable).
 	Setup = workload.Setup
 	// Engine is the unified experiment engine: every invocation a
-	// content-addressed job on one shared work-stealing pool, with optional
+	// content-addressed job on one shared worker pool, with optional
 	// persistent result caching for incremental, resumable sweeps. Pass one
 	// via SweepOptions.Engine to share it across experiments.
 	Engine = exper.Engine

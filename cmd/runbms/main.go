@@ -100,7 +100,7 @@ func run(planPath, outDir string, cli *exper.CLI) error {
 	}
 	defer cli.CloseOrWarn(os.Stderr, "runbms: ")
 
-	// One engine for the whole plan: a single work-stealing pool bounds
+	// One engine for the whole plan: a single worker pool bounds
 	// parallelism across experiments, and min-heap measurements shared by
 	// several experiments run once. The entire plan is submitted as one
 	// batch of jobs before anything is collected, so the pool sees every

@@ -18,8 +18,11 @@ const (
 	// ReadWrite is the normal resumable mode: completed jobs are skipped
 	// via cache hits, new results are written back.
 	ReadWrite CacheMode = iota
-	// WriteOnly forces a cold re-run: every job executes, and the fresh
-	// results overwrite the cached ones for the next warm run.
+	// WriteOnly forces a cold re-run: records that existed before
+	// OpenCache are ignored, so every job executes once, and the fresh
+	// results overwrite them for the next warm run. Records this Cache
+	// wrote itself are served, so a job the run repeats is not simulated
+	// twice.
 	WriteOnly
 )
 
@@ -55,7 +58,8 @@ type Cache struct {
 
 	mu      sync.Mutex
 	pending map[Key]*persist.InvocationRecord
-	err     error // first write error; latched, reported by Flush
+	written map[Key]bool // keys whose record on disk this Cache wrote
+	err     error        // first write error; latched, reported by Flush
 
 	writes chan cacheWrite
 }
@@ -83,6 +87,7 @@ func OpenCache(dir string, mode CacheMode) (*Cache, error) {
 		dir:     dir,
 		mode:    mode,
 		pending: map[Key]*persist.InvocationRecord{},
+		written: map[Key]bool{},
 		writes:  make(chan cacheWrite, writeDepth),
 	}
 	go c.writer()
@@ -136,13 +141,36 @@ func (c *Cache) writer() {
 		}
 		var err error
 		buf, err = persist.SaveInvocation(c.invPath(w.key), w.rec, buf)
+		// Marked as written before it leaves the pending map, so a reader
+		// always finds the record in one of the two.
+		c.latch(w.key, c.saved(w.key, err))
 		c.mu.Lock()
 		if cur, ok := c.pending[w.key]; ok && cur == w.rec {
 			delete(c.pending, w.key)
 		}
 		c.mu.Unlock()
-		c.latch(w.key, err)
 	}
+}
+
+// saved notes a finished write of k's record and returns its error: after a
+// success the record on disk is this Cache's own, which a write-only cache
+// serves.
+func (c *Cache) saved(k Key, err error) error {
+	if err == nil {
+		c.mu.Lock()
+		c.written[k] = true
+		c.mu.Unlock()
+	}
+	return err
+}
+
+// lookup returns k's record still queued for writing, if any, and whether
+// k's record on disk must be ignored: in write-only mode, every record this
+// Cache did not write itself predates the run.
+func (c *Cache) lookup(k Key) (pending *persist.InvocationRecord, stale bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pending[k], c.mode == WriteOnly && !c.written[k]
 }
 
 // latch keeps the first failed write's error for the next Flush.
@@ -189,15 +217,13 @@ func (c *Cache) Close() error {
 // treated as misses, never as failures: the job simply re-runs and
 // overwrites them.
 func (c *Cache) getInvocation(k Key) (*persist.InvocationRecord, bool) {
-	if c.mode == WriteOnly {
-		return nil, false
-	}
-	c.mu.Lock()
-	if rec, ok := c.pending[k]; ok {
-		c.mu.Unlock()
+	rec, stale := c.lookup(k)
+	if rec != nil {
 		return rec, true
 	}
-	c.mu.Unlock()
+	if stale {
+		return nil, false
+	}
 	rec, err := persist.LoadInvocation(c.invPath(k))
 	if err != nil || rec.Key != string(k) {
 		return nil, false
@@ -222,7 +248,7 @@ func (c *Cache) putInvocation(k Key, rec *persist.InvocationRecord) error {
 // Generic jobs are coarse (one per fleet sweep cell, not one per event), so
 // their records stay synchronous like min-heap records — no write-behind.
 func (c *Cache) getGeneric(k Key) (*persist.GenericRecord, bool) {
-	if c.mode == WriteOnly {
+	if _, stale := c.lookup(k); stale {
 		return nil, false
 	}
 	rec, err := persist.LoadGeneric(c.path(k))
@@ -235,11 +261,11 @@ func (c *Cache) getGeneric(k Key) (*persist.GenericRecord, bool) {
 // putGeneric writes a generic job's record; a failure latches like an
 // invocation write's, so Flush (and Engine.Close) report it.
 func (c *Cache) putGeneric(k Key, rec *persist.GenericRecord) {
-	c.latch(k, persist.SaveGeneric(c.path(k), rec))
+	c.latch(k, c.saved(k, persist.SaveGeneric(c.path(k), rec)))
 }
 
 func (c *Cache) getMinHeap(k Key) (*persist.MinHeapRecord, bool) {
-	if c.mode == WriteOnly {
+	if _, stale := c.lookup(k); stale {
 		return nil, false
 	}
 	rec, err := persist.LoadMinHeap(c.path(k))
@@ -250,5 +276,5 @@ func (c *Cache) getMinHeap(k Key) (*persist.MinHeapRecord, bool) {
 }
 
 func (c *Cache) putMinHeap(k Key, rec *persist.MinHeapRecord) error {
-	return persist.SaveMinHeap(c.path(k), rec)
+	return c.saved(k, persist.SaveMinHeap(c.path(k), rec))
 }

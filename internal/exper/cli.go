@@ -48,7 +48,7 @@ type CLI struct {
 // (empty disables caching unless the user opts in).
 func (c *CLI) RegisterFlags(fs *flag.FlagSet, cacheDefault string) {
 	fs.StringVar(&c.CacheDir, "cache", cacheDefault, "result cache directory ('none' or empty disables caching)")
-	fs.BoolVar(&c.Cold, "cold", false, "ignore cached results and re-run every invocation (fresh results still cached)")
+	fs.BoolVar(&c.Cold, "cold", false, "ignore results cached before this run and re-run every invocation once (fresh results still cached)")
 	fs.BoolVar(&c.Progress, "progress", false, "print per-invocation progress events")
 	fs.IntVar(&c.Workers, "workers", 0, "concurrent invocations (0 = NumCPU)")
 	fs.StringVar(&c.Telemetry, "telemetry", "", "write per-run telemetry events to this JSONL file (summarize with obsreport)")

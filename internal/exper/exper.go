@@ -1,8 +1,8 @@
 // Package exper is the unified experiment engine: every simulator
 // invocation — sweep cell, latency run, min-heap probe — becomes a
 // first-class Job, canonically hashed over its (descriptor, RunConfig)
-// content and executed by a single work-stealing worker pool shared across
-// an entire experiment plan.
+// content and executed by a single worker pool shared across an entire
+// experiment plan.
 //
 // Whole-suite sweeps are expressed as batches of jobs submitted up front:
 // Submit registers a job and returns a Ticket immediately, Wait blocks for
@@ -30,13 +30,13 @@
 //
 // Concurrency layout: each job kind (invocation, generic, min-heap) has one
 // single-flight table mapping a key to its call, which is in flight until
-// it resolves and, when kept, the memo after; each table is sharded by key
-// across independently locked shards. The pool's deques are per-worker
-// behind per-deque locks, each executing job's telemetry is buffered in a
+// it resolves and, when kept, the memo after; each table and the pool's task
+// queue sit behind one mutex apiece. Jobs take milliseconds and a suite plan
+// submits a few hundred a second, so those locks are held for a vanishing
+// share of the time. Each executing job's telemetry is buffered in a
 // worker-owned buffer flushed to the shared sink in one batch at the job
-// boundary, and cache writes are handed to a write-behind goroutine — so at
-// full host-core saturation no per-event or per-transition path crosses a
-// pool-wide lock.
+// boundary, and cache writes are handed to a write-behind goroutine, so no
+// per-event path takes an engine-wide lock.
 //
 // The engine emits structured progress events (queued, started, finished,
 // cache-hit, with wall and task-clock telemetry) through an observer — the
@@ -47,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,11 +95,6 @@ type Options struct {
 // search never persists a partial result.
 var ErrEngineClosed = errors.New("exper: engine closed")
 
-// numShards is the lock-shard count of each job table. Keys are uniformly
-// distributed SHA-256 hashes, so 32 shards keep the per-shard collision
-// probability negligible at any realistic worker count.
-const numShards = 32
-
 // call is one single-flight execution, shared by every ticket deduplicated
 // onto it. val and err are written before done closes and read only after.
 type call[T any] struct {
@@ -124,22 +118,17 @@ const (
 )
 
 // table is one job kind's single-flight state: each key maps to its call,
-// which is in flight until settled and, if kept, the memo after. It is
-// sharded by key so a whole-suite batch — thousands of submissions and
-// completions — never funnels through one mutex.
+// which is in flight until settled and, if kept, the memo after.
 type table[T any] struct {
-	shards [numShards]struct {
-		mu    sync.Mutex
-		calls map[Key]*call[T]
-	}
+	mu    sync.Mutex
+	calls map[Key]*call[T]
 }
 
 // join returns k's call and how the submission joined it.
 func (t *table[T]) join(k Key) (*call[T], joined) {
-	sh := &t.shards[shardOf(k)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if c, ok := sh.calls[k]; ok {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if c, ok := t.calls[k]; ok {
 		select {
 		case <-c.done:
 			return c, memo
@@ -147,25 +136,24 @@ func (t *table[T]) join(k Key) (*call[T], joined) {
 			return c, shared
 		}
 	}
-	if sh.calls == nil {
-		sh.calls = map[Key]*call[T]{}
+	if t.calls == nil {
+		t.calls = map[Key]*call[T]{}
 	}
 	c := &call[T]{done: make(chan struct{})}
-	sh.calls[k] = c
+	t.calls[k] = c
 	return c, lead
 }
 
-// settle resolves k's call under the shard lock, so a later join sees it
+// settle resolves k's call under the table lock, so a later join sees it
 // either in flight or resolved, and keeps it as the memo or drops it.
 func (t *table[T]) settle(k Key, c *call[T], val T, err error, keep bool) {
-	sh := &t.shards[shardOf(k)]
-	sh.mu.Lock()
+	t.mu.Lock()
 	c.val, c.err = val, err
 	close(c.done)
 	if !keep {
-		delete(sh.calls, k)
+		delete(t.calls, k)
 	}
-	sh.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // Engine executes jobs. One engine should be shared across everything a
@@ -251,13 +239,6 @@ func New(opt Options) *Engine {
 	return e
 }
 
-// shardOf maps a key to its lock shard. Keys are hex SHA-256, so their
-// first two characters are uniformly distributed over [0, 256).
-func shardOf(k Key) int {
-	n, _ := strconv.ParseUint(k.Shard(), 16, 8)
-	return int(n % numShards)
-}
-
 // Close stops the worker pool once submitted jobs drain, emits the pool's
 // scheduler telemetry, then flushes the write-behind result cache,
 // returning its first write error. Submitting to a closed engine does not
@@ -275,24 +256,24 @@ func (e *Engine) Close() error {
 }
 
 // recordSched emits one KindSchedWorker event per pool worker — the
-// scheduler-utilization summary obsreport -sched renders. Called after the
-// pool drains, so the totals are quiescent.
+// scheduler-utilization summary obsreport -sched renders. Each carries the
+// shared queue's high-water depth. Called after the pool drains, so the
+// totals are quiescent.
 func (e *Engine) recordSched() {
 	if !e.rec.Enabled() {
 		return
 	}
 	now := time.Now().UnixNano()
-	for _, ws := range e.pool.workerStats() {
+	stats, queueMax := e.pool.workerStats()
+	for i, ws := range stats {
 		e.rec.Record(obs.Event{
 			Kind:     obs.KindSchedWorker,
 			TNS:      now,
-			Value:    float64(ws.Worker),
-			BusyNS:   float64(ws.BusyNS),
-			StealNS:  float64(ws.StealNS),
-			ParkNS:   float64(ws.ParkNS),
-			Tasks:    float64(ws.Tasks),
-			Steals:   float64(ws.Steals),
-			QueueMax: float64(ws.QueueMax),
+			Value:    float64(i),
+			BusyNS:   float64(ws.busyNS),
+			ParkNS:   float64(ws.parkNS),
+			Tasks:    float64(ws.tasks),
+			QueueMax: float64(queueMax),
 		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"chopin/internal/cpuarch"
 	"chopin/internal/gc"
+	"chopin/internal/obs"
 	"chopin/internal/workload"
 )
 
@@ -311,6 +312,56 @@ func TestWriteOnlyModeForcesColdRun(t *testing.T) {
 	}
 	if s := e3.Stats(); s.Executed != 0 || s.CacheHits != 1 {
 		t.Fatalf("post-cold stats = %+v", s)
+	}
+}
+
+// A write-only cache ignores only the records that predate it: a job the run
+// repeats is served from the record the run itself wrote, not simulated
+// twice — for invocations, generic jobs and min-heap measurements alike.
+func TestWriteOnlyServesItsOwnWrites(t *testing.T) {
+	d := testBench(t)
+	cache, err := OpenCache(t.TempDir(), WriteOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+
+	e := New(Options{Workers: 1, Cache: cache})
+	for i := 0; i < 2; i++ {
+		if _, err := e.Run(d, smallCfg()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Close()
+	if s := e.Stats(); s.Executed != 1 || s.CacheHits != 1 {
+		t.Fatalf("repeated invocation: stats = %+v, want Executed: 1, CacheHits: 1", s)
+	}
+
+	g := New(Options{Workers: 1, Cache: cache})
+	for i := 0; i < 2; i++ {
+		if _, err := g.RunGeneric("writeonly", 1, func(obs.Recorder) ([]byte, error) {
+			return []byte("1"), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Close()
+	if s := g.Stats(); s.Executed != 1 || s.CacheHits != 1 {
+		t.Fatalf("repeated generic job: stats = %+v, want Executed: 1, CacheHits: 1", s)
+	}
+
+	// The min-heap table memoizes within an engine, so the repeat that
+	// reaches the cache is a second engine's.
+	p := MinHeapParams{Events: 200, Iterations: 1, Invocations: 1, Seed: 7}
+	for i, want := range []int64{0, 1} {
+		m := New(Options{Workers: 2, Cache: cache})
+		if _, err := m.MinHeapMB(d, p); err != nil {
+			t.Fatal(err)
+		}
+		m.Close()
+		if got := m.Stats().MinHeapCacheHits; got != want {
+			t.Fatalf("min-heap measurement %d: %d cache hits, want %d", i+1, got, want)
+		}
 	}
 }
 

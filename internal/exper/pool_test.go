@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -8,11 +9,10 @@ import (
 	"chopin/internal/workload"
 )
 
-// TestSubmitCloseRaceNeverPanicsOrDrops stresses the shutdown race the old
-// pool lost: submitters racing close() hit a panic on the closed channel.
-// The sharded pool must instead refuse the task (submit returns false) so
-// the caller runs it inline — every task runs exactly once, none panic,
-// none vanish. Run under -race in tier 1.
+// TestSubmitCloseRaceNeverPanicsOrDrops stresses the shutdown race: with
+// submitters racing close(), the pool must refuse a late task (submit
+// returns false) so the caller runs it inline — every task runs exactly
+// once, none panic, none vanish. Run under -race in tier 1.
 func TestSubmitCloseRaceNeverPanicsOrDrops(t *testing.T) {
 	const (
 		iters      = 40
@@ -71,9 +71,9 @@ func TestRunAfterCloseExecutesInline(t *testing.T) {
 	}
 }
 
-// TestPoolParkedWorkersWake exercises the parking protocol: workers that
-// went idle must be woken by a later submit, not leak asleep. A lost wakeup
-// here deadlocks the drain in close().
+// TestPoolParkedWorkersWake: workers waiting on an empty queue must be
+// woken by a later submit, not leak asleep. A lost wakeup here deadlocks
+// the drain in close().
 func TestPoolParkedWorkersWake(t *testing.T) {
 	p := newPool(4)
 	var ran atomic.Int64
@@ -91,5 +91,24 @@ func TestPoolParkedWorkersWake(t *testing.T) {
 	p.close()
 	if got := ran.Load(); got != 20*16 {
 		t.Fatalf("%d tasks ran, want %d", got, 20*16)
+	}
+}
+
+// TestPoolRunsNewestFirst pins the queue's LIFO order: with the only worker
+// held busy, tasks submitted A, B, C run C, B, A — so a min-heap probe
+// submitted on an anchor's chain runs ahead of grid cells already queued.
+func TestPoolRunsNewestFirst(t *testing.T) {
+	p := newPool(1)
+	started, release := make(chan struct{}), make(chan struct{})
+	p.submit(func() { close(started); <-release })
+	<-started
+	var order []string
+	for _, name := range []string{"A", "B", "C"} {
+		p.submit(func() { order = append(order, name) })
+	}
+	close(release)
+	p.close()
+	if got := strings.Join(order, ""); got != "CBA" {
+		t.Fatalf("tasks ran in order %s, want CBA", got)
 	}
 }

@@ -13,7 +13,7 @@
 // up front (SubmitLBOGrid, SubmitLatency), and the moment an anchor
 // resolves, every cell of its grid is submitted as one batch of
 // content-addressed jobs — so a whole-suite plan keeps the engine's
-// work-stealing pool saturated across host cores from the first probe to
+// worker pool saturated across host cores from the first probe to
 // the last cell, min-heap probes deduplicate across experiments, and — when
 // the engine carries a result cache — sweeps are incremental and resumable.
 // Results are collected and merged in fixed grid order, never scheduler
@@ -22,7 +22,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"chopin/internal/exper"
@@ -53,11 +52,8 @@ type Options struct {
 	Events int
 	// Seed perturbs all invocations deterministically.
 	Seed uint64
-	// Parallelism bounds concurrent invocations (default NumCPU). Ignored
-	// when Engine is set — the engine's own pool bounds the plan.
-	Parallelism int
 	// Engine executes the sweep's jobs. nil uses a shared default engine
-	// (no cache, Parallelism workers); commands that want caching, progress
+	// (no cache, NumCPU workers); commands that want caching, progress
 	// events or resumability pass their own.
 	Engine *exper.Engine
 	// Recorder receives run telemetry for every invocation the sweep
@@ -89,33 +85,21 @@ func (o Options) withDefaults(d *workload.Descriptor) Options {
 			o.Events = 200
 		}
 	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.NumCPU()
-	}
 	return o
 }
 
-// Default engines are created once per worker count and shared for the
-// process lifetime; idle workers park on a condition variable, so they are
-// never closed.
-var (
-	defaultEnginesMu sync.Mutex
-	defaultEngines   = map[int]*exper.Engine{}
-)
+// defaultEngine is built on first use and shared for the process lifetime;
+// idle workers wait on a condition variable, so it is never closed.
+var defaultEngine = sync.OnceValue(func() *exper.Engine {
+	return exper.New(exper.Options{})
+})
 
-// engine returns the engine the sweep runs on. Call after withDefaults.
+// engine returns the engine the sweep runs on.
 func (o Options) engine() *exper.Engine {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	defaultEnginesMu.Lock()
-	defer defaultEnginesMu.Unlock()
-	e, ok := defaultEngines[o.Parallelism]
-	if !ok {
-		e = exper.New(exper.Options{Workers: o.Parallelism})
-		defaultEngines[o.Parallelism] = e
-	}
-	return e
+	return defaultEngine()
 }
 
 // minHeapParams derives the engine min-heap request that anchors this

@@ -181,15 +181,15 @@ func TestOptionDefaultsApplied(t *testing.T) {
 	if len(o.HeapFactors) != len(DefaultHeapFactors) {
 		t.Fatalf("default factors = %v", o.HeapFactors)
 	}
-	if o.Invocations != 3 || o.Iterations != 3 || o.Parallelism < 1 {
+	if o.Invocations != 3 || o.Iterations != 3 {
 		t.Fatalf("defaults: %+v", o)
 	}
 	if o.Events < 200 {
 		t.Fatalf("events = %d", o.Events)
 	}
 	// Explicit values survive.
-	o2 := Options{Invocations: 7, Events: 999, Parallelism: 2}.withDefaults(workload.Lusearch)
-	if o2.Invocations != 7 || o2.Events != 999 || o2.Parallelism != 2 {
+	o2 := Options{Invocations: 7, Events: 999}.withDefaults(workload.Lusearch)
+	if o2.Invocations != 7 || o2.Events != 999 {
 		t.Fatalf("explicit options clobbered: %+v", o2)
 	}
 }

@@ -49,10 +49,8 @@ func (l *lineEncoder) event(e *Event) {
 	l.float(`,"gc_frac":`, e.GCFrac)
 	l.float(`,"stall_frac":`, e.StallFrac)
 	l.float(`,"busy_ns":`, e.BusyNS)
-	l.float(`,"steal_ns":`, e.StealNS)
 	l.float(`,"park_ns":`, e.ParkNS)
 	l.float(`,"tasks":`, e.Tasks)
-	l.float(`,"steals":`, e.Steals)
 	l.float(`,"queue_max":`, e.QueueMax)
 	l.int(`,"replica":`, int64(e.Replica))
 	l.int(`,"queue_ns":`, e.QueueNS)
@@ -218,14 +216,10 @@ func (p *lineParser) field(e *Event, key, b []byte) ([]byte, bool) {
 		return parseFloat(b, &e.StallFrac)
 	case "busy_ns":
 		return parseFloat(b, &e.BusyNS)
-	case "steal_ns":
-		return parseFloat(b, &e.StealNS)
 	case "park_ns":
 		return parseFloat(b, &e.ParkNS)
 	case "tasks":
 		return parseFloat(b, &e.Tasks)
-	case "steals":
-		return parseFloat(b, &e.Steals)
 	case "queue_max":
 		return parseFloat(b, &e.QueueMax)
 	case "replica":

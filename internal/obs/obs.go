@@ -84,9 +84,9 @@ const (
 	KindRunEnd
 	// KindSchedWorker is one pool worker's lifetime scheduling summary,
 	// emitted by the experiment engine when it closes: the worker's
-	// busy/steal/park wall-time split, task count, steal count
-	// and deque high-water mark, carried in the dedicated scheduler
-	// fields. Value is the worker index.
+	// busy/park wall-time split, task count and the shared queue's
+	// high-water mark, carried in the dedicated scheduler fields. Value is
+	// the worker index.
 	KindSchedWorker
 	// KindFleetReplica is one replica's end-of-run serving summary in a
 	// fleet simulation (internal/fleet): Value is the replica index, Aux its
@@ -239,16 +239,12 @@ type Event struct {
 	MutFrac   float64 `json:"mut_frac,omitempty"`
 	GCFrac    float64 `json:"gc_frac,omitempty"`
 	StallFrac float64 `json:"stall_frac,omitempty"`
-	// Scheduler fields (KindSchedWorker). BusyNS/StealNS/ParkNS split one
-	// worker's wall time into executing tasks, scanning deques and blocked
-	// on the parking condvar; Tasks counts tasks executed; Steals counts
-	// tasks taken from peers; QueueMax is the worker's deque high-water
-	// depth.
+	// Scheduler fields (KindSchedWorker). BusyNS/ParkNS split one worker's
+	// wall time into executing tasks and waiting for one; Tasks counts tasks
+	// executed; QueueMax is the shared task queue's high-water depth.
 	BusyNS   float64 `json:"busy_ns,omitempty"`
-	StealNS  float64 `json:"steal_ns,omitempty"`
 	ParkNS   float64 `json:"park_ns,omitempty"`
 	Tasks    float64 `json:"tasks,omitempty"`
-	Steals   float64 `json:"steals,omitempty"`
 	QueueMax float64 `json:"queue_max,omitempty"`
 	// Replica identifies which fleet replica the event belongs to, stored
 	// 1-based so replica 0 survives omitempty; zero means "not a fleet

@@ -10,24 +10,23 @@ import (
 
 var updateSched = flag.Bool("update-sched", false, "rewrite the scheduler-table golden file")
 
-func schedEvent(worker int, busy, steal, park, tasks, steals, qmax float64) Event {
+func schedEvent(worker int, busy, park, tasks, qmax float64) Event {
 	return Event{
 		Kind: KindSchedWorker, TNS: 1, Value: float64(worker),
-		BusyNS: busy, StealNS: steal, ParkNS: park,
-		Tasks: tasks, Steals: steals, QueueMax: qmax,
+		BusyNS: busy, ParkNS: park, Tasks: tasks, QueueMax: qmax,
 	}
 }
 
 // TestWriteSchedTableGolden pins the one-screen utilization table obsreport
-// -sched renders: per-worker busy/steal/park splits, busy share, task
-// counts, steal counts, deque high-water marks and the totals row.
+// -sched renders: per-worker busy/park splits, busy share, task counts,
+// queue high-water marks and the totals row.
 func TestWriteSchedTableGolden(t *testing.T) {
 	events := []Event{
 		{Kind: KindJobStart, TNS: 1}, // non-scheduler events are ignored
-		schedEvent(0, 812_400_000, 12_300_000, 101_000_000, 134, 9, 37),
-		schedEvent(1, 790_100_000, 25_800_000, 110_600_000, 134, 17, 29),
-		schedEvent(2, 640_000_000, 4_100_000, 282_000_000, 98, 2, 31),
-		schedEvent(3, 12_500_000, 900_000, 913_000_000, 4, 1, 2),
+		schedEvent(0, 812_400_000, 101_000_000, 134, 37),
+		schedEvent(1, 790_100_000, 110_600_000, 134, 29),
+		schedEvent(2, 640_000_000, 282_000_000, 98, 31),
+		schedEvent(3, 12_500_000, 913_000_000, 4, 2),
 	}
 	var buf bytes.Buffer
 	WriteSchedTable(&buf, events)
@@ -65,7 +64,7 @@ func TestWriteSchedTableEmpty(t *testing.T) {
 func TestSchedWorkerRoundTrip(t *testing.T) {
 	var sink bytes.Buffer
 	j := NewJSONL(&sink)
-	in := schedEvent(2, 1e9, 2e6, 3e7, 45, 7, 12)
+	in := schedEvent(2, 1e9, 3e7, 45, 12)
 	j.Record(in)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -83,9 +82,9 @@ func TestSchedWorkerRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d sched events, want 1", len(out))
 	}
 	got := out[0]
-	if got.BusyNS != in.BusyNS || got.StealNS != in.StealNS || got.ParkNS != in.ParkNS ||
+	if got.BusyNS != in.BusyNS || got.ParkNS != in.ParkNS ||
 		got.Tasks != in.Tasks ||
-		got.Steals != in.Steals || got.QueueMax != in.QueueMax || got.Value != in.Value {
+		got.QueueMax != in.QueueMax || got.Value != in.Value {
 		t.Fatalf("scheduler fields did not round-trip: got %+v want %+v", got, in)
 	}
 }
