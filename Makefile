@@ -7,10 +7,16 @@
 # caches such as .bench_build/ are never scanned. So does a differential
 # oracle (the O(T) engine, the linear cluster scan, the linear balancers)
 # named from a non-test file: the oracles live in _test.go files, and the
-# shipped build carries no mode that selects them. The benchmark module
+# shipped build carries no mode that selects them. So does a non-test file of
+# the experiment engine (internal/exper) importing the span builder or the
+# trace renderer: per-job timelines come from -telemetry through obsreport
+# -trace-out, not from the engine. The benchmark module
 # (perfbench/, its own Go module, so ./... never reaches it) is built and
 # vetted, so an engine API change that breaks the benchmark fails tier 1;
-# its tests are not run here.
+# its tests are not run here. The smoke steps drive the CLIs end to end: a
+# fleet sweep with telemetry, its report and Perfetto export, a 256-replica
+# fleet, and one chopin run at a fixed heap (no min-heap search) whose
+# telemetry obsreport folds into a Chrome trace.
 .PHONY: tier1
 tier1: tier1-race
 
@@ -20,6 +26,8 @@ tier1-race:
 	! git grep -n -F -e NewReferenceEngine -e NewReferenceCluster \
 		-e newReferenceBalancer -e e.naive -e c.linear -e cfg.reference \
 		-- '*.go' ':!*_test.go'
+	! git grep -n -F -e chopin/internal/obs/traceview -e chopin/internal/obs/span \
+		-- 'internal/exper/*.go' ':!*_test.go'
 	go build ./...
 	go vet ./...
 	cd perfbench && go vet ./...
@@ -32,6 +40,10 @@ tier1-race:
 	go run ./cmd/fleet -bench micro-pauseprobe -replicas 256 -lb gc-aware \
 		-events 60 -trace-out fleet-smoke-256.trace.json > /dev/null
 	rm -f fleet-smoke.jsonl fleet-smoke.trace.json fleet-smoke-256.trace.json
+	go run ./cmd/chopin -bench fop -n 2 -heap 100 -events 200 \
+		-telemetry chopin-smoke.jsonl > /dev/null
+	go run ./cmd/obsreport -trace-out chopin-smoke.trace.json chopin-smoke.jsonl > /dev/null
+	rm -f chopin-smoke.jsonl chopin-smoke.trace.json
 
 .PHONY: test
 test:

@@ -276,17 +276,5 @@ func Measure(t Targets, seed uint64) (Report, error) {
 	return c.Report(t), nil
 }
 
-// SiteCount returns the program's static instruction-site count.
-func (p *Program) SiteCount() int {
-	n := 0
-	for _, m := range p.Methods {
-		n += len(m.Body)
-	}
-	return n
-}
-
-// HotShare returns the configured probability mass of the hot method set.
-func (p *Program) HotShare() float64 { return p.hotShare }
-
 // expectedBEF is exposed for tests: the BEF value Execute should converge to.
 func (p *Program) expectedBEF() float64 { return 30 * p.hotShare }

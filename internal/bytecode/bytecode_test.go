@@ -23,7 +23,10 @@ func TestSynthesizeShape(t *testing.T) {
 	if len(p.Methods) != 3000 {
 		t.Fatalf("methods = %d, want 3000 (BUF 3k)", len(p.Methods))
 	}
-	sites := p.SiteCount()
+	sites := 0
+	for _, m := range p.Methods {
+		sites += len(m.Body)
+	}
 	if sites < 20000 || sites > 32000 {
 		t.Fatalf("sites = %d, want ~26000 (BUB 26k)", sites)
 	}
@@ -114,10 +117,10 @@ func TestHotSetDominatesExecution(t *testing.T) {
 	}
 	c := p.Execute(200000, 5)
 	gotShare := float64(c.HotExecuted) / float64(c.Executed)
-	if math.Abs(gotShare-p.HotShare()) > 0.02 {
-		t.Fatalf("hot share = %v, configured %v", gotShare, p.HotShare())
+	if math.Abs(gotShare-p.hotShare) > 0.02 {
+		t.Fatalf("hot share = %v, configured %v", gotShare, p.hotShare)
 	}
-	if got := p.expectedBEF(); math.Abs(got-30*p.HotShare()) > 1e-9 {
+	if got := p.expectedBEF(); math.Abs(got-30*p.hotShare) > 1e-9 {
 		t.Fatalf("expectedBEF inconsistent: %v", got)
 	}
 }

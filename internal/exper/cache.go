@@ -36,12 +36,13 @@ const writeDepth = 128
 // per job key, sharded two-hex-characters deep so large plans do not pile
 // thousands of files into one directory. Invocation results are binary
 // persist records (dir/ab/abcdef….inv: a compact JSON header plus the GC
-// log as fixed-width columns — see persist.EncodeInvocation); min-heap and
-// generic results are small JSON archives (dir/ab/abcdef….json). Writes are
-// atomic (write-then-rename in persist), so a killed run leaves only
-// complete files behind — which is what makes plans resumable. A cache
-// written before invocation records went binary holds only .json
-// invocation archives, which are never read: those jobs re-simulate once.
+// log as fixed-width columns — see persist.EncodeInvocation); every other
+// result is a small JSON generic record (dir/ab/abcdef….json): a fleet
+// cell's report, or a min-heap measurement's bound as a bare number. Writes
+// are atomic (write-then-rename in persist), so a killed run leaves only
+// complete files behind — which is what makes plans resumable. Records of a
+// retired format (JSON invocation archives, dedicated min-heap archives) are
+// never served: those jobs re-run once and overwrite them.
 //
 // Invocation writes are write-behind: putInvocation parks the record in a
 // pending map and hands the encoding to a single writer goroutine, so pool
@@ -49,9 +50,9 @@ const writeDepth = 128
 // each other. Reads consult the pending map first, making the deferral
 // invisible; write errors latch and surface at Flush (which Engine.Close
 // calls), degrading a full disk to a cold next run rather than a failed
-// sweep. Min-heap and generic records are rare (one per workload per sweep
-// shape, one per fleet cell) and stay synchronous: a failed generic write
-// latches like an invocation write, a failed min-heap write fails its search.
+// sweep. Generic records are rare (one per workload per sweep shape, one per
+// fleet cell) and stay synchronous; a failed write latches like an
+// invocation write.
 type Cache struct {
 	dir  string
 	mode CacheMode
@@ -114,7 +115,7 @@ func sweepTemps(dir string) {
 // Dir returns the cache's root directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// path is where the JSON archive of a min-heap or generic job lives.
+// path is where the JSON record of a generic or min-heap job lives.
 func (c *Cache) path(k Key) string {
 	return filepath.Join(c.dir, k.Shard(), string(k)+".json")
 }
@@ -244,9 +245,9 @@ func (c *Cache) putInvocation(k Key, rec *persist.InvocationRecord) error {
 	return err
 }
 
-// getGeneric loads a cached generic job payload, if present and valid.
-// Generic jobs are coarse (one per fleet sweep cell, not one per event), so
-// their records stay synchronous like min-heap records — no write-behind.
+// getGeneric loads a cached generic record, if present and valid. Generic
+// and min-heap jobs are coarse (one per fleet sweep cell or benchmark, not
+// one per event), so their records stay synchronous — no write-behind.
 func (c *Cache) getGeneric(k Key) (*persist.GenericRecord, bool) {
 	if _, stale := c.lookup(k); stale {
 		return nil, false
@@ -258,23 +259,8 @@ func (c *Cache) getGeneric(k Key) (*persist.GenericRecord, bool) {
 	return rec, true
 }
 
-// putGeneric writes a generic job's record; a failure latches like an
-// invocation write's, so Flush (and Engine.Close) report it.
+// putGeneric writes a generic record; a failure latches like an invocation
+// write's, so Flush (and Engine.Close) report it.
 func (c *Cache) putGeneric(k Key, rec *persist.GenericRecord) {
 	c.latch(k, c.saved(k, persist.SaveGeneric(c.path(k), rec)))
-}
-
-func (c *Cache) getMinHeap(k Key) (*persist.MinHeapRecord, bool) {
-	if _, stale := c.lookup(k); stale {
-		return nil, false
-	}
-	rec, err := persist.LoadMinHeap(c.path(k))
-	if err != nil || rec.Key != string(k) {
-		return nil, false
-	}
-	return rec, true
-}
-
-func (c *Cache) putMinHeap(k Key, rec *persist.MinHeapRecord) error {
-	return c.saved(k, persist.SaveMinHeap(c.path(k), rec))
 }

@@ -29,7 +29,6 @@ type CLI struct {
 	Telemetry string
 	Pprof     string
 	Trace     string
-	JobTraces string
 
 	// Extra, when non-nil, receives every telemetry event alongside (or
 	// instead of) the -telemetry sink. Commands set an obs.Buffer here to
@@ -54,14 +53,13 @@ func (c *CLI) RegisterFlags(fs *flag.FlagSet, cacheDefault string) {
 	fs.StringVar(&c.Telemetry, "telemetry", "", "write per-run telemetry events to this JSONL file (summarize with obsreport)")
 	fs.StringVar(&c.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.StringVar(&c.Trace, "trace", "", "write a runtime/trace execution trace to this file")
-	fs.StringVar(&c.JobTraces, "job-traces", "", "write one Chrome trace-event JSON timeline per executed job into this directory")
 }
 
 // Build opens the cache (if configured), the telemetry sink and profiling
 // outputs, and starts an engine. Progress events go to w, prefixed like
 // "runbms: ". Call Close once the command's work is done.
 func (c *CLI) Build(w io.Writer, prefix string) (*Engine, error) {
-	opt := Options{Workers: c.Workers, TraceDir: c.JobTraces}
+	opt := Options{Workers: c.Workers}
 	if c.CacheDir != "" && c.CacheDir != "none" {
 		mode := ReadWrite
 		if c.Cold {

@@ -45,7 +45,6 @@ package exper
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -76,11 +75,6 @@ type Options struct {
 	// accounting, and — injected per job — the run's GC and scheduler
 	// events, stamped with the job key). nil disables telemetry.
 	Recorder obs.Recorder
-	// TraceDir, when non-empty, captures each executed job's telemetry in
-	// memory and writes it as Chrome trace-event JSON to
-	// <TraceDir>/<key>.trace.json — one causal timeline per invocation,
-	// loadable in Perfetto. Cache hits write nothing (they did not run).
-	TraceDir string
 
 	// runFn replaces the simulator entry point in tests (execution
 	// counting, fault injection); nil means workload.Run.
@@ -159,14 +153,13 @@ func (t *table[T]) settle(k Key, c *call[T], val T, err error, keep bool) {
 // Engine executes jobs. One engine should be shared across everything a
 // process runs — commands build one and pass it down via harness.Options.
 type Engine struct {
-	pool     *pool
-	cache    *Cache
-	memoize  bool
-	obs      func(Event)
-	rec      obs.Recorder
-	traceDir string
-	closing  atomic.Bool // set before the pool closes; gates cancellation
-	runFn    func(*workload.Descriptor, workload.RunConfig) (*workload.Result, error)
+	pool    *pool
+	cache   *Cache
+	memoize bool
+	obs     func(Event)
+	rec     obs.Recorder
+	closing atomic.Bool // set before the pool closes; gates cancellation
+	runFn   func(*workload.Descriptor, workload.RunConfig) (*workload.Result, error)
 
 	// One single-flight table per job kind, so key kinds never alias.
 	invocations table[*workload.Result]
@@ -224,13 +217,12 @@ func New(opt Options) *Engine {
 		opt.Workers = runtime.NumCPU()
 	}
 	e := &Engine{
-		pool:     newPool(opt.Workers),
-		cache:    opt.Cache,
-		memoize:  opt.Memoize,
-		obs:      opt.Observer,
-		rec:      obs.Or(opt.Recorder),
-		traceDir: opt.TraceDir,
-		runFn:    opt.runFn,
+		pool:    newPool(opt.Workers),
+		cache:   opt.Cache,
+		memoize: opt.Memoize,
+		obs:     opt.Observer,
+		rec:     obs.Or(opt.Recorder),
+		runFn:   opt.runFn,
 	}
 	if e.runFn == nil {
 		e.runFn = workload.Run
@@ -433,14 +425,13 @@ func cacheable(err error) bool {
 
 // runJob is the bracket around one executed job's work, on the worker (or
 // inline in the submitter after Close): it lends the work a pooled
-// jobRecorder when anything consumes telemetry, emits the started and
-// finish points, counts the execution, flushes the buffer to base and
-// writes the job's trace. work returns the job's task-clock total and
-// error; a trace that cannot be written fails a job whose work succeeded.
+// jobRecorder when base consumes telemetry, emits the started and finish
+// points, counts the execution and flushes the buffer to base. work returns
+// the job's task-clock total and error.
 func (e *Engine) runJob(id jobInfo, base obs.Recorder, work func(rec obs.Recorder) (cpu float64, err error)) error {
 	rec := obs.Nop
 	var buf *jobRecorder
-	if base.Enabled() || e.traceDir != "" {
+	if base.Enabled() {
 		buf = e.bufs.Get().(*jobRecorder)
 		buf.reset(string(id.key), id.benchmark, id.collector)
 		rec = buf
@@ -454,11 +445,6 @@ func (e *Engine) runJob(id jobInfo, base obs.Recorder, work func(rec obs.Recorde
 
 	if buf != nil {
 		obs.RecordAll(base, buf.events)
-		if e.traceDir != "" {
-			if werr := e.writeJobTrace(id.key, buf.events); werr != nil && err == nil {
-				err = fmt.Errorf("exper: writing %s trace: %w", id.benchmark, werr)
-			}
-		}
 		e.bufs.Put(buf)
 	}
 	e.recordJob(obs.KindJobFinish, id, float64(time.Since(hostStart)), cpu, err)

@@ -3,6 +3,8 @@ package exper
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -406,6 +408,77 @@ func TestEngineMinHeapCached(t *testing.T) {
 	s := e2.Stats()
 	if s.MinHeapCacheHits != 1 || s.MinHeapSearches != 0 || s.Executed != 0 {
 		t.Fatalf("warm stats = %+v, want pure cache hit", s)
+	}
+}
+
+// TestMinHeapCacheRecords: a min-heap bound is cached as the JSON payload of
+// a generic record. A payload that is not a positive number, and an archive
+// of the dedicated min-heap kind older caches hold, is a miss: the bound is
+// re-measured and its record overwritten with one the next engine serves.
+func TestMinHeapCacheRecords(t *testing.T) {
+	d := testBench(t)
+	p := MinHeapParams{Events: 100, Iterations: 1, Invocations: 1, Seed: 5}
+	k, err := minHeapKey(d, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 50.625 // what lifecycleRun's 50MB OOM threshold measures
+	generic := func(data string) string {
+		return fmt.Sprintf(`{"version":2,"kind":"generic","generic":{"key":%q,"job_kind":"minheap","data":%s}}`, k, data)
+	}
+	rows := []struct {
+		name   string
+		stored string
+		hit    bool
+	}{
+		{"valid", generic("50.625"), true},
+		{"zero", generic("0"), false},
+		{"negative", generic("-1"), false},
+		{"null", generic("null"), false},
+		{"string", generic(`"x"`), false},
+		{"minheap archive", fmt.Sprintf(`{"version":2,"kind":"minheap","min_heap":{"key":%q,"workload":"fop","min_heap_mb":13}}`, k), false},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, k.Shard(), string(k)+".json")
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(row.stored), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for pass := 0; pass < 2; pass++ {
+				cache, err := OpenCache(dir, ReadWrite)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := New(Options{Workers: 1, Cache: cache, runFn: lifecycleRun})
+				mb, err := e.MinHeapMB(d, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := cache.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if mb != bound {
+					t.Fatalf("pass %d: bound %v, want %v", pass, mb, bound)
+				}
+				// The second pass reads what the first left: a hit whether
+				// the stored record was valid or was overwritten.
+				hit := row.hit || pass == 1
+				s := e.Stats()
+				if hit && (s.MinHeapCacheHits != 1 || s.MinHeapSearches != 0) {
+					t.Fatalf("pass %d: stats %+v, want a cache hit", pass, s)
+				}
+				if !hit && (s.MinHeapCacheHits != 0 || s.MinHeapSearches != 1) {
+					t.Fatalf("pass %d: stats %+v, want a miss and one search", pass, s)
+				}
+			}
+		})
 	}
 }
 

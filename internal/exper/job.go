@@ -78,7 +78,7 @@ func minHeapKey(d *workload.Descriptor, p MinHeapParams) (Key, error) {
 		Kind       string               `json:"kind"`
 		Descriptor *workload.Descriptor `json:"descriptor"`
 		Params     MinHeapParams        `json:"params"`
-	}{schemaVersion, "minheap", d, p})
+	}{schemaVersion, minHeapKind, d, p})
 	if err != nil {
 		return "", fmt.Errorf("exper: hashing %s min-heap: %w", d.Name, err)
 	}

@@ -143,7 +143,7 @@ func TestCloseDuringMinHeapCancelsCleanly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, cached := reopened.getMinHeap(k)
+		cachedMB, cached := cachedBound(reopened, k)
 		if err := reopened.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -152,10 +152,10 @@ func TestCloseDuringMinHeapCancelsCleanly(t *testing.T) {
 				t.Fatalf("iter %d: ticket error %v, want ErrEngineClosed in chain", i, waitErr)
 			}
 			if cached {
-				t.Fatalf("iter %d: cancelled search persisted a partial record: %+v", i, rec)
+				t.Fatalf("iter %d: cancelled search persisted a partial record: %vMB", i, cachedMB)
 			}
-		} else if cached && rec.MinHeapMB != mb {
-			t.Fatalf("iter %d: cached %vMB, ticket resolved %vMB", i, rec.MinHeapMB, mb)
+		} else if cached && cachedMB != mb {
+			t.Fatalf("iter %d: cached %vMB, ticket resolved %vMB", i, cachedMB, mb)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -104,18 +105,40 @@ func minHeapBase(p MinHeapParams) workload.RunConfig {
 	}
 }
 
+// minHeapKind names min-heap measurements: it is the job kind in their keys
+// and in their cache records.
+const minHeapKind = "minheap"
+
+// cachedBound returns k's cached min-heap bound: the JSON payload of a
+// generic record. A payload that is not a positive number (a decoded JSON
+// number is always finite), or a record of another format such as the
+// dedicated min-heap archive older caches hold, is a miss: the bound is
+// re-measured and the record overwritten.
+func cachedBound(c *Cache, k Key) (float64, bool) {
+	rec, ok := c.getGeneric(k)
+	if !ok {
+		return 0, false
+	}
+	var mb float64
+	if err := json.Unmarshal(rec.Data, &mb); err != nil || !(mb > 0) {
+		return 0, false
+	}
+	return mb, true
+}
+
 // minHeap runs one measurement: nominal.MinHeapWith's exponential-then-
 // bisection search, seed validation, then — only on success — the cache
-// write, so a search aborted by Close never persists a partial result.
+// write, so a search aborted by Close never persists a partial result. A
+// failed write latches like any generic record's and surfaces at Flush.
 func (e *Engine) minHeap(k Key, d *workload.Descriptor, p MinHeapParams) (float64, error) {
 	id := jobInfo{key: k, benchmark: d.Name}
 	if e.cache != nil {
-		if rec, ok := e.cache.getMinHeap(k); ok {
+		if mb, ok := cachedBound(e.cache, k); ok {
 			atomic.AddInt64(&e.minHeapCacheHits, 1)
-			id.heapMB = rec.MinHeapMB
+			id.heapMB = mb
 			e.emit(minHeapEvent(MinHeapCacheHit, id))
 			e.recordJob(obs.KindCacheHit, id, 0, 0, nil)
-			return rec.MinHeapMB, nil
+			return mb, nil
 		}
 		e.recordJob(obs.KindCacheMiss, id, 0, 0, nil)
 	}
@@ -134,10 +157,11 @@ func (e *Engine) minHeap(k Key, d *workload.Descriptor, p MinHeapParams) (float6
 	}
 
 	if e.cache != nil {
-		rec := &persist.MinHeapRecord{Key: string(k), Workload: d.Name, MinHeapMB: bound}
-		if werr := e.cache.putMinHeap(k, rec); werr != nil {
-			return 0, fmt.Errorf("exper: caching %s min heap: %w", d.Name, werr)
+		data, err := json.Marshal(bound)
+		if err != nil {
+			return 0, fmt.Errorf("exper: caching %s min heap: %w", d.Name, err)
 		}
+		e.cache.putGeneric(k, &persist.GenericRecord{Key: string(k), Kind: minHeapKind, Data: data})
 	}
 	id.heapMB = bound
 	e.emit(minHeapEvent(MinHeapFinished, id))

@@ -1,14 +1,6 @@
 package exper
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-
-	"chopin/internal/obs"
-	"chopin/internal/obs/span"
-	"chopin/internal/obs/traceview"
-)
+import "chopin/internal/obs"
 
 // jobRecorder is the worker-owned telemetry buffer for one executing job.
 // It captures the run's whole event stream in memory, stamping job identity
@@ -47,25 +39,4 @@ func (b *jobRecorder) Record(e obs.Event) {
 		e.Collector = b.collector
 	}
 	b.events = append(b.events, e)
-}
-
-// writeJobTrace folds a completed job's buffered events into spans and
-// writes them as <TraceDir>/<key>.trace.json.
-func (e *Engine) writeJobTrace(k Key, events []obs.Event) error {
-	if len(events) == 0 {
-		return nil
-	}
-	if err := os.MkdirAll(e.traceDir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(e.traceDir, fmt.Sprintf("%s.trace.json", k))
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := traceview.WriteChromeTrace(f, span.Build(events)); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,88 +1,91 @@
 package exper_test
 
 import (
+	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"chopin/internal/exper"
 	"chopin/internal/gc"
+	"chopin/internal/obs"
+	"chopin/internal/obs/span"
+	"chopin/internal/obs/traceview"
 	"chopin/internal/workload"
 )
 
-// TestTraceDirWritesPerJobTimeline checks Options.TraceDir captures each
-// executed job's telemetry as a loadable Chrome trace file named by key,
-// and that cache-free re-execution of the same key overwrites cleanly.
-func TestTraceDirWritesPerJobTimeline(t *testing.T) {
-	dir := t.TempDir()
-	eng := exper.New(exper.Options{Workers: 2, TraceDir: dir})
-	defer eng.Close()
+// TestTelemetryBuildsOneTracePerExecutedJob checks the one route from an
+// engine run to per-job timelines: the Recorder's stream, folded by
+// span.Build, holds one tree per executed job, named by its key, and none for
+// a cache hit, which ran nothing.
+func TestTelemetryBuildsOneTracePerExecutedJob(t *testing.T) {
+	cache, err := exper.OpenCache(t.TempDir(), exper.ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	var rec obs.Buffer
+	eng := exper.New(exper.Options{Workers: 2, Cache: cache, Recorder: &rec})
 
 	d, err := workload.ByName("lusearch")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := workload.RunConfig{
-		HeapMB: d.LiveMB * 2.2, Collector: gc.Shenandoah, Events: 200, Seed: 3,
+	cfgs := []workload.RunConfig{
+		{HeapMB: d.LiveMB * 2.2, Collector: gc.Shenandoah, Events: 200, Seed: 3},
+		{HeapMB: d.LiveMB * 3, Collector: gc.G1, Events: 150, Seed: 1},
+		{HeapMB: d.LiveMB * 2.2, Collector: gc.Shenandoah, Events: 200, Seed: 3},
 	}
-	if _, err := eng.Run(d, cfg); err != nil {
+	var keys []exper.Key
+	for _, cfg := range cfgs {
+		tk, err := eng.Submit(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tk.Key())
+	}
+	if err := eng.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if s := eng.Stats(); s.Executed != 2 || s.CacheHits != 1 {
+		t.Fatalf("stats = %+v, want 2 executed and 1 cache hit", s)
 	}
 
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	trees := span.Build(rec.Events())
+	if len(trees) != 2 {
+		t.Fatalf("span.Build returned %d trees, want 2 (one per executed job)", len(trees))
 	}
-	if len(entries) != 1 {
-		t.Fatalf("got %d trace files, want 1", len(entries))
-	}
-	name := entries[0].Name()
-	if !strings.HasSuffix(name, ".trace.json") {
-		t.Fatalf("trace file %q lacks .trace.json suffix", name)
-	}
-	job, err := exper.NewJob(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := string(job.Key()) + ".trace.json"; name != want {
-		t.Fatalf("trace file %q, want %q (named by job key)", name, want)
+	for i, tr := range trees {
+		if tr.Run != string(keys[i]) {
+			t.Errorf("tree %d: Run %q, want job key %q", i, tr.Run, keys[i])
+		}
+		if len(tr.Spans) == 0 {
+			t.Errorf("tree %d (%s): no spans", i, tr.Run)
+		}
 	}
 
-	data, err := os.ReadFile(filepath.Join(dir, name))
-	if err != nil {
+	var out bytes.Buffer
+	if err := traceview.WriteChromeTrace(&out, trees); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Pid  int    `json:"pid"`
+		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("trace file is not valid JSON: %v", err)
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("Chrome trace is not valid JSON: %v", err)
 	}
-	var spans int
+	procs := map[int]bool{}
 	for _, ev := range doc.TraceEvents {
-		if ev["ph"] == "X" {
-			spans++
+		if ev.Name == "process_name" {
+			procs[ev.Pid] = true
 		}
 	}
-	if spans == 0 {
-		t.Fatal("trace file contains no spans")
-	}
-}
-
-// TestTraceDirUnsetWritesNothing locks the default: no TraceDir, no files
-// and no per-job buffering.
-func TestTraceDirUnsetWritesNothing(t *testing.T) {
-	eng := exper.New(exper.Options{Workers: 1})
-	defer eng.Close()
-	d, err := workload.ByName("lusearch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(d, workload.RunConfig{
-		HeapMB: d.LiveMB * 3, Collector: gc.G1, Events: 150, Seed: 1,
-	}); err != nil {
-		t.Fatal(err)
+	if len(procs) != 2 {
+		t.Fatalf("Chrome trace names %d processes, want 2", len(procs))
 	}
 }

@@ -48,12 +48,6 @@ func (cfg Config) Validate() error {
 	if cfg.HostCores < 0 {
 		return &ConfigError{"host_cores", fmt.Sprintf("must be >= 0 (got %d)", cfg.HostCores)}
 	}
-	if !finite(cfg.RetryStormFrac) || cfg.RetryStormFrac < 0 {
-		return &ConfigError{"retry_storm_frac", fmt.Sprintf("must be a finite non-negative fraction (got %v)", cfg.RetryStormFrac)}
-	}
-	if cfg.StepBudget < 0 {
-		return &ConfigError{"step_budget", fmt.Sprintf("must be >= 0 (got %d)", cfg.StepBudget)}
-	}
 	if !finite(cfg.Run.OpenLoopHeadroom) || cfg.Run.OpenLoopHeadroom < 0 {
 		return &ConfigError{"run.open_loop_headroom", fmt.Sprintf("must be a finite non-negative factor (got %v)", cfg.Run.OpenLoopHeadroom)}
 	}

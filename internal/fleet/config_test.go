@@ -26,8 +26,6 @@ func TestConfigValidate(t *testing.T) {
 		{"retry_after_ns", func(c *Config) { c.RetryAfterNS = -1 }},
 		{"max_retries", func(c *Config) { c.MaxRetries = -2 }},
 		{"host_cores", func(c *Config) { c.HostCores = -8 }},
-		{"retry_storm_frac", func(c *Config) { c.RetryStormFrac = math.Inf(-1) }},
-		{"step_budget", func(c *Config) { c.StepBudget = -1 }},
 		{"run.open_loop_headroom", func(c *Config) { c.Run.OpenLoopHeadroom = math.NaN() }},
 	}
 	for _, tc := range cases {

@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"chopin/internal/cpuarch"
-	"chopin/internal/latency"
 	"chopin/internal/obs"
 	"chopin/internal/sim"
 	"chopin/internal/workload"
@@ -37,10 +36,10 @@ import (
 // streams uncorrelated.
 const replicaSeedStride = 1_000_003
 
-// defaultStepBudget caps total fleet simulation events, mirroring the
-// standalone runner's per-engine safety net: a mis-sized fleet (arrival rate
-// far beyond capacity) diverges by queueing, not by hanging the sweep.
-const defaultStepBudget = 500_000_000
+// stepBudget caps total fleet simulation events, mirroring the standalone
+// runner's per-engine safety net: a mis-sized fleet (arrival rate far beyond
+// capacity) diverges by queueing, not by hanging the sweep.
+const stepBudget = 500_000_000
 
 // Config parameterizes one fleet run. The zero value of optional fields
 // selects documented defaults; Run carries the per-replica invocation
@@ -75,15 +74,6 @@ type Config struct {
 	// co-location pressure. Co-location never alters the simulation — it is
 	// reported, not modeled, so workload-identical cells stay cacheable.
 	HostCores int `json:"host_cores,omitempty"`
-	// SLAs is the latency ladder the report grades the fleet against
-	// (default latency.DefaultSLAs).
-	SLAs []latency.SLA `json:"slas,omitempty"`
-	// RetryStormFrac flags the run as a retry storm when
-	// retries/requests exceeds it (default 0.1).
-	RetryStormFrac float64 `json:"retry_storm_frac,omitempty"`
-	// StepBudget caps total simulation events across the fleet (default
-	// 500M, the standalone runner's safety net).
-	StepBudget int64 `json:"step_budget,omitempty"`
 }
 
 // arrivalSeedSalt separates the arrival process's RNG stream from every
@@ -118,15 +108,6 @@ func (cfg Config) normalize(d *workload.Descriptor) Config {
 			m = cpuarch.Zen4
 		}
 		cfg.HostCores = cfg.Replicas * m.Cores
-	}
-	if len(cfg.SLAs) == 0 {
-		cfg.SLAs = latency.DefaultSLAs
-	}
-	if cfg.RetryStormFrac <= 0 {
-		cfg.RetryStormFrac = 0.1
-	}
-	if cfg.StepBudget <= 0 {
-		cfg.StepBudget = defaultStepBudget
 	}
 	return cfg
 }
@@ -376,9 +357,9 @@ func (fr *fleetRun) run() error {
 
 		fr.engines[idx].Step()
 		fr.steps++
-		if fr.steps > cfg.StepBudget {
+		if fr.steps > stepBudget {
 			return fmt.Errorf("fleet: %s: event budget exceeded after %d events (rate beyond fleet capacity?)",
-				d.Name, cfg.StepBudget)
+				d.Name, stepBudget)
 		}
 		rp := reps[idx]
 		if rp.OOM() {

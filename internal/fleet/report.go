@@ -1,10 +1,15 @@
 package fleet
 
 import (
+	"chopin/internal/latency"
 	"chopin/internal/obs"
 	"chopin/internal/stats"
 	"chopin/internal/workload"
 )
+
+// retryStormFrac is the retries/requests fraction above which a run is
+// flagged as a retry storm.
+const retryStormFrac = 0.1
 
 // ReplicaStats summarizes one replica's serving record.
 type ReplicaStats struct {
@@ -49,8 +54,8 @@ type Report struct {
 	Requests    int   `json:"requests"`
 	Completions int64 `json:"completions"`
 	Retries     int64 `json:"retries"`
-	// RetryStorm flags Retries/Requests above the configured fraction —
-	// the positive-feedback regime where timeouts add load to an already
+	// RetryStorm flags Retries/Requests above retryStormFrac — the
+	// positive-feedback regime where timeouts add load to an already
 	// saturated fleet.
 	RetryRate  float64 `json:"retry_rate"`
 	RetryStorm bool    `json:"retry_storm"`
@@ -145,7 +150,7 @@ func buildReport(d *workload.Descriptor, cfg Config, reps []*workload.Replica, r
 	// One sort serves the headline quantiles and every SLA percentile.
 	rep.MeanNS = stats.Mean(all)
 	ps := []float64{50, 99, 99.9}
-	for _, sla := range cfg.SLAs {
+	for _, sla := range latency.DefaultSLAs {
 		ps = append(ps, sla.Percentile)
 	}
 	q := stats.Tail(all, ps...)
@@ -161,10 +166,10 @@ func buildReport(d *workload.Descriptor, cfg Config, reps []*workload.Replica, r
 	}
 	if rep.Requests > 0 {
 		rep.RetryRate = float64(rep.Retries) / float64(rep.Requests)
-		rep.RetryStorm = rep.RetryRate > cfg.RetryStormFrac
+		rep.RetryStorm = rep.RetryRate > retryStormFrac
 	}
 
-	for i, sla := range cfg.SLAs {
+	for i, sla := range latency.DefaultSLAs {
 		got := q[3+i]
 		rep.SLAs = append(rep.SLAs, SLAResult{
 			Percentile: sla.Percentile,

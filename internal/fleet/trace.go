@@ -126,9 +126,6 @@ func newTracer(rec obs.Recorder, d *workload.Descriptor, cfg Config, reps []*wor
 		tr.inFlight[i], tr.comps[i], tr.viols[i] = 0, 0, 0
 	}
 	sla := latency.DefaultSLAs[0]
-	if len(cfg.SLAs) > 0 {
-		sla = cfg.SLAs[0]
-	}
 	tr.sloNS = sla.BoundNS
 	tr.budget = 1 - sla.Percentile/100
 	for i, rp := range reps {

@@ -74,7 +74,6 @@ type Heap struct {
 	young      float64 // bytes allocated since the last young collection
 	totalAlloc float64
 	peakUsed   float64
-	peakLive   float64
 }
 
 // New returns a heap with the given configuration and demographics.
@@ -116,9 +115,6 @@ func (h *Heap) TotalAllocated() float64 { return h.totalAlloc }
 // PeakUsed returns the high-water mark of Used.
 func (h *Heap) PeakUsed() float64 { return h.peakUsed }
 
-// PeakLive returns the high-water mark of the declared live set.
-func (h *Heap) PeakLive() float64 { return h.peakLive }
-
 // Demographics returns the demographic profile the heap was built with.
 func (h *Heap) Demographics() Demographics { return h.demo }
 
@@ -130,9 +126,6 @@ func (h *Heap) SetTargetLive(b float64) {
 		b = 0
 	}
 	h.targetLive = b
-	if b > h.peakLive {
-		h.peakLive = b
-	}
 }
 
 // TryAlloc allocates b bytes into the young space if they fit, reporting

@@ -183,10 +183,6 @@ func TestPeakTracking(t *testing.T) {
 	if got := h.PeakUsed(); got != 60*mb {
 		t.Fatalf("peak used = %v, want 60MB", got)
 	}
-	h.SetTargetLive(20 * mb)
-	if got := h.PeakLive(); got != 30*mb {
-		t.Fatalf("peak live = %v, want 30MB", got)
-	}
 }
 
 func TestTotalAllocatedAccumulates(t *testing.T) {

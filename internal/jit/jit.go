@@ -118,15 +118,3 @@ func (m Model) decay(iter int) float64 {
 	r := math.Pow(warmupTarget/a, 1/float64(w))
 	return math.Pow(r, float64(iter))
 }
-
-// WarmedUpBy reports the first iteration whose factor under the tiered
-// default is within the warmup criterion of steady state — the measurement
-// behind the PWU nominal statistic.
-func (m Model) WarmedUpBy() int {
-	for i := 0; i < 1000; i++ {
-		if m.Factor(Tiered, i) <= 1+warmupTarget+1e-12 {
-			return i
-		}
-	}
-	return 1000
-}

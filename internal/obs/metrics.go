@@ -7,18 +7,6 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a lock-free monotonic counter, cheap enough for per-event
-// paths that want an aggregate without emitting an event per occurrence.
-type Counter struct {
-	n atomic.Int64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) { c.n.Add(d) }
-
-// Load returns the current count.
-func (c *Counter) Load() int64 { return c.n.Load() }
-
 // Histogram is a fixed-bucket histogram: bucket i counts observations
 // v <= Bounds[i], with one overflow bucket above the last bound. Bounds are
 // fixed at construction, so Observe is a binary search plus one atomic add —

@@ -1,6 +1,6 @@
 // Package obs is the run-telemetry observability layer: a zero-dependency
-// structured event stream plus lightweight counters and fixed-bucket
-// histograms, behind a Recorder interface whose disabled path costs nothing.
+// structured event stream plus fixed-bucket histograms, behind a Recorder
+// interface whose disabled path costs nothing.
 //
 // The paper's diagnostic work — reading Shenandoah's GC log to explain the
 // lusearch anomaly (§6.3), attributing concurrent-collector CPU that hides

@@ -252,24 +252,6 @@ func TestMulti(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Load() != 8000 {
-		t.Fatalf("counter = %d, want 8000", c.Load())
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram([]float64{10, 100, 1000})
 	for _, v := range []float64{5, 10, 11, 100, 500, 5000} {

@@ -109,9 +109,6 @@ func (s *Sampler) Attach(e *sim.Engine) {
 	e.SetSampler(s.interval, s.tick)
 }
 
-// Emitted returns how many samples have been emitted.
-func (s *Sampler) Emitted() int { return s.emitted }
-
 func read(f func() float64) float64 {
 	if f == nil {
 		return 0

@@ -238,8 +238,7 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 
 // TestInvocationWithoutPayloadRejected covers both directions of the
 // result-or-OOM rule: the encoder refuses such a record (and a result
-// without its GC log) and the decoder rejects a hand-framed one. The
-// min-heap archive's positive-bound rule rides along.
+// without its GC log) and the decoder rejects a hand-framed one.
 func TestInvocationWithoutPayloadRejected(t *testing.T) {
 	rec := &InvocationRecord{Key: "k", Workload: "fop"}
 	if _, err := SaveInvocation(tempPath(t, "empty.inv"), rec, nil); err == nil {
@@ -257,11 +256,6 @@ func TestInvocationWithoutPayloadRejected(t *testing.T) {
 	os.WriteFile(path, frame(hdr), 0o644)
 	if _, err := LoadInvocation(path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("invocation with neither result nor OOM: err = %v, want ErrCorrupt", err)
-	}
-	neg := tempPath(t, "neg-minheap.json")
-	os.WriteFile(neg, []byte(`{"version":2,"kind":"minheap","min_heap":{"key":"k","workload":"fop","min_heap_mb":0}}`), 0o644)
-	if _, err := Load(neg); err == nil {
-		t.Fatal("minheap with non-positive bound should error")
 	}
 }
 

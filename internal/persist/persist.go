@@ -1,9 +1,10 @@
 // Package persist stores the experiment engine's cache records on disk.
 //
-// The engine's small records ("minheap": one measured per-benchmark minimum
-// heap; "generic": one opaque job payload) are versioned JSON archives.
-// Only schema v2 is read: v1 archives held sweep results (LBO grids,
-// geomeans, characterizations), kinds this package does not store.
+// The engine's small records are versioned JSON archives of one kind,
+// "generic": an opaque JSON payload such as a fleet cell's report or a
+// measured minimum heap. Only schema v2 is read: v1 archives held sweep
+// results (LBO grids, geomeans, characterizations), and older v2 caches
+// held a dedicated "minheap" kind; this package stores neither.
 //
 // The engine's invocation records — one simulator run each, keyed by the
 // canonical job hash and carrying the run's full GC log — are not JSON but
@@ -25,26 +26,17 @@ import (
 type Archive struct {
 	// Version guards the schema; bump on incompatible change.
 	Version int `json:"version"`
-	// Kind describes the payload: "minheap" or "generic".
+	// Kind describes the payload: always "generic".
 	Kind string `json:"kind"`
 
-	MinHeap *MinHeapRecord `json:"min_heap,omitempty"`
 	Generic *GenericRecord `json:"generic,omitempty"`
 }
 
-// MinHeapRecord is one cached minimum-heap measurement: the validated GMD
-// for a (descriptor, search parameters) pair, keyed like an invocation.
-type MinHeapRecord struct {
-	Key       string  `json:"key"`
-	Workload  string  `json:"workload"`
-	MinHeapMB float64 `json:"min_heap_mb"`
-}
-
-// GenericRecord is one cached result of an arbitrary engine job kind
-// (exper.SubmitGeneric): an opaque JSON payload owned by the submitting
-// subsystem (fleet sweep cells, future experiment kinds), keyed by the
-// canonical content hash of the job's parameters. Kind names the submitting
-// job family, for humans browsing a cache directory.
+// GenericRecord is one cached result of an engine job that is not a single
+// invocation (exper.SubmitGeneric, min-heap measurements): an opaque JSON
+// payload owned by the submitting subsystem, keyed by the canonical content
+// hash of the job's parameters. Kind names the submitting job family, for
+// humans browsing a cache directory.
 type GenericRecord struct {
 	Key  string          `json:"key"`
 	Kind string          `json:"job_kind"`
@@ -58,18 +50,9 @@ const (
 	oldestVersion  = 2
 )
 
-// SaveMinHeap writes one cached minimum-heap measurement.
-func SaveMinHeap(path string, r *MinHeapRecord) error {
-	return write(path, Archive{Version: currentVersion, Kind: "minheap", MinHeap: r})
-}
-
 // SaveGeneric writes one cached generic job result.
 func SaveGeneric(path string, r *GenericRecord) error {
-	return write(path, Archive{Version: currentVersion, Kind: "generic", Generic: r})
-}
-
-func write(path string, a Archive) error {
-	data, err := encodeArchive(&a)
+	data, err := encodeArchive(&Archive{Version: currentVersion, Kind: "generic", Generic: r})
 	if err != nil {
 		return err
 	}
@@ -126,37 +109,15 @@ func decodeArchive(data []byte) (*Archive, error) {
 		return nil, fmt.Errorf("version %d outside supported range [%d, %d]",
 			a.Version, oldestVersion, currentVersion)
 	}
-	switch a.Kind {
-	case "minheap":
-		if a.MinHeap == nil {
-			return nil, fmt.Errorf("minheap archive without record")
-		}
-		if a.MinHeap.MinHeapMB <= 0 {
-			return nil, fmt.Errorf("minheap archive with non-positive heap %v", a.MinHeap.MinHeapMB)
-		}
-	case "generic":
-		if a.Generic == nil {
-			return nil, fmt.Errorf("generic archive without record")
-		}
-		if len(a.Generic.Data) == 0 {
-			return nil, fmt.Errorf("generic archive without payload")
-		}
-	default:
+	switch {
+	case a.Kind != "generic":
 		return nil, fmt.Errorf("unknown kind %q", a.Kind)
+	case a.Generic == nil:
+		return nil, fmt.Errorf("generic archive without record")
+	case len(a.Generic.Data) == 0:
+		return nil, fmt.Errorf("generic archive without payload")
 	}
 	return &a, nil
-}
-
-// LoadMinHeap reads a cached minimum-heap archive.
-func LoadMinHeap(path string) (*MinHeapRecord, error) {
-	a, err := Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if a.Kind != "minheap" {
-		return nil, fmt.Errorf("persist: %s holds %q, want minheap", path, a.Kind)
-	}
-	return a.MinHeap, nil
 }
 
 // LoadGeneric reads a cached generic job archive.
@@ -164,9 +125,6 @@ func LoadGeneric(path string) (*GenericRecord, error) {
 	a, err := Load(path)
 	if err != nil {
 		return nil, err
-	}
-	if a.Kind != "generic" {
-		return nil, fmt.Errorf("persist: %s holds %q, want generic", path, a.Kind)
 	}
 	return a.Generic, nil
 }

@@ -18,20 +18,20 @@ func tempPath(t *testing.T, name string) string {
 	return filepath.Join(t.TempDir(), name)
 }
 
+// TestKindMismatch: an archive of the retired "minheap" kind is not a
+// generic record, and a generic archive is not an invocation record.
 func TestKindMismatch(t *testing.T) {
 	path := tempPath(t, "minheap.json")
-	if err := SaveMinHeap(path, &MinHeapRecord{Key: "k", Workload: "fop", MinHeapMB: 13}); err != nil {
-		t.Fatal(err)
-	}
+	os.WriteFile(path, []byte(`{"version":2,"kind":"minheap","min_heap":{"key":"k","workload":"fop","min_heap_mb":13}}`), 0o644)
 	if _, err := LoadGeneric(path); err == nil {
-		t.Fatal("loading a minheap as generic should fail")
+		t.Fatal("loading a minheap archive as generic should fail")
 	}
 	gen := tempPath(t, "generic.json")
 	if err := SaveGeneric(gen, &GenericRecord{Key: "k", Kind: "cell", Data: json.RawMessage(`{"x":1}`)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadMinHeap(gen); err == nil {
-		t.Fatal("loading a generic as minheap should fail")
+	if _, err := LoadInvocation(gen); err == nil {
+		t.Fatal("loading a generic as invocation should fail")
 	}
 }
 
@@ -120,22 +120,28 @@ func TestInvocationOOMRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMinHeapRoundTrip: a min-heap bound stored as a generic record's JSON
+// number payload reloads to the same float64.
 func TestMinHeapRoundTrip(t *testing.T) {
 	path := tempPath(t, "minheap.json")
-	rec := &MinHeapRecord{Key: "mh1", Workload: "fop", MinHeapMB: 13.25}
-	if err := SaveMinHeap(path, rec); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadMinHeap(path)
+	bound := 50.625 / 3
+	data, err := json.Marshal(bound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *rec {
-		t.Fatalf("record = %+v, want %+v", got, rec)
+	if err := SaveGeneric(path, &GenericRecord{Key: "mh1", Kind: "minheap", Data: data}); err != nil {
+		t.Fatal(err)
 	}
-	// Cross-kind loads must fail.
-	if _, err := LoadInvocation(path); err == nil {
-		t.Fatal("loading a minheap as invocation should fail")
+	got, err := LoadGeneric(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mb float64
+	if err := json.Unmarshal(got.Data, &mb); err != nil || mb != bound {
+		t.Fatalf("bound = %v (%v), want %v", mb, err, bound)
+	}
+	if got.Key != "mh1" || got.Kind != "minheap" {
+		t.Fatalf("record = %+v", got)
 	}
 }
 

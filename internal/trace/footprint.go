@@ -34,15 +34,3 @@ func (l *Log) FootprintAUC(start, end int64) float64 {
 	area += level * float64(end-cursor)
 	return area / float64(end-start)
 }
-
-// PeakFootprint returns the highest post-GC occupancy observed in
-// [start, end), the staircase's high-water mark.
-func (l *Log) PeakFootprint(start, end int64) float64 {
-	var peak float64
-	for _, e := range l.Events {
-		if e.End >= start && e.End < end && e.UsedAfter > peak {
-			peak = e.UsedAfter
-		}
-	}
-	return peak
-}

@@ -116,17 +116,6 @@ func (l *Log) MaxPauseNS() float64 {
 	return max
 }
 
-// PausesBetween returns the pauses overlapping the window [from, to).
-func (l *Log) PausesBetween(from, to int64) []Pause {
-	var out []Pause
-	for _, p := range l.Pauses {
-		if p.End > from && p.Start < to {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Clone returns a copy of the log whose event and pause slices hold exactly
 // their length (an empty column stays a non-nil empty slice) and share no
 // storage with l.

@@ -34,17 +34,6 @@ func TestCount(t *testing.T) {
 	}
 }
 
-func TestPausesBetween(t *testing.T) {
-	l := sampleLog()
-	got := l.PausesBetween(600, 1000)
-	if len(got) != 2 {
-		t.Fatalf("pauses in [600,1000) = %d, want 2 (overlapping ones)", len(got))
-	}
-	if got := l.PausesBetween(2000, 3000); len(got) != 0 {
-		t.Fatalf("pauses in empty window = %d", len(got))
-	}
-}
-
 func TestStallAccumulation(t *testing.T) {
 	l := &Log{}
 	l.AddStall(100)
@@ -103,18 +92,5 @@ func TestFootprintAUCWindowed(t *testing.T) {
 	}
 	if got := l.FootprintAUC(600, 600); got != 0 {
 		t.Fatalf("empty window = %v, want 0", got)
-	}
-}
-
-func TestPeakFootprint(t *testing.T) {
-	l := &Log{}
-	l.AddEvent(GCEvent{Kind: GCYoung, End: 100, UsedAfter: 10})
-	l.AddEvent(GCEvent{Kind: GCFull, End: 200, UsedAfter: 90})
-	l.AddEvent(GCEvent{Kind: GCYoung, End: 300, UsedAfter: 40})
-	if got := l.PeakFootprint(0, 1000); got != 90 {
-		t.Fatalf("peak = %v, want 90", got)
-	}
-	if got := l.PeakFootprint(250, 1000); got != 40 {
-		t.Fatalf("windowed peak = %v, want 40", got)
 	}
 }
