@@ -53,10 +53,11 @@ test:
 # the collector layer without a workload (BenchmarkCollectorPause,
 # internal/gc: allocation and stop-the-world pauses over 12 mutators, one
 # sub-benchmark per collector), the end-to-end invocation path (BenchmarkRunInvocation*, root package, one
-# sub-benchmark per collector), the experiment engine's result cache (one fop
-# LBO grid re-aggregated from a warm cache, BenchmarkEngineWarmCache, and
-# simulated into a write-only one with the write-behind drain timed,
-# BenchmarkEngineColdCache), the whole-suite batch-execution path
+# sub-benchmark per collector), the experiment engine's result cache (an LBO
+# grid re-aggregated from a warm cache, BenchmarkEngineWarmCache, for fop,
+# whose records hold a GC log, and h2, whose records also hold per-event
+# latencies; and the fop grid simulated into a write-only one with the
+# write-behind drain timed, BenchmarkEngineColdCache), the whole-suite batch-execution path
 # (BenchmarkFullSuite, workers=1 vs workers=8), and the fleet layer
 # (BenchmarkFleetSweep; BenchmarkFleetScale, the 16→1024 replica ladder whose
 # 1024-replica rung the gate holds at 0 allocs/op — the driving loop must stay
@@ -65,10 +66,13 @@ test:
 # FleetSweep and FleetTelemetry get their own -benchtime so each self-iterates
 # to a stable ns/op instead of one cold N=1 sample (a single ~30ms sweep op
 # varies ~30% run to run; 300ms amortizes it), while the minutes-scale
-# FullSuite stays at -benchtime=1x and FleetScale and EngineColdCache at 3
-# runs per sample. FleetTelemetry/jsonl-roundtrip runs at a fixed 3 as well:
-# at 200ms it ran 2 or 3 times, and its B/op, which amortizes setup over
-# b.N, swung ~6% with the count.
+# FullSuite stays at -benchtime=1x and FleetScale at 3 runs per sample.
+# FleetTelemetry/jsonl-roundtrip runs at a fixed 3 as well: at 200ms it ran
+# 2 or 3 times, and its B/op, which amortizes setup over b.N, swung ~6% with
+# the count. EngineColdCache runs a fixed 80 times per sample: its B/op
+# varies from op to op (likely with how often a GC empties workload's
+# scratch pool mid-op), and five samples spread 16.9–24.8 MB at 3 runs,
+# 16.0–21.1 MB at 20 and 18.5–20.3 MB at 80.
 # Each benchmark runs five times and benchdiff's write mode (-out) records the
 # per-metric median, so the committed BENCH_sim.json baseline is
 # median-of-five — directly comparable to the median-of-five gate runs and
@@ -86,7 +90,7 @@ define BENCH_RUNS
   go test -run='^$$' -bench='BenchmarkEngineWarmCache' -benchmem \
 	-benchtime=300ms -count=5 . && \
   go test -run='^$$' -bench='BenchmarkEngineColdCache' -benchmem \
-	-benchtime=3x -count=5 . && \
+	-benchtime=80x -count=5 . && \
   go test -run='^$$' -bench='BenchmarkFullSuite' -benchtime=1x -count=5 . && \
   go test -run='^$$' -bench='BenchmarkFleetSweep' -benchtime=300ms -count=5 \
 	./internal/fleet && \

@@ -9,6 +9,7 @@
 package chopin
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -471,35 +472,45 @@ func BenchmarkFullSuite(b *testing.B) {
 // LBO grid re-aggregated entirely from the content-addressed result cache.
 // The timed loop performs zero simulator invocations — it is the cost of a
 // resumed (or re-rendered) sweep, dominated by cache reads and aggregation.
+// fop is a batch benchmark, whose records carry only the GC log; h2 is
+// latency-sensitive, so its records also carry every event's latency.
 func BenchmarkEngineWarmCache(b *testing.B) {
-	dir := b.TempDir()
-	warm, err := OpenResultCache(dir, CacheReadWrite)
-	if err != nil {
-		b.Fatal(err)
-	}
-	seed := NewEngine(EngineOptions{Cache: warm})
-	opt := benchSweep()
-	opt.Engine = seed
-	if _, _, err := MeasureLBO(workload.Fop, opt); err != nil {
-		b.Fatal(err)
-	}
-	seed.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache, err := OpenResultCache(dir, CacheReadWrite)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := NewEngine(EngineOptions{Cache: cache})
-		opt := benchSweep()
-		opt.Engine = eng
-		if _, _, err := MeasureLBO(workload.Fop, opt); err != nil {
-			b.Fatal(err)
-		}
-		if s := eng.Stats(); s.Executed != 0 {
-			b.Fatalf("warm re-run executed %d invocations, want 0", s.Executed)
-		}
-		eng.Close()
+	for _, d := range []*workload.Descriptor{workload.Fop, workload.H2} {
+		b.Run(d.Name, func(b *testing.B) {
+			dir := b.TempDir()
+			warm, err := OpenResultCache(dir, CacheReadWrite)
+			if err != nil {
+				b.Fatal(err)
+			}
+			seed := NewEngine(EngineOptions{Cache: warm})
+			opt := benchSweep()
+			opt.Engine = seed
+			if _, _, err := MeasureLBO(d, opt); err != nil {
+				b.Fatal(err)
+			}
+			if err := errors.Join(seed.Close(), warm.Close()); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cache, err := OpenResultCache(dir, CacheReadWrite)
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng := NewEngine(EngineOptions{Cache: cache})
+				opt := benchSweep()
+				opt.Engine = eng
+				if _, _, err := MeasureLBO(d, opt); err != nil {
+					b.Fatal(err)
+				}
+				if s := eng.Stats(); s.Executed != 0 {
+					b.Fatalf("warm re-run executed %d invocations, want 0", s.Executed)
+				}
+				if err := errors.Join(eng.Close(), cache.Close()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

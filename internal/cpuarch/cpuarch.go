@@ -227,14 +227,6 @@ func (p Profile) IPC(m Machine) float64 {
 	return ipc
 }
 
-// NSPerInstruction returns wall nanoseconds per instruction on m.
-func (p Profile) NSPerInstruction(m Machine) float64 {
-	if p.TargetIPC <= 0 {
-		return 0
-	}
-	return 1 / (p.TargetIPC * Zen4.FreqGHz) * p.TimeFactor(m)
-}
-
 // Capacity returns a capacity function for the machine, eroded by the
 // workload's SMT contention: the first Cores runnable threads scale
 // perfectly; hardware threads beyond that contribute only the SMT yield.

@@ -111,15 +111,6 @@ func TestReferenceMachineFactorIsOne(t *testing.T) {
 	}
 }
 
-func TestNSPerInstructionConsistency(t *testing.T) {
-	p := testProfile()
-	// ns/instr on reference must equal 1/(IPC * freq).
-	want := 1 / (p.TargetIPC * Zen4.FreqGHz)
-	if got := p.NSPerInstruction(Zen4); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("ns/instr = %v, want %v", got, want)
-	}
-}
-
 func TestCapacityPerfectUpToCores(t *testing.T) {
 	c := Zen4.Capacity(0)
 	for n := 1; n <= Zen4.Cores; n++ {

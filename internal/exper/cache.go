@@ -35,8 +35,9 @@ const writeDepth = 128
 // Cache is the content-addressed, invocation-level result store: one file
 // per job key, sharded two-hex-characters deep so large plans do not pile
 // thousands of files into one directory. Invocation results are binary
-// persist records (dir/ab/abcdef….inv: a compact JSON header plus the GC
-// log as fixed-width columns — see persist.EncodeInvocation); every other
+// persist records (dir/ab/abcdef….inv: a compact JSON header of scalars plus
+// the GC log and latencies as fixed-width columns — see
+// persist.EncodeInvocation); every other
 // result is a small JSON generic record (dir/ab/abcdef….json): a fleet
 // cell's report, or a min-heap measurement's bound as a bare number. Writes
 // are atomic (write-then-rename in persist), so a killed run leaves only
@@ -53,17 +54,33 @@ const writeDepth = 128
 // sweep. Generic records are rare (one per workload per sweep shape, one per
 // fleet cell) and stay synchronous; a failed write latches like an
 // invocation write.
+//
+// Every hit says where it came from (source): a record that predates the
+// Cache, or one the Cache already wrote or served. The second kind is a job
+// the run repeats, and whether a repeat meets its first execution in flight
+// (single-flight) or its record (here) depends only on timing, so the
+// engine counts both the same way.
 type Cache struct {
 	dir  string
 	mode CacheMode
 
 	mu      sync.Mutex
 	pending map[Key]*persist.InvocationRecord
-	written map[Key]bool // keys whose record on disk this Cache wrote
+	seen    map[Key]bool // keys whose record on disk this Cache wrote or served
 	err     error        // first write error; latched, reported by Flush
 
 	writes chan cacheWrite
+	bufs   sync.Pool // *[]byte, the read buffers of getInvocation
 }
+
+// source says where a cache lookup found its record.
+type source int
+
+const (
+	missed   source = iota // no valid record: the job runs
+	stored                 // a record that predates this Cache: a cache hit
+	repeated               // a record this Cache wrote or already served
+)
 
 // cacheWrite is one queue entry: a record to serialize, or — when ack is
 // non-nil — a flush sentinel that reports the latched error once every
@@ -88,9 +105,10 @@ func OpenCache(dir string, mode CacheMode) (*Cache, error) {
 		dir:     dir,
 		mode:    mode,
 		pending: map[Key]*persist.InvocationRecord{},
-		written: map[Key]bool{},
+		seen:    map[Key]bool{},
 		writes:  make(chan cacheWrite, writeDepth),
 	}
+	c.bufs.New = func() any { return new([]byte) }
 	go c.writer()
 	return c, nil
 }
@@ -159,7 +177,7 @@ func (c *Cache) writer() {
 func (c *Cache) saved(k Key, err error) error {
 	if err == nil {
 		c.mu.Lock()
-		c.written[k] = true
+		c.seen[k] = true
 		c.mu.Unlock()
 	}
 	return err
@@ -171,7 +189,19 @@ func (c *Cache) saved(k Key, err error) error {
 func (c *Cache) lookup(k Key) (pending *persist.InvocationRecord, stale bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.pending[k], c.mode == WriteOnly && !c.written[k]
+	return c.pending[k], c.mode == WriteOnly && !c.seen[k]
+}
+
+// served notes that k's record on disk was served and says whether it had
+// been written or served before.
+func (c *Cache) served(k Key) source {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.seen[k] {
+		return repeated
+	}
+	c.seen[k] = true
+	return stored
 }
 
 // latch keeps the first failed write's error for the next Flush.
@@ -212,24 +242,28 @@ func (c *Cache) Close() error {
 	return err
 }
 
-// getInvocation loads the cached record for the key, if present and valid.
-// Records still queued behind the write-behind path are served from memory,
-// so callers never observe the deferral. Unreadable or stale records are
-// treated as misses, never as failures: the job simply re-runs and
-// overwrites them.
-func (c *Cache) getInvocation(k Key) (*persist.InvocationRecord, bool) {
+// getInvocation loads the cached record for the key, if present and valid,
+// and says where it came from. Records still queued behind the write-behind
+// path are served from memory, so callers never observe the deferral.
+// Unreadable or stale records are treated as misses, never as failures: the
+// job simply re-runs and overwrites them. Files are read into pooled
+// buffers, which the decoded record does not reference.
+func (c *Cache) getInvocation(k Key) (*persist.InvocationRecord, source) {
 	rec, stale := c.lookup(k)
 	if rec != nil {
-		return rec, true
+		return rec, repeated
 	}
 	if stale {
-		return nil, false
+		return nil, missed
 	}
-	rec, err := persist.LoadInvocation(c.invPath(k))
+	buf := c.bufs.Get().(*[]byte)
+	var err error
+	rec, *buf, err = persist.LoadInvocation(c.invPath(k), *buf)
+	c.bufs.Put(buf)
 	if err != nil || rec.Key != string(k) {
-		return nil, false
+		return nil, missed
 	}
-	return rec, true
+	return rec, c.served(k)
 }
 
 // putInvocation queues the record for write-behind persistence. It returns
@@ -245,18 +279,19 @@ func (c *Cache) putInvocation(k Key, rec *persist.InvocationRecord) error {
 	return err
 }
 
-// getGeneric loads a cached generic record, if present and valid. Generic
-// and min-heap jobs are coarse (one per fleet sweep cell or benchmark, not
-// one per event), so their records stay synchronous — no write-behind.
-func (c *Cache) getGeneric(k Key) (*persist.GenericRecord, bool) {
+// getGeneric loads a cached generic record, if present and valid, and says
+// where it came from. Generic and min-heap jobs are coarse (one per fleet
+// sweep cell or benchmark, not one per event), so their records stay
+// synchronous — no write-behind.
+func (c *Cache) getGeneric(k Key) (*persist.GenericRecord, source) {
 	if _, stale := c.lookup(k); stale {
-		return nil, false
+		return nil, missed
 	}
 	rec, err := persist.LoadGeneric(c.path(k))
 	if err != nil || rec.Key != string(k) {
-		return nil, false
+		return nil, missed
 	}
-	return rec, true
+	return rec, c.served(k)
 }
 
 // putGeneric writes a generic record; a failure latches like an invocation

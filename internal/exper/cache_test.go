@@ -64,9 +64,9 @@ func TestOpenCacheSweepsOrphanedTemps(t *testing.T) {
 			t.Errorf("orphan %s survived reopen", p)
 		}
 	}
-	rec, ok := c2.getInvocation(k)
-	if !ok || rec.Key != string(k) {
-		t.Fatalf("completed archive lost by the sweep: ok=%v rec=%+v", ok, rec)
+	rec, src := c2.getInvocation(k)
+	if src != stored || rec.Key != string(k) {
+		t.Fatalf("completed archive lost by the sweep: source=%v rec=%+v", src, rec)
 	}
 }
 
@@ -111,6 +111,9 @@ func tearPoints(whole []byte) map[string]int {
 		pts["events"] = pausesAt
 		pts["mid-pause-count"] = pausesAt + 4
 		pts["pause-count"] = pausesAt + 8
+		latAt := pausesAt + 8 + 16*int(binary.LittleEndian.Uint64(whole[pausesAt:]))
+		pts["pauses"] = latAt
+		pts["mid-latency-presence"] = latAt + 4
 	}
 	for name, n := range pts {
 		if n >= len(whole) {
@@ -143,20 +146,20 @@ func TestTruncatedArchiveIsMiss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok := c.getInvocation(k)
-		if !ok || !reflect.DeepEqual(got, rec) {
+		got, src := c.getInvocation(k)
+		if src == missed || !reflect.DeepEqual(got, rec) {
 			t.Fatalf("%s: intact record should hit with the stored content", k)
 		}
 
 		pts := tearPoints(whole)
-		if rec.Result != nil && len(pts) != 15 {
-			t.Fatalf("%s: %d tear points, want all 15: %v", k, len(pts), pts)
+		if rec.Result != nil && len(pts) != 17 {
+			t.Fatalf("%s: %d tear points, want all 17: %v", k, len(pts), pts)
 		}
 		for name, n := range pts {
 			if err := os.WriteFile(c.invPath(k), whole[:n], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := c.getInvocation(k); ok {
+			if _, src := c.getInvocation(k); src != missed {
 				t.Fatalf("%s: record torn at %s (%d of %d bytes) served as a hit", k, name, n, len(whole))
 			}
 		}
@@ -168,7 +171,7 @@ func TestTruncatedArchiveIsMiss(t *testing.T) {
 		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := c.getInvocation(k); !ok {
+		if _, src := c.getInvocation(k); src == missed {
 			t.Fatalf("%s: rewritten record should hit again", k)
 		}
 	}
@@ -180,17 +183,64 @@ func TestTruncatedArchiveIsMiss(t *testing.T) {
 // path — must read as a miss, never as a hit, an error or a panic, and the
 // re-run's binary record must replace it.
 func TestPreBinaryJSONArchiveIsMiss(t *testing.T) {
+	oldRecordHeals(t, func(c *Cache, k Key, rec *persist.InvocationRecord) {
+		old, err := json.MarshalIndent(struct {
+			Version    int                       `json:"version"`
+			Kind       string                    `json:"kind"`
+			Invocation *persist.InvocationRecord `json:"invocation"`
+		}{2, "invocation", rec}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		plant(t, c.path(k), old)
+		plant(t, c.invPath(k), old)
+	})
+}
+
+// TestV1RecordIsMiss: a cache written before the latencies left the JSON
+// header holds format-1 invocation records. Such a record must read as a
+// miss, and the re-run's current-format record must overwrite it.
+func TestV1RecordIsMiss(t *testing.T) {
+	oldRecordHeals(t, func(c *Cache, k Key, rec *persist.InvocationRecord) {
+		v2, err := persist.EncodeInvocation(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// For a record without latencies (fop records none), format 1
+		// differs only in its version byte and in having no latency
+		// presence word.
+		v1 := append([]byte(nil), v2[:len(v2)-8]...)
+		v1[7] = 1
+		plant(t, c.invPath(k), v1)
+	})
+}
+
+// plant writes data at path, creating its shard directory.
+func plant(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// oldRecordHeals has old plant a record of a retired format for a job's
+// key in a fresh cache, then checks that the job reads it as a miss, never
+// as a hit, an error or a panic; that the re-run writes exactly the job's
+// current-format record; and that a warm engine on a reopened cache serves
+// that record as a cache hit.
+func oldRecordHeals(t *testing.T, old func(c *Cache, k Key, rec *persist.InvocationRecord)) {
+	t.Helper()
 	d := testBench(t)
 	job, err := NewJob(d, smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := job.Key()
-	old, err := json.MarshalIndent(struct {
-		Version    int                       `json:"version"`
-		Kind       string                    `json:"kind"`
-		Invocation *persist.InvocationRecord `json:"invocation"`
-	}{2, "invocation", logRecord(t, k)}, "", "  ")
+	rec := logRecord(t, k)
+	want, err := persist.EncodeInvocation(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,16 +250,9 @@ func TestPreBinaryJSONArchiveIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for _, p := range []string{c.path(k), c.invPath(k)} {
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, old, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := c.getInvocation(k); ok {
-		t.Fatal("pre-binary JSON archive served as a hit")
+	old(c, k, rec)
+	if _, src := c.getInvocation(k); src != missed {
+		t.Fatal("record of a retired format served as a hit")
 	}
 
 	cold := New(Options{Cache: c})
@@ -222,10 +265,16 @@ func TestPreBinaryJSONArchiveIsMiss(t *testing.T) {
 	if s := cold.Stats(); s.Executed != 1 || s.CacheHits != 0 {
 		t.Fatalf("re-run stats = %+v, want one execution and no hit", s)
 	}
-	if _, err := persist.LoadInvocation(c.invPath(k)); err != nil {
-		t.Fatalf("re-run did not replace the JSON archive with a binary record: %v", err)
+	if got, err := os.ReadFile(c.invPath(k)); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("re-run left %d bytes (err %v), want its %d-byte current-format record", len(got), err, len(want))
 	}
-	warm := New(Options{Cache: c})
+
+	reopened, err := OpenCache(dir, ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	warm := New(Options{Cache: reopened})
 	defer warm.Close()
 	if _, err := warm.Run(d, smallCfg()); err != nil {
 		t.Fatal(err)
@@ -272,7 +321,7 @@ func TestWriterBufferSharedAcrossRecords(t *testing.T) {
 		if got, err := os.ReadFile(c.invPath(k)); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: file holds %d bytes (err %v), want its own %d-byte encoding", k, len(got), err, len(want))
 		}
-		if got, ok := fresh.getInvocation(k); !ok || !reflect.DeepEqual(got, rec) {
+		if got, src := fresh.getInvocation(k); src != stored || !reflect.DeepEqual(got, rec) {
 			t.Fatalf("%s: reload missed or differs from the record written", k)
 		}
 	}
@@ -292,7 +341,7 @@ func TestWrongKeyArchiveIsMiss(t *testing.T) {
 	if _, err := persist.SaveInvocation(c.invPath(k), testRecord(other), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.getInvocation(k); ok {
+	if _, src := c.getInvocation(k); src != missed {
 		t.Fatal("archive with mismatched key served as a hit")
 	}
 }
@@ -325,7 +374,7 @@ func TestGenericWriteErrorLatches(t *testing.T) {
 	if want := "exper: caching " + string(k) + ": "; err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Fatalf("Close = %v, want an error starting %q", err, want)
 	}
-	if _, ok := c.getGeneric(k); ok {
+	if _, src := c.getGeneric(k); src != missed {
 		t.Fatal("record served although its write failed")
 	}
 	if err := c.Flush(); err != nil {

@@ -182,9 +182,11 @@ type Stats struct {
 	// Executed counts simulator invocations actually run — the number the
 	// cache exists to drive to zero on a warm re-run.
 	Executed int64
-	// CacheHits counts jobs satisfied from the persistent cache; MemoHits
-	// from the in-process memo; Deduped jobs coalesced onto an identical
-	// in-flight execution.
+	// CacheHits counts jobs satisfied from a persistent cache record that
+	// predates the run; MemoHits from the in-process memo; Deduped jobs
+	// that repeat one the run already ran or served, whether coalesced onto
+	// its in-flight execution or served its record. Each is a function of
+	// the plan, not of which submitter wins a race.
 	CacheHits int64
 	MemoHits  int64
 	Deduped   int64
@@ -456,8 +458,8 @@ func (e *Engine) runJob(id jobInfo, base obs.Recorder, work func(rec obs.Recorde
 func (e *Engine) execute(job Job) (*workload.Result, error) {
 	id := job.info()
 	if e.cache != nil {
-		if rec, ok := e.cache.getInvocation(id.key); ok {
-			atomic.AddInt64(&e.cacheHits, 1)
+		if rec, src := e.cache.getInvocation(id.key); src != missed {
+			e.countHit(src, &e.cacheHits)
 			e.emit(id.event(JobCacheHit))
 			e.recordJob(obs.KindCacheHit, id, 0, 0, nil)
 			if rec.OOM {
@@ -511,6 +513,16 @@ func (e *Engine) execute(job Job) (*workload.Result, error) {
 	ev.WallNS, ev.CPUNS = totals(res)
 	e.emit(ev)
 	return res, nil
+}
+
+// countHit counts a cache hit in hits, or, when src is a record this run
+// already wrote or served, as a Deduped repeat: whether a repeated job meets
+// its first execution in flight or its record depends only on timing.
+func (e *Engine) countHit(src source, hits *int64) {
+	if src == repeated {
+		hits = &e.deduped
+	}
+	atomic.AddInt64(hits, 1)
 }
 
 // totals sums a result's wall and task-clock time over its iterations.

@@ -319,7 +319,8 @@ func TestWriteOnlyModeForcesColdRun(t *testing.T) {
 
 // A write-only cache ignores only the records that predate it: a job the run
 // repeats is served from the record the run itself wrote, not simulated
-// twice — for invocations, generic jobs and min-heap measurements alike.
+// twice — for invocations, generic jobs and min-heap measurements alike —
+// and counts as Deduped, not as a cache hit.
 func TestWriteOnlyServesItsOwnWrites(t *testing.T) {
 	d := testBench(t)
 	cache, err := OpenCache(t.TempDir(), WriteOnly)
@@ -335,8 +336,8 @@ func TestWriteOnlyServesItsOwnWrites(t *testing.T) {
 		}
 	}
 	e.Close()
-	if s := e.Stats(); s.Executed != 1 || s.CacheHits != 1 {
-		t.Fatalf("repeated invocation: stats = %+v, want Executed: 1, CacheHits: 1", s)
+	if s := e.Stats(); s.Executed != 1 || s.CacheHits != 0 || s.Deduped != 1 {
+		t.Fatalf("repeated invocation: stats = %+v, want Executed: 1, Deduped: 1", s)
 	}
 
 	g := New(Options{Workers: 1, Cache: cache})
@@ -348,21 +349,21 @@ func TestWriteOnlyServesItsOwnWrites(t *testing.T) {
 		}
 	}
 	g.Close()
-	if s := g.Stats(); s.Executed != 1 || s.CacheHits != 1 {
-		t.Fatalf("repeated generic job: stats = %+v, want Executed: 1, CacheHits: 1", s)
+	if s := g.Stats(); s.Executed != 1 || s.CacheHits != 0 || s.Deduped != 1 {
+		t.Fatalf("repeated generic job: stats = %+v, want Executed: 1, Deduped: 1", s)
 	}
 
 	// The min-heap table memoizes within an engine, so the repeat that
 	// reaches the cache is a second engine's.
 	p := MinHeapParams{Events: 200, Iterations: 1, Invocations: 1, Seed: 7}
-	for i, want := range []int64{0, 1} {
+	for i, want := range []int64{1, 0} {
 		m := New(Options{Workers: 2, Cache: cache})
 		if _, err := m.MinHeapMB(d, p); err != nil {
 			t.Fatal(err)
 		}
 		m.Close()
-		if got := m.Stats().MinHeapCacheHits; got != want {
-			t.Fatalf("min-heap measurement %d: %d cache hits, want %d", i+1, got, want)
+		if s := m.Stats(); s.MinHeapSearches != want || s.MinHeapCacheHits != 0 || (want == 0 && s.Deduped != 1) {
+			t.Fatalf("min-heap measurement %d: stats = %+v, want %d searches and no cache hit", i+1, s, want)
 		}
 	}
 }

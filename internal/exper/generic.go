@@ -79,8 +79,8 @@ func (e *Engine) RunGeneric(kind string, payload any, run func(rec obs.Recorder)
 // calling (worker) goroutine.
 func (e *Engine) executeGeneric(id jobInfo, run func(rec obs.Recorder) ([]byte, error)) ([]byte, error) {
 	if e.cache != nil {
-		if rec, ok := e.cache.getGeneric(id.key); ok {
-			atomic.AddInt64(&e.cacheHits, 1)
+		if rec, src := e.cache.getGeneric(id.key); src != missed {
+			e.countHit(src, &e.cacheHits)
 			e.emit(id.event(JobCacheHit))
 			e.recordJob(obs.KindCacheHit, id, 0, 0, nil)
 			return []byte(rec.Data), nil

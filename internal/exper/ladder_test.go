@@ -143,7 +143,8 @@ func TestCloseDuringMinHeapCancelsCleanly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cachedMB, cached := cachedBound(reopened, k)
+		cachedMB, src := cachedBound(reopened, k)
+		cached := src != missed
 		if err := reopened.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -114,16 +114,16 @@ const minHeapKind = "minheap"
 // number is always finite), or a record of another format such as the
 // dedicated min-heap archive older caches hold, is a miss: the bound is
 // re-measured and the record overwritten.
-func cachedBound(c *Cache, k Key) (float64, bool) {
-	rec, ok := c.getGeneric(k)
-	if !ok {
-		return 0, false
+func cachedBound(c *Cache, k Key) (float64, source) {
+	rec, src := c.getGeneric(k)
+	if src == missed {
+		return 0, missed
 	}
 	var mb float64
 	if err := json.Unmarshal(rec.Data, &mb); err != nil || !(mb > 0) {
-		return 0, false
+		return 0, missed
 	}
-	return mb, true
+	return mb, src
 }
 
 // minHeap runs one measurement: nominal.MinHeapWith's exponential-then-
@@ -133,8 +133,8 @@ func cachedBound(c *Cache, k Key) (float64, bool) {
 func (e *Engine) minHeap(k Key, d *workload.Descriptor, p MinHeapParams) (float64, error) {
 	id := jobInfo{key: k, benchmark: d.Name}
 	if e.cache != nil {
-		if mb, ok := cachedBound(e.cache, k); ok {
-			atomic.AddInt64(&e.minHeapCacheHits, 1)
+		if mb, src := cachedBound(e.cache, k); src != missed {
+			e.countHit(src, &e.minHeapCacheHits)
 			id.heapMB = mb
 			e.emit(minHeapEvent(MinHeapCacheHit, id))
 			e.recordJob(obs.KindCacheHit, id, 0, 0, nil)

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"chopin/internal/workload"
 )
@@ -66,15 +67,16 @@ func TestColdCacheSingleFlight(t *testing.T) {
 	}
 
 	// After the flight resolves, the same key is served by the cache (the
-	// write-behind pending map or disk), never by a third execution.
+	// write-behind pending map or disk), never by a third execution, and
+	// counts as the repeat it is, as the coalesced submissions did.
 	if _, err := e.Run(d, smallCfg()); err != nil {
 		t.Fatal(err)
 	}
 	if got := executions.Load(); got != 1 {
 		t.Fatalf("warm re-run executed again (%d executions)", got)
 	}
-	if s := e.Stats(); s.CacheHits != 1 {
-		t.Fatalf("warm re-run did not hit the cache: %+v", s)
+	if s := e.Stats(); s.CacheHits != 0 || s.Deduped != n {
+		t.Fatalf("re-run of a job this cache wrote: stats = %+v, want CacheHits=0 Deduped=%d", s, n)
 	}
 }
 
@@ -124,7 +126,80 @@ func TestConcurrentRunsColdCacheExecuteOnce(t *testing.T) {
 	if s.Executed != 1 {
 		t.Fatalf("stats disagree with the seam: %+v", s)
 	}
-	if s.Deduped+s.CacheHits != n-1 {
-		t.Fatalf("the other %d submissions must dedup or cache-hit: %+v", n-1, s)
+	if s.Deduped != n-1 || s.CacheHits != 0 {
+		t.Fatalf("the other %d submissions must count as Deduped, in flight or served: %+v", n-1, s)
+	}
+}
+
+// TestColdRunStatsDeterministic: a plan that submits every job three times
+// must report the same Stats on every run, whichever submitter wins each
+// race. A repeat that meets its job in flight and one that finds the record
+// this run wrote (pending or on disk) both count as Deduped, so a cold run,
+// a -cold re-run over the cache it filled and a warm run each report counts
+// that are a function of the plan alone. Each run staggers its submitters
+// and executions differently, so repeats land on both sides of their first
+// execution's end.
+func TestColdRunStatsDeterministic(t *testing.T) {
+	d := testBench(t)
+	const distinct, copies = 6, 3
+	cfgs := make([]workload.RunConfig, distinct)
+	for i := range cfgs {
+		cfgs[i] = smallCfg()
+		cfgs[i].Events = 50
+		cfgs[i].Seed = uint64(i + 1)
+	}
+	run := func(dir string, mode CacheMode, stagger time.Duration) Stats {
+		t.Helper()
+		cache, err := OpenCache(dir, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cache.Close()
+		e := New(Options{
+			Workers: 2,
+			Cache:   cache,
+			runFn: func(d *workload.Descriptor, cfg workload.RunConfig) (*workload.Result, error) {
+				time.Sleep(time.Duration(cfg.Seed%3) * stagger)
+				return workload.Run(d, cfg)
+			},
+		})
+		var wg sync.WaitGroup
+		for g := 0; g < copies; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, cfg := range cfgs {
+					time.Sleep(time.Duration(g) * stagger / 2)
+					if _, err := e.Run(d, cfg); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return e.Stats()
+	}
+
+	dir := t.TempDir()
+	cold := Stats{Executed: distinct, Deduped: distinct * (copies - 1)}
+	warm := Stats{CacheHits: distinct, Deduped: distinct * (copies - 1)}
+	for i, c := range []struct {
+		name    string
+		dir     string
+		mode    CacheMode
+		stagger time.Duration
+		want    Stats
+	}{
+		{"cold", dir, ReadWrite, 0, cold},
+		{"cold, staggered", t.TempDir(), ReadWrite, 2 * time.Millisecond, cold},
+		{"-cold over a filled cache", dir, WriteOnly, time.Millisecond, cold},
+		{"warm", dir, ReadWrite, time.Millisecond, warm},
+	} {
+		if got := run(c.dir, c.mode, c.stagger); got != c.want {
+			t.Errorf("run %d (%s): stats = %+v, want %+v", i+1, c.name, got, c.want)
+		}
 	}
 }

@@ -49,8 +49,8 @@ func TestTelemetryBuildsOneTracePerExecutedJob(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s := eng.Stats(); s.Executed != 2 || s.CacheHits != 1 {
-		t.Fatalf("stats = %+v, want 2 executed and 1 cache hit", s)
+	if s := eng.Stats(); s.Executed != 2 || s.Deduped != 1 {
+		t.Fatalf("stats = %+v, want 2 executed and 1 repeat served from the cache", s)
 	}
 
 	trees := span.Build(rec.Events())

@@ -16,7 +16,6 @@ import (
 	"chopin/internal/nominal"
 	"chopin/internal/report"
 	"chopin/internal/stats"
-	"chopin/internal/trace"
 )
 
 // GeomeanFigure renders Figure 1: cross-suite geometric-mean LBO curves as a
@@ -372,7 +371,3 @@ func HeapTimelineFigure(bench string, samples []harness.HeapSample) string {
 	p.Render(&b)
 	return b.String()
 }
-
-// PausesOf re-exports the pause slice type for callers that only see
-// harness results.
-func PausesOf(r harness.LatencyResult) []trace.Pause { return r.Pauses }

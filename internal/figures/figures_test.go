@@ -8,7 +8,6 @@ import (
 	"chopin/internal/harness"
 	"chopin/internal/lbo"
 	"chopin/internal/nominal"
-	"chopin/internal/trace"
 	"chopin/internal/workload"
 )
 
@@ -150,12 +149,5 @@ func TestHeapTimelineFigure(t *testing.T) {
 	})
 	if !strings.Contains(out, "heap size after each GC") {
 		t.Fatal("missing title")
-	}
-}
-
-func TestPausesOf(t *testing.T) {
-	r := harness.LatencyResult{Pauses: []trace.Pause{{Start: 1, End: 2}}}
-	if got := PausesOf(r); len(got) != 1 {
-		t.Fatalf("PausesOf = %v", got)
 	}
 }

@@ -97,13 +97,3 @@ func (s *SizeDistribution) MeasuredStats(rng sampler, n int) (avg, p10, median, 
 	}
 	return sum / float64(n), quantile(0.10), quantile(0.50), quantile(0.90)
 }
-
-// ObjectsForBytes estimates how many objects a byte volume represents under
-// this distribution (total bytes over mean size), which is how allocation
-// counts are derived without simulating every object.
-func (s *SizeDistribution) ObjectsForBytes(bytes float64) float64 {
-	if s.demo.AvgObjectBytes <= 0 {
-		return 0
-	}
-	return bytes / s.demo.AvgObjectBytes
-}

@@ -79,14 +79,6 @@ func TestSizeDistributionErrors(t *testing.T) {
 	}
 }
 
-func TestObjectsForBytes(t *testing.T) {
-	d := Demographics{AvgObjectBytes: 64, ObjectBytesP10: 24, ObjectBytesMedian: 32, ObjectBytesP90: 88}
-	s, _ := NewSizeDistribution(d)
-	if got := s.ObjectsForBytes(6400); got != 100 {
-		t.Fatalf("objects = %v, want 100", got)
-	}
-}
-
 func TestQuickSizeDistributionSane(t *testing.T) {
 	f := func(medRaw, p90Raw, avgRaw uint16, seed uint32) bool {
 		median := float64(medRaw%100) + 16

@@ -16,6 +16,8 @@ package lbo
 import (
 	"fmt"
 	"math"
+
+	"chopin/internal/stats"
 )
 
 // Measurement is one (collector, heap size) cell of a benchmark's grid.
@@ -164,21 +166,18 @@ func Geomean(grids []*Grid, collectors []string, factors []float64) ([]GeomeanPo
 	for _, c := range collectors {
 		for _, f := range factors {
 			pt := GeomeanPoint{Collector: c, HeapFactor: f, Complete: true}
-			logWall, logCPU := 0.0, 0.0
+			var walls, cpus []float64
 			for _, m := range overheadsByBench {
 				o, ok := m[key{c, f}]
 				if !ok || !o.Completed {
 					pt.Complete = false
 					continue
 				}
-				logWall += math.Log(o.Wall)
-				logCPU += math.Log(o.CPU)
-				pt.Benchmarks++
+				walls = append(walls, o.Wall)
+				cpus = append(cpus, o.CPU)
 			}
-			if pt.Benchmarks > 0 {
-				pt.Wall = math.Exp(logWall / float64(pt.Benchmarks))
-				pt.CPU = math.Exp(logCPU / float64(pt.Benchmarks))
-			}
+			pt.Benchmarks = len(walls)
+			pt.Wall, pt.CPU = stats.GeoMean(walls), stats.GeoMean(cpus)
 			out = append(out, pt)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"slices"
@@ -33,14 +34,17 @@ type InvocationRecord struct {
 }
 
 // An invocation record is a framed binary record, not a JSON archive: the
-// GC log (every GCEvent and STW Pause of the run) is nearly all of its
-// bytes, and as fixed-width words it is a fifth the size of indented JSON
-// and tens of times faster to encode and decode. All integers are
+// GC log (every GCEvent and STW Pause of the run) and the per-event
+// latencies are nearly all of its bytes, and as fixed-width words they are
+// a fifth the size of indented JSON and tens of times faster to encode and
+// decode. Only the scalars — the record's identity, the run's config and
+// its per-iteration measurements — travel as JSON. All integers are
 // little-endian:
 //
-//	magic    8 B      "chopinv" and the format version byte (1)
+//	magic    8 B      "chopinv" and the format version byte (2)
 //	hdrLen   8 B      length of the header
-//	header   hdrLen   compact JSON of the record, Result.Log elided
+//	header   hdrLen   compact JSON of the record, Result.Log and
+//	                  Result.Events elided
 //
 // and, only when the record has a Result, its Result.Log:
 //
@@ -50,15 +54,23 @@ type InvocationRecord struct {
 //	                  UsedAfter, LiveAfter
 //	nPauses  8 B      then 2×8 B per Pause: Start, End
 //
+// followed by its Result.Events:
+//
+//	present  8 B      0 when Events is nil (no latency recorded), else 1
+//	nLat     8 B      only when present, then 2×8 B per Event: Start, End
+//
 // The encoding is canonical: DecodeInvocation accepts exactly the bytes
 // EncodeInvocation produces, so a decoded record re-encodes to its input.
-// An empty event or pause column decodes as an empty, non-nil slice, the
-// way workload.Run builds its log.
-var invMagic = [8]byte{'c', 'h', 'o', 'p', 'i', 'n', 'v', 1}
+// An empty column decodes as an empty, non-nil slice, the way workload.Run
+// builds its log; the presence word keeps a nil Events nil. Version 1
+// records carried Events in the JSON header; they are ErrCorrupt, so a
+// cache re-simulates and overwrites each once.
+var invMagic = [8]byte{'c', 'h', 'o', 'p', 'i', 'n', 'v', 2}
 
 const (
-	eventBytes = 9 * 8
-	pauseBytes = 2 * 8
+	eventBytes   = 9 * 8
+	pauseBytes   = 2 * 8
+	latencyBytes = 2 * 8
 )
 
 // ErrCorrupt is wrapped by every error DecodeInvocation and LoadInvocation
@@ -80,17 +92,39 @@ func SaveInvocation(path string, r *InvocationRecord, buf []byte) ([]byte, error
 	return data, writeFile(path, data)
 }
 
-// LoadInvocation reads one cached invocation record.
-func LoadInvocation(path string) (*InvocationRecord, error) {
-	data, err := os.ReadFile(path)
+// LoadInvocation reads one cached invocation record, reading the file into
+// buf's storage. It returns the buffer, so a reader that passes it back
+// reads every record into the same storage; nil is a fine first buffer.
+// The record copies every value out of the buffer and keeps no reference
+// into it.
+func LoadInvocation(path string, buf []byte) (*InvocationRecord, []byte, error) {
+	data, err := readFile(path, buf)
 	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+		return nil, data, fmt.Errorf("persist: %w", err)
 	}
 	r, err := DecodeInvocation(data)
 	if err != nil {
-		return nil, fmt.Errorf("persist: %s: %w", path, err)
+		return nil, data, fmt.Errorf("persist: %s: %w", path, err)
 	}
-	return r, nil
+	return r, data, nil
+}
+
+// readFile reads the file at path into buf's storage, growing it at most
+// once. Records are published by rename and never change in place, so the
+// size Stat reports is the size to read.
+func readFile(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return buf, err
+	}
+	buf = slices.Grow(buf[:0], int(fi.Size()))[:fi.Size()]
+	_, err = io.ReadFull(f, buf)
+	return buf, err
 }
 
 // EncodeInvocation frames the record in the binary invocation format. A
@@ -117,7 +151,8 @@ func AppendInvocation(dst []byte, r *InvocationRecord) ([]byte, error) {
 	size := len(invMagic) + 8 + len(hdr)
 	if r.Result != nil {
 		log := r.Result.Log
-		size += 3*8 + len(log.Events)*eventBytes + len(log.Pauses)*pauseBytes
+		size += 5*8 + len(log.Events)*eventBytes + len(log.Pauses)*pauseBytes +
+			len(r.Result.Events)*latencyBytes
 	}
 	b := slices.Grow(dst, size)
 	b = append(b, invMagic[:]...)
@@ -145,17 +180,26 @@ func AppendInvocation(dst []byte, r *InvocationRecord) ([]byte, error) {
 		b = le.AppendUint64(b, uint64(p.Start))
 		b = le.AppendUint64(b, uint64(p.End))
 	}
+	if r.Result.Events == nil {
+		return le.AppendUint64(b, 0), nil
+	}
+	b = le.AppendUint64(b, 1)
+	b = le.AppendUint64(b, uint64(len(r.Result.Events)))
+	for _, e := range r.Result.Events {
+		b = le.AppendUint64(b, uint64(e.Start))
+		b = le.AppendUint64(b, uint64(e.End))
+	}
 	return b, nil
 }
 
 // header returns the record as its JSON header carries it: every field but
-// Result.Log, which travels in the log section.
+// Result.Log and Result.Events, which travel in the binary columns.
 func header(r *InvocationRecord) *InvocationRecord {
 	if r.Result == nil {
 		return r
 	}
 	h, res := *r, *r.Result
-	res.Log = nil
+	res.Log, res.Events = nil, nil
 	h.Result = &res
 	return &h
 }
@@ -191,6 +235,9 @@ func DecodeInvocation(b []byte) (*InvocationRecord, error) {
 			return nil, err
 		}
 		r.Result.Log = log
+		if r.Result.Events, err = d.latencies(); err != nil {
+			return nil, err
+		}
 	}
 	if len(d.b) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b))
@@ -270,4 +317,28 @@ func (d *decoder) log() (*trace.Log, error) {
 		log.Pauses[i] = trace.Pause{Start: int64(le.Uint64(w)), End: int64(le.Uint64(w[8:]))}
 	}
 	return log, nil
+}
+
+// latencies reads the Result.Events column: a presence word, then, when it
+// is 1, the count and the entries.
+func (d *decoder) latencies() ([]workload.Event, error) {
+	present, ok := d.uint64()
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("%w: torn latency column", ErrCorrupt)
+	case present == 0:
+		return nil, nil
+	case present != 1:
+		return nil, fmt.Errorf("%w: latency presence word %d", ErrCorrupt, present)
+	}
+	n, p, err := d.column(latencyBytes, "latency")
+	if err != nil {
+		return nil, err
+	}
+	events := make([]workload.Event, n)
+	for i := range events {
+		w := p[i*latencyBytes:]
+		events[i] = workload.Event{Start: int64(le.Uint64(w)), End: int64(le.Uint64(w[8:]))}
+	}
+	return events, nil
 }

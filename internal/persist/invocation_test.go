@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"chopin/internal/gc"
@@ -168,9 +169,48 @@ func TestAppendInvocationMatchesEncode(t *testing.T) {
 	}
 }
 
-// TestTraceFieldGuard fails when a field is added to the GC log types: the
-// invocation codec writes their fields one by one, so a new field would
-// otherwise be dropped from every cached record without a sound.
+// TestLoadInvocationReusesBuffer: a reader that hands LoadInvocation the
+// buffer it got back reads the next record into the same storage, and a
+// record decoded from that storage earlier keeps its values when the next
+// record overwrites it. The larger record first, so the smaller one lands
+// in the same backing array without growth.
+func TestLoadInvocationReusesBuffer(t *testing.T) {
+	big := realRecord(t, workload.Spring, workload.RunConfig{
+		HeapMB: 2 * workload.Spring.MinHeapMB, Collector: gc.G1, Iterations: 1, Events: 100, Seed: 3,
+		OpenLoop: true, OpenLoopHeadroom: 1.5, RecordLatency: true,
+	})
+	big.Key, big.Workload = "big-record-key", "spring-big"
+	small := &InvocationRecord{Key: "k", Workload: "h2", Collector: "ZGC", HeapMB: 8, Seed: 42, OOM: true}
+	bigPath, smallPath := tempPath(t, "big.inv"), tempPath(t, "small.inv")
+	for path, rec := range map[string]*InvocationRecord{bigPath: big, smallPath: small} {
+		if _, err := SaveInvocation(path, rec, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gotBig, buf, err := LoadInvocation(bigPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storage := &buf[:1][0]
+	gotSmall, buf, err := LoadInvocation(smallPath, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &buf[:1][0] != storage {
+		t.Fatal("the smaller record was not read into the buffer handed back")
+	}
+	if !reflect.DeepEqual(gotBig, big) || !reflect.DeepEqual(gotSmall, small) {
+		t.Fatal("a record read through a reused buffer differs from the one saved")
+	}
+	if _, _, err := LoadInvocation(tempPath(t, "missing.inv"), buf); err == nil {
+		t.Fatal("loading a missing file should error")
+	}
+}
+
+// TestTraceFieldGuard fails when a field is added to the GC log types or to
+// workload.Event: the invocation codec writes their fields one by one, so a
+// new field would otherwise be dropped from every cached record without a
+// sound.
 func TestTraceFieldGuard(t *testing.T) {
 	for _, c := range []struct {
 		typ    reflect.Type
@@ -179,6 +219,7 @@ func TestTraceFieldGuard(t *testing.T) {
 		{reflect.TypeOf(trace.GCEvent{}), 9},
 		{reflect.TypeOf(trace.Pause{}), 2},
 		{reflect.TypeOf(trace.Log{}), 3},
+		{reflect.TypeOf(workload.Event{}), 2},
 	} {
 		if n := c.typ.NumField(); n != c.fields {
 			t.Errorf("%v has %d fields, the invocation codec writes %d: extend EncodeInvocation, "+
@@ -195,6 +236,40 @@ func frame(hdr []byte, tail ...byte) []byte {
 	return append(append(b, hdr...), tail...)
 }
 
+// words is the little-endian encoding of each word in turn.
+func words(ws ...uint64) []byte {
+	var b []byte
+	for _, w := range ws {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return slices.Clip(b) // so that appends to it never share storage
+}
+
+// v1Frame is rec as format version 1 wrote it: Result.Events in the JSON
+// header, and no latency column after the pauses.
+func v1Frame(t *testing.T, rec *InvocationRecord) []byte {
+	t.Helper()
+	v2, err := EncodeInvocation(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := v2[16+binary.LittleEndian.Uint64(v2[8:]):]
+	tail = tail[:len(tail)-8-len(rec.Result.Events)*latencyBytes]
+	if rec.Result.Events != nil {
+		tail = tail[:len(tail)-8]
+	}
+	h, res := *rec, *rec.Result
+	res.Log = nil
+	h.Result = &res
+	hdr, err := json.Marshal(&h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := frame(hdr, tail...)
+	b[len(invMagic)-1] = 1
+	return b
+}
+
 // TestDecodeRejectsHostileInput feeds the decoder inputs a corrupted or
 // hostile file could hold. Each must fail with ErrCorrupt, and none may
 // allocate from a count the remaining bytes cannot back.
@@ -205,34 +280,53 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	huge := binary.LittleEndian.AppendUint64(nil, math.MaxUint64)
-	zero := make([]byte, 8)
+	lat := realRecord(t, workload.Spring, workload.RunConfig{
+		HeapMB: 2 * workload.Spring.MinHeapMB, Collector: gc.G1, Iterations: 1, Events: 50, Seed: 1,
+		OpenLoop: true, OpenLoopHeadroom: 1.5, RecordLatency: true,
+	})
+	if len(lat.Result.Events) == 0 {
+		t.Fatal("open-loop run recorded no latencies")
+	}
+	const huge = math.MaxUint64
+	emptyLog := words(0, 0, 0) // StallNS, no events, no pauses
 	cases := map[string][]byte{
-		"empty":           nil,
-		"short magic":     invMagic[:5],
-		"wrong version":   append(append([]byte("chopinv"), 2), frame(hdr)[8:]...),
-		"huge header":     append(invMagic[:], huge...),
-		"bad header":      frame([]byte(`{"key":`)),
-		"spaced header":   frame([]byte(`{"key":"k", "workload":"fop","collector":"","heap_mb":0,"seed":0,"oom":true}`)),
-		"no log":          frame(hdr),
-		"torn stall":      frame(hdr, 1, 2, 3),
-		"huge events":     frame(hdr, append(zero, huge...)...),
-		"events overrun":  frame(hdr, append(zero, 1, 0, 0, 0, 0, 0, 0, 0, 9)...),
-		"huge pauses":     frame(hdr, append(append(zero, zero...), huge...)...),
-		"trailing byte":   frame(hdr, append(append(append(zero, zero...), zero...), 0)...),
-		"neither":         frame([]byte(`{"key":"k","workload":"fop","collector":"","heap_mb":0,"seed":0}`)),
-		"log in header":   frame([]byte(`{"key":"k","workload":"","collector":"","heap_mb":0,"seed":0,"result":{"Log":{}}}`), make([]byte, 24)...),
-		"pre-binary JSON": []byte(`{"version":2,"kind":"invocation","invocation":{"key":"k","oom":true}}`),
+		"empty":            nil,
+		"short magic":      invMagic[:5],
+		"future version":   append(append([]byte("chopinv"), 3), frame(hdr)[8:]...),
+		"v1 frame":         v1Frame(t, lat),
+		"huge header":      append(invMagic[:], words(huge)...),
+		"bad header":       frame([]byte(`{"key":`)),
+		"spaced header":    frame([]byte(`{"key":"k", "workload":"fop","collector":"","heap_mb":0,"seed":0,"oom":true}`)),
+		"no log":           frame(hdr),
+		"torn stall":       frame(hdr, 1, 2, 3),
+		"huge events":      frame(hdr, words(0, huge)...),
+		"events overrun":   frame(hdr, append(words(0, 1), 9)...),
+		"huge pauses":      frame(hdr, words(0, 0, huge)...),
+		"no latency word":  frame(hdr, emptyLog...),
+		"torn presence":    frame(hdr, append(emptyLog, 0, 0, 0)...),
+		"bad presence":     frame(hdr, append(emptyLog, words(2)...)...),
+		"no latency count": frame(hdr, append(emptyLog, words(1)...)...),
+		"huge latencies":   frame(hdr, append(emptyLog, words(1, huge)...)...),
+		"latency overrun":  frame(hdr, append(emptyLog, words(1, 1, 7)...)...),
+		"torn latency":     frame(hdr, append(emptyLog, append(words(1, 2, 7, 8, 9), 0, 0)...)...),
+		"trailing byte":    frame(hdr, append(append(emptyLog, words(0)...), 0)...),
+		"neither":          frame([]byte(`{"key":"k","workload":"fop","collector":"","heap_mb":0,"seed":0}`)),
+		"log in header":    frame([]byte(`{"key":"k","workload":"","collector":"","heap_mb":0,"seed":0,"result":{"Log":{}}}`), make([]byte, 32)...),
+		"events in header": frame([]byte(`{"key":"k","workload":"","collector":"","heap_mb":0,"seed":0,"result":{"Events":[]}}`), make([]byte, 32)...),
+		"pre-binary JSON":  []byte(`{"version":2,"kind":"invocation","invocation":{"key":"k","oom":true}}`),
 	}
 	for name, b := range cases {
 		if _, err := DecodeInvocation(b); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
-	// The well-formed empty log the cases above corrupt does decode.
-	ok := frame(hdr, append(append(append([]byte(nil), zero...), zero...), zero...)...)
-	if _, err := DecodeInvocation(ok); err != nil {
-		t.Fatalf("control record: %v", err)
+	// The well-formed records the cases above corrupt do decode: an empty
+	// log without latencies, with an empty latency column, and with two
+	// latencies.
+	for _, tail := range [][]byte{words(0), words(1, 0), words(1, 2, 7, 8, 9, 10)} {
+		if _, err := DecodeInvocation(frame(hdr, append(emptyLog, tail...)...)); err != nil {
+			t.Fatalf("control record %v: %v", tail, err)
+		}
 	}
 }
 
@@ -254,7 +348,7 @@ func TestInvocationWithoutPayloadRejected(t *testing.T) {
 	}
 	path := tempPath(t, "empty-inv.inv")
 	os.WriteFile(path, frame(hdr), 0o644)
-	if _, err := LoadInvocation(path); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := LoadInvocation(path, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("invocation with neither result nor OOM: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -262,8 +356,9 @@ func TestInvocationWithoutPayloadRejected(t *testing.T) {
 // FuzzDecodeInvocation: decoding never panics, and either fails with
 // ErrCorrupt or returns a record that re-encodes to exactly the input. The
 // committed corpus (testdata/fuzz/FuzzDecodeInvocation) holds a real G1
-// record, an OOM-only record, a record with per-event latencies, a torn
-// record and a JSON invocation archive of the format this one replaced.
+// record, an OOM-only record, a record with per-event latencies in its
+// latency column, a torn record, a format-1 record with its latencies in the
+// JSON header, and a JSON invocation archive of the format before that.
 func FuzzDecodeInvocation(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, err := DecodeInvocation(b)

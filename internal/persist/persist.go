@@ -7,12 +7,13 @@
 // held a dedicated "minheap" kind; this package stores neither.
 //
 // The engine's invocation records — one simulator run each, keyed by the
-// canonical job hash and carrying the run's full GC log — are not JSON but
-// a framed binary record (invocation.go). The log's events and pauses are
-// nearly all of a record's bytes; as fixed-width columns instead of
-// indented JSON, the 162 records of the reduced paper plan perfbench runs
-// shrink from 195 MB to 40 MB, and encode and decode in tens of
-// milliseconds instead of seconds (DESIGN.md §5).
+// canonical job hash and carrying the run's full GC log and, when latency
+// was recorded, every event's start and end — are not JSON but a framed
+// binary record (invocation.go): a compact JSON header of scalars, then the
+// log's events and pauses and the latencies as fixed-width columns. Those
+// columns are nearly all of a record's bytes, and as binary words they are
+// a fifth the size of indented JSON and decode without a JSON parser
+// (DESIGN.md §5).
 package persist
 
 import (

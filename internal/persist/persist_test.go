@@ -30,7 +30,7 @@ func TestKindMismatch(t *testing.T) {
 	if err := SaveGeneric(gen, &GenericRecord{Key: "k", Kind: "cell", Data: json.RawMessage(`{"x":1}`)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadInvocation(gen); err == nil {
+	if _, _, err := LoadInvocation(gen, nil); err == nil {
 		t.Fatal("loading a generic as invocation should fail")
 	}
 }
@@ -87,7 +87,7 @@ func TestInvocationRoundTrip(t *testing.T) {
 	if _, err := SaveInvocation(path, rec, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadInvocation(path)
+	got, _, err := LoadInvocation(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestInvocationOOMRoundTrip(t *testing.T) {
 	if _, err := SaveInvocation(path, rec, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadInvocation(path)
+	got, _, err := LoadInvocation(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,14 +80,3 @@ func (r *RNG) ExpFloat64() float64 {
 func (r *RNG) Jitter(base, amp float64) float64 {
 	return base * (1 + amp*(2*r.Float64()-1))
 }
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

@@ -421,18 +421,6 @@ func TestRNGLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(3)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRNGIntnBounds(t *testing.T) {
 	r := NewRNG(11)
 	for i := 0; i < 10000; i++ {
