@@ -8,15 +8,18 @@
 # oracle (the O(T) engine, the linear cluster scan, the linear balancers)
 # named from a non-test file: the oracles live in _test.go files, and the
 # shipped build carries no mode that selects them. So does a non-test file of
-# the experiment engine (internal/exper) importing the span builder or the
-# trace renderer: per-job timelines come from -telemetry through obsreport
-# -trace-out, not from the engine. The benchmark module
+# the experiment engine (internal/exper) or any file of cmd/fleet importing
+# the span builder or the trace renderer: per-job and fleet timelines come
+# from -telemetry through obsreport -trace-out, not from the engine or the
+# fleet command. The benchmark module
 # (perfbench/, its own Go module, so ./... never reaches it) is built and
 # vetted, so an engine API change that breaks the benchmark fails tier 1;
 # its tests are not run here. The smoke steps drive the CLIs end to end: a
-# fleet sweep with telemetry, its report and Perfetto export, a 256-replica
-# fleet, and one chopin run at a fixed heap (no min-heap search) whose
-# telemetry obsreport folds into a Chrome trace.
+# fleet sweep with telemetry, run twice, whose report, Perfetto export and
+# terminal timeline obsreport renders from each stream (the two traces must
+# be byte-identical), a 256-replica fleet rendered the same way, and one
+# chopin run at a fixed heap (no min-heap search) whose telemetry obsreport
+# folds into a Chrome trace.
 .PHONY: tier1
 tier1: tier1-race
 
@@ -28,18 +31,25 @@ tier1-race:
 		-- '*.go' ':!*_test.go'
 	! git grep -n -F -e chopin/internal/obs/traceview -e chopin/internal/obs/span \
 		-- 'internal/exper/*.go' ':!*_test.go'
+	! git grep -n -F -e chopin/internal/obs/span -e chopin/internal/obs/traceview \
+		-- 'cmd/fleet/*.go'
 	go build ./...
 	go vet ./...
 	cd perfbench && go vet ./...
 	go test -race ./...
-	go run ./cmd/fleet -bench micro-pauseprobe -replicas 1,2 -rates 1,2 \
-		-lb round-robin,gc-aware -events 300 \
-		-telemetry fleet-smoke.jsonl -trace-out fleet-smoke.trace.json \
-		-timeline > /dev/null
-	go run ./cmd/obsreport -fleet fleet-smoke.jsonl > /dev/null
+	for i in 1 2; do \
+		go run ./cmd/fleet -bench micro-pauseprobe -replicas 1,2 -rates 1,2 \
+			-lb round-robin,gc-aware -events 300 \
+			-telemetry fleet-smoke-$$i.jsonl > /dev/null && \
+		go run ./cmd/obsreport -fleet -trace-out fleet-smoke-$$i.trace.json \
+			-timeline fleet-smoke-$$i.jsonl > /dev/null || exit 1; \
+	done
+	cmp fleet-smoke-1.trace.json fleet-smoke-2.trace.json
 	go run ./cmd/fleet -bench micro-pauseprobe -replicas 256 -lb gc-aware \
-		-events 60 -trace-out fleet-smoke-256.trace.json > /dev/null
-	rm -f fleet-smoke.jsonl fleet-smoke.trace.json fleet-smoke-256.trace.json
+		-events 60 -telemetry fleet-smoke-256.jsonl > /dev/null
+	go run ./cmd/obsreport -fleet -trace-out fleet-smoke-256.trace.json \
+		-timeline fleet-smoke-256.jsonl > /dev/null
+	rm -f fleet-smoke-*.jsonl fleet-smoke-*.trace.json
 	go run ./cmd/chopin -bench fop -n 2 -heap 100 -events 200 \
 		-telemetry chopin-smoke.jsonl > /dev/null
 	go run ./cmd/obsreport -trace-out chopin-smoke.trace.json chopin-smoke.jsonl > /dev/null

@@ -13,8 +13,12 @@
 //	fleet -bench kafka -replicas 1,3,6 -lb gc-aware
 //	fleet -bench h2 -arrival pareto -retry-after 50
 //	fleet -bench lusearch -rates 0.8,1,1.5,2 -collectors g1,z -json
-//	fleet -bench cassandra -telemetry fleet.jsonl      # request traces for obsreport -fleet
-//	fleet -bench kafka -timeline -trace-out fleet.trace.json
+//	fleet -bench cassandra -telemetry fleet.jsonl      # request traces for obsreport
+//
+// Timelines come from the telemetry stream: obsreport -fleet fleet.jsonl
+// prints the request forensics, and obsreport -trace-out fleet.trace.json
+// -timeline fleet.jsonl renders each executed cell for Perfetto and the
+// terminal. Cached cells record nothing; -cold re-runs them.
 package main
 
 import (
@@ -28,9 +32,6 @@ import (
 	"chopin/internal/exper"
 	"chopin/internal/fleet"
 	"chopin/internal/gc"
-	"chopin/internal/obs"
-	"chopin/internal/obs/span"
-	"chopin/internal/obs/traceview"
 	"chopin/internal/report"
 	"chopin/internal/workload"
 )
@@ -54,22 +55,10 @@ func main() {
 		maxRetries = flag.Int("max-retries", 0, "retry cap per request (0 = default 3)")
 		hostCores  = flag.Int("host-cores", 0, "co-located host core budget (0 = fully provisioned)")
 		jsonOut    = flag.Bool("json", false, "emit the raw sweep result as JSON")
-
-		traceOut      = flag.String("trace-out", "", "write per-cell fleet timelines (one track per replica: STW, load, requests) as Chrome trace-event JSON to this file")
-		timeline      = flag.Bool("timeline", false, "render a terminal fleet timeline per executed cell")
-		timelineWidth = flag.Int("timeline-width", 72, "timeline bar width in cells")
 	)
 	var cli exper.CLI
 	cli.RegisterFlags(flag.CommandLine, "")
 	flag.Parse()
-
-	// Fleet rendering needs the cells' telemetry in memory; cached cells
-	// record nothing, so renders cover executed cells only (-cold re-runs).
-	var capture *obs.Buffer
-	if *traceOut != "" || *timeline {
-		capture = &obs.Buffer{}
-		cli.Extra = capture
-	}
 
 	// The micro family is reachable too: a fleet of micro-pauseprobe replicas
 	// is the fast smoke configuration CI uses.
@@ -114,25 +103,6 @@ func main() {
 	res, err := fleet.RunSweep(eng, d, sw)
 	check(err)
 	fmt.Fprintf(os.Stderr, "fleet: %s\n", exper.Summary(eng.Stats()))
-
-	if capture != nil {
-		fts := span.BuildFleet(capture.Events())
-		if len(fts) == 0 {
-			fmt.Fprintln(os.Stderr, "fleet: no fleet telemetry captured (cached cells record nothing; re-run with -cold)")
-		}
-		if *traceOut != "" && len(fts) > 0 {
-			f, err := os.Create(*traceOut)
-			check(err)
-			check(traceview.WriteFleetChrome(f, fts))
-			check(f.Close())
-			fmt.Fprintf(os.Stderr, "fleet: wrote %d cell timeline(s) to %s (load in Perfetto or chrome://tracing)\n",
-				len(fts), *traceOut)
-		}
-		if *timeline && len(fts) > 0 {
-			check(traceview.WriteFleetTimeline(os.Stdout, fts, *timelineWidth))
-			fmt.Println()
-		}
-	}
 
 	if *jsonOut {
 		data, err := json.MarshalIndent(res, "", "  ")

@@ -8,7 +8,9 @@
 // With -trace-out the stream is additionally folded into causal span trees
 // (GC cycles owning their pauses, stalls blamed on the throttling cycle)
 // and exported as Chrome trace-event JSON for chrome://tracing / Perfetto;
-// -timeline renders the same spans as a terminal timeline.
+// -timeline renders the same spans as a terminal timeline. A fleet stream
+// (fleet -telemetry) renders instead as one cross-replica timeline per cell:
+// each replica's GC tracks plus its requests, balancer routes and load.
 //
 // Usage:
 //
@@ -19,6 +21,7 @@
 //	obsreport -timeline run.jsonl
 //	obsreport -sched run.jsonl                  # pool utilization table
 //	obsreport -fleet fleet.jsonl                # request blame + retry forensics
+//	obsreport -trace-out fleet.trace.json -timeline fleet.jsonl  # fleet timelines
 package main
 
 import (
@@ -67,8 +70,8 @@ func main() {
 	var (
 		collectorFilter = flag.String("collector", "", "restrict the report to one collector")
 		benchFilter     = flag.String("bench", "", "restrict the report to one benchmark")
-		traceOut        = flag.String("trace-out", "", "write causal span timelines as Chrome trace-event JSON to this file")
-		timeline        = flag.Bool("timeline", false, "render a terminal span timeline per run")
+		traceOut        = flag.String("trace-out", "", "write causal span timelines (fleet streams: per-cell fleet timelines) as Chrome trace-event JSON to this file")
+		timeline        = flag.Bool("timeline", false, "render a terminal span timeline per run (fleet streams: per cell)")
 		timelineWidth   = flag.Int("timeline-width", 72, "timeline bar width in cells")
 		sched           = flag.Bool("sched", false, "render the engine's scheduler-utilization table (per-worker busy/park, tasks executed, task-queue high-water mark)")
 		fleetTables     = flag.Bool("fleet", false, "render fleet request forensics (blame totals, slowest requests, per-replica correlation, retry storms)")
@@ -254,10 +257,13 @@ func main() {
 		}
 	}
 
+	var fts []*span.FleetTrace
+	if wantSpans {
+		fts = span.BuildFleet(kept)
+	}
 	if *fleetTables {
-		fts := span.BuildFleet(kept)
 		if len(fts) == 0 {
-			fmt.Println("\nno fleet telemetry in stream (capture with: fleet -bench ... -telemetry file.jsonl)")
+			fmt.Println("\nno fleet telemetry in stream (capture with: fleet -bench ... -telemetry file.jsonl; cached cells record nothing, re-run with -cold)")
 		}
 		for _, ft := range fts {
 			renderFleet(ft, *fleetTop)
@@ -265,18 +271,28 @@ func main() {
 	}
 
 	if *traceOut != "" || *timeline {
-		trees := span.Build(kept)
+		// A fleet stream renders one cross-replica timeline per cell; any
+		// other stream one span tree per run.
+		n, what := len(fts), "fleet cell"
+		chrome := func(w io.Writer) error { return traceview.WriteFleetChrome(w, fts) }
+		text := func(w io.Writer) error { return traceview.WriteFleetTimeline(w, fts, *timelineWidth) }
+		if len(fts) == 0 {
+			trees := span.Build(kept)
+			n, what = len(trees), "run"
+			chrome = func(w io.Writer) error { return traceview.WriteChromeTrace(w, trees) }
+			text = func(w io.Writer) error { return traceview.WriteTimeline(w, trees, *timelineWidth) }
+		}
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			check(err)
-			check(traceview.WriteChromeTrace(f, trees))
+			check(chrome(f))
 			check(f.Close())
-			fmt.Printf("\nwrote %d run timeline(s) to %s (load in Perfetto or chrome://tracing)\n",
-				len(trees), *traceOut)
+			fmt.Printf("\nwrote %d %s timeline(s) to %s (load in Perfetto or chrome://tracing)\n",
+				n, what, *traceOut)
 		}
 		if *timeline {
 			fmt.Println()
-			check(traceview.WriteTimeline(os.Stdout, trees, *timelineWidth))
+			check(text(os.Stdout))
 		}
 	}
 }

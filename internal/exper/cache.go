@@ -235,7 +235,8 @@ func (c *Cache) Flush() error {
 // Close. Engine.Close does NOT close its cache — the caller owns it and may
 // share it across engines — so callers that open caches dynamically (one per
 // sweep, one per test) should Close them, or the abandoned write-behind
-// goroutines accumulate for the life of the process.
+// goroutines accumulate for the life of the process. CLI.Close closes the
+// cache CLI.Build opened.
 func (c *Cache) Close() error {
 	err := c.Flush()
 	close(c.writes)

@@ -30,13 +30,8 @@ type CLI struct {
 	Pprof     string
 	Trace     string
 
-	// Extra, when non-nil, receives every telemetry event alongside (or
-	// instead of) the -telemetry sink. Commands set an obs.Buffer here to
-	// keep a run's events in memory for post-run rendering — cmd/fleet's
-	// -timeline and -trace-out flags work this way.
-	Extra obs.Recorder
-
 	eng       *Engine
+	cache     *Cache
 	telem     *obs.JSONL
 	telemFile *os.File
 	traceFile *os.File
@@ -69,6 +64,7 @@ func (c *CLI) Build(w io.Writer, prefix string) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
+		c.cache = cache
 		opt.Cache = cache
 	}
 	if c.Progress {
@@ -81,16 +77,7 @@ func (c *CLI) Build(w io.Writer, prefix string) (*Engine, error) {
 		}
 		c.telemFile = f
 		c.telem = obs.NewJSONL(f)
-	}
-	var recs []obs.Recorder
-	if c.telem != nil {
-		recs = append(recs, c.telem)
-	}
-	if c.Extra != nil {
-		recs = append(recs, c.Extra)
-	}
-	if rec := obs.Multi(recs...); rec.Enabled() {
-		opt.Recorder = rec
+		opt.Recorder = c.telem
 	}
 	if c.Trace != "" {
 		f, err := os.Create(c.Trace)
@@ -117,10 +104,11 @@ func (c *CLI) Build(w io.Writer, prefix string) (*Engine, error) {
 }
 
 // Close shuts down the engine — draining the pool and flushing the
-// write-behind result cache to disk — then flushes and closes the telemetry
-// sink, stops the runtime trace and shuts down the pprof server. Skipping it
-// loses whatever tail of cached results is still queued behind the cache
-// writer. It is safe to call when none were enabled.
+// write-behind result cache to disk — then closes the cache, stopping its
+// writer, flushes and closes the telemetry sink, stops the runtime trace and
+// shuts down the pprof server. Skipping it loses whatever tail of cached
+// results is still queued behind the cache writer. It is safe to call when
+// none were enabled, and again after it returned.
 func (c *CLI) Close() error {
 	var first error
 	if c.eng != nil {
@@ -128,6 +116,12 @@ func (c *CLI) Close() error {
 			first = err
 		}
 		c.eng = nil
+	}
+	if c.cache != nil {
+		if err := c.cache.Close(); err != nil && first == nil {
+			first = err
+		}
+		c.cache = nil
 	}
 	if c.telem != nil {
 		if err := c.telem.Close(); err != nil && first == nil {

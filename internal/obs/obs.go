@@ -374,9 +374,8 @@ func (s *replicaStamp) Record(e Event) {
 }
 
 // Buffer is a Recorder that captures events in memory, in arrival order. It
-// is safe for concurrent use; commands use it to keep a run's telemetry for
-// post-run rendering (fleet timelines) alongside — or instead of — a JSONL
-// file.
+// is safe for concurrent use; tests and benchmarks use it to inspect a run's
+// telemetry without a JSONL round trip.
 type Buffer struct {
 	mu     sync.Mutex
 	events []Event
@@ -417,39 +416,6 @@ func (b *Buffer) Events() []Event {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.events
-}
-
-// Multi fans every event out to each of rs (disabled ones are dropped). It
-// returns Nop when none are enabled, so the Enabled guard stays accurate.
-func Multi(rs ...Recorder) Recorder {
-	var live []Recorder
-	for _, r := range rs {
-		if r != nil && r.Enabled() {
-			live = append(live, r)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return Nop
-	case 1:
-		return live[0]
-	}
-	return multi(live)
-}
-
-type multi []Recorder
-
-func (m multi) Enabled() bool { return true }
-func (m multi) Record(e Event) {
-	for _, r := range m {
-		r.Record(e)
-	}
-}
-
-func (m multi) RecordBatch(evs []Event) {
-	for _, r := range m {
-		RecordAll(r, evs)
-	}
 }
 
 // BatchRecorder is implemented by sinks that can consume a whole batch of

@@ -234,24 +234,6 @@ func TestWithRunStamps(t *testing.T) {
 	}
 }
 
-func TestMulti(t *testing.T) {
-	if Multi(Nop, nil, Nop).Enabled() {
-		t.Error("Multi of disabled recorders is enabled")
-	}
-	var a, b bytes.Buffer
-	ja, jb := NewJSONL(&a), NewJSONL(&b)
-	m := Multi(ja, Nop, jb)
-	m.Record(Event{Kind: KindOOM})
-	ja.Close()
-	jb.Close()
-	if a.Len() == 0 || b.Len() == 0 {
-		t.Error("Multi did not fan out to both sinks")
-	}
-	if one := Multi(Nop, ja); one != Recorder(ja) {
-		t.Error("Multi with one live recorder should return it directly")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram([]float64{10, 100, 1000})
 	for _, v := range []float64{5, 10, 11, 100, 500, 5000} {

@@ -127,8 +127,9 @@ func (a *fleetAsm) see(tns int64) {
 	}
 }
 
-// BuildFleet folds a telemetry stream into one FleetTrace per fleet run, in
-// order of first appearance. Runs with no fleet-layer events (ordinary
+// BuildFleet folds a telemetry stream into one FleetTrace per fleet run,
+// sorted by run key: the order runs first appear in is the order the
+// engine's cells finished, which varies from run to run. Runs with no fleet-layer events (ordinary
 // single-process invocations) are skipped — render those with Build. Like
 // Build, events from different runs may interleave; within a run they must
 // be in emission order.
@@ -149,6 +150,7 @@ func BuildFleet(events []obs.Event) []*FleetTrace {
 		}
 		a.event(e)
 	}
+	sort.Strings(order)
 	var out []*FleetTrace
 	for _, run := range order {
 		a := asms[run]

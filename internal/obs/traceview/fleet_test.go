@@ -15,8 +15,13 @@ import (
 // requests, one retry hop, and the per-replica metric windows. An ordinary
 // single-process run ("solo") interleaves to prove BuildFleet skips it.
 func fixtureFleet() []*span.FleetTrace {
+	return span.BuildFleet(fixtureEvents())
+}
+
+// fixtureEvents is the stream fixtureFleet assembles.
+func fixtureEvents() []obs.Event {
 	ms := int64(1e6)
-	return span.BuildFleet([]obs.Event{
+	return []obs.Event{
 		// Replica 0 engine telemetry (1-based stamp = 1).
 		{Kind: obs.KindGCPhaseStart, TNS: 2 * ms, Run: "cell-a", Benchmark: "lusearch", Collector: "G1", Phase: "young", Cycle: 1, Replica: 1},
 		{Kind: obs.KindGCPause, TNS: 4 * ms, Run: "cell-a", DurNS: float64(2 * ms), Cycle: 1, Replica: 1},
@@ -44,7 +49,7 @@ func fixtureFleet() []*span.FleetTrace {
 		{Kind: obs.KindFleetWindow, TNS: 10 * ms, Run: "cell-a", DurNS: float64(10 * ms), Replica: 2, Value: 0, InFlight: 1},
 		{Kind: obs.KindFleetWindow, TNS: 20 * ms, Run: "cell-a", DurNS: float64(10 * ms), Replica: 1, Value: 1, Aux: 1, InFlight: 0, Goodput: 100, BurnRate: 50},
 		{Kind: obs.KindFleetWindow, TNS: 20 * ms, Run: "cell-a", DurNS: float64(10 * ms), Replica: 2, Value: 0, InFlight: 0},
-	})
+	}
 }
 
 // TestBuildFleet validates the assembled structure: one trace (the solo run
@@ -217,5 +222,53 @@ func TestFleetRenderDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two fleet timeline renders differ")
+	}
+}
+
+// TestFleetRenderIndependentOfRunOrder concatenates three fleet runs' event
+// batches in every order — the engine finishes cells, and so writes their
+// telemetry, in whatever order its workers happen to — and demands the same
+// Chrome and timeline bytes from each, with the traces in run-key order.
+func TestFleetRenderIndependentOfRunOrder(t *testing.T) {
+	runs := []string{"cell-b", "cell-c", "cell-a"}
+	batches := make([][]obs.Event, len(runs))
+	for i, run := range runs {
+		for _, e := range fixtureEvents() {
+			if e.Run == "cell-a" {
+				e.Run = run
+				e.TNS += int64(i) * 1e6 // distinct runs render distinct bytes
+				batches[i] = append(batches[i], e)
+			}
+		}
+	}
+	render := func(order []int) (chrome, timeline []byte) {
+		var events []obs.Event
+		for _, i := range order {
+			events = append(events, batches[i]...)
+		}
+		fts := span.BuildFleet(events)
+		for i, want := range []string{"cell-a", "cell-b", "cell-c"} {
+			if fts[i].Run != want {
+				t.Fatalf("order %v: trace %d is %q, want %q", order, i, fts[i].Run, want)
+			}
+		}
+		var c, tl bytes.Buffer
+		if err := traceview.WriteFleetChrome(&c, fts); err != nil {
+			t.Fatal(err)
+		}
+		if err := traceview.WriteFleetTimeline(&tl, fts, 72); err != nil {
+			t.Fatal(err)
+		}
+		return c.Bytes(), tl.Bytes()
+	}
+	wantChrome, wantTimeline := render([]int{0, 1, 2})
+	for _, order := range [][]int{{0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		chrome, timeline := render(order)
+		if !bytes.Equal(chrome, wantChrome) {
+			t.Errorf("batch order %v: fleet Chrome trace differs", order)
+		}
+		if !bytes.Equal(timeline, wantTimeline) {
+			t.Errorf("batch order %v: fleet timeline differs", order)
+		}
 	}
 }

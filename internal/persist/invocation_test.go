@@ -7,8 +7,11 @@ import (
 	"errors"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"chopin/internal/gc"
@@ -376,4 +379,25 @@ func FuzzDecodeInvocation(f *testing.F) {
 			t.Fatalf("re-encoding changed the bytes:\n in  %q\n out %q", b, out)
 		}
 	})
+}
+
+// TestCorpusRecordsDecode: the corpus seeds that stand for records the
+// current code writes still decode. A field added to or removed from the
+// record header turns them into ErrCorrupt seeds without failing the fuzz
+// target, so they are pinned here.
+func TestCorpusRecordsDecode(t *testing.T) {
+	for _, name := range []string{"g1-record", "latency-record", "oom-record"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeInvocation", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(data)), "\n")
+		b, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := DecodeInvocation([]byte(b)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
 }

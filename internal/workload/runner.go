@@ -47,9 +47,6 @@ type RunConfig struct {
 	// collectors by ~1.3x (the GMU experiment). ZGC is unaffected: it never
 	// compresses pointers.
 	DisableCompressedOops bool
-	// ThreadsOverride replaces the workload's worker count (0 = default);
-	// used by parallel-efficiency experiments.
-	ThreadsOverride int
 	// RecordLatency forces per-event timing even for workloads that are not
 	// latency-sensitive.
 	RecordLatency bool
@@ -368,9 +365,6 @@ func newRunner(d *Descriptor, cfg RunConfig, s *Scratch) (*runner, error) {
 	}
 
 	threads := d.Threads
-	if cfg.ThreadsOverride > 0 {
-		threads = cfg.ThreadsOverride
-	}
 	events := d.Events
 	if cfg.Events > 0 {
 		events = cfg.Events
