@@ -17,9 +17,12 @@
 # its tests are not run here. The smoke steps drive the CLIs end to end: a
 # fleet sweep with telemetry, run twice, whose report, Perfetto export and
 # terminal timeline obsreport renders from each stream (the two traces must
-# be byte-identical), a 256-replica fleet rendered the same way, and one
+# be byte-identical), a 256-replica fleet rendered the same way, one
 # chopin run at a fixed heap (no min-heap search) whose telemetry obsreport
-# folds into a Chrome trace.
+# folds into a Chrome trace, and one latency-sensitive chopin run with its
+# GC log, simulated into an empty cache and then served from it: the warm
+# run must print the same bytes as the cold one (iterations, GC log and
+# latency tables all come back from the cache record).
 .PHONY: tier1
 tier1: tier1-race
 
@@ -54,6 +57,13 @@ tier1-race:
 		-telemetry chopin-smoke.jsonl > /dev/null
 	go run ./cmd/obsreport -trace-out chopin-smoke.trace.json chopin-smoke.jsonl > /dev/null
 	rm -f chopin-smoke.jsonl chopin-smoke.trace.json
+	rm -rf chopin-smoke-cache
+	for i in 1 2; do \
+		go run ./cmd/chopin -bench spring -n 2 -heap 200 -events 200 -gclog \
+			-cache chopin-smoke-cache > chopin-smoke-$$i.txt || exit 1; \
+	done
+	cmp chopin-smoke-1.txt chopin-smoke-2.txt
+	rm -rf chopin-smoke-cache chopin-smoke-1.txt chopin-smoke-2.txt
 
 .PHONY: test
 test:
@@ -165,8 +175,9 @@ fuzz:
 # The paper-facing artifacts: every file under results/ is written by one
 # runbms plan, experiments/results.json, on one engine. Both targets start
 # from an empty cache under .bench_build/ and delete it afterwards (~2.9 GB):
-# a cache entry is keyed by a job's parameters, not by the simulator's code,
-# so a warm cache would re-render the numbers of whatever code filled it.
+# a cache entry is keyed by a job's parameters and the digest of the workload
+# goldens, not by the simulator's code, so a warm cache would re-render the
+# numbers of whatever code filled it after a change that moves no golden.
 # `make results` rewrites results/ from scratch; `make results-check`
 # regenerates into a temporary directory and fails on any difference from
 # the committed results/. Cold, each takes about a minute on 2 cores, which

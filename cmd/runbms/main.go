@@ -13,8 +13,10 @@
 // Completed invocations persist in a content-addressed cache (default
 // <out>/cache), so re-running a plan — after an interrupt, a crash, or an
 // edit that adds experiments — re-executes only what is missing. A cache
-// entry is keyed by the job's parameters, not by the simulator's code: after
-// a model change, re-run with -cold (or a fresh -cache) to recompute.
+// entry is keyed by the job's parameters and by workload.ModelDigest, the
+// digest of the workload golden fixtures, so a model change that moves a
+// golden invalidates every entry. Only after a model change that moves no
+// golden, re-run with -cold (or a fresh -cache) to recompute.
 //
 // A plan looks like:
 //

@@ -35,9 +35,8 @@ const writeDepth = 128
 // Cache is the content-addressed, invocation-level result store: one file
 // per job key, sharded two-hex-characters deep so large plans do not pile
 // thousands of files into one directory. Invocation results are binary
-// persist records (dir/ab/abcdef….inv: a compact JSON header of scalars plus
-// the GC log and latencies as fixed-width columns — see
-// persist.EncodeInvocation); every other
+// persist records of fixed-width words, holding nothing their job's key
+// fixes (dir/ab/abcdef….inv, see persist.EncodeInvocation); every other
 // result is a small JSON generic record (dir/ab/abcdef….json): a fleet
 // cell's report, or a min-heap measurement's bound as a bare number. Writes
 // are atomic (write-then-rename in persist), so a killed run leaves only
@@ -243,14 +242,16 @@ func (c *Cache) Close() error {
 	return err
 }
 
-// getInvocation loads the cached record for the key, if present and valid,
-// and says where it came from. Records still queued behind the write-behind
-// path are served from memory, so callers never observe the deferral.
-// Unreadable or stale records are treated as misses, never as failures: the
-// job simply re-runs and overwrites them. Files are read into pooled
-// buffers, which the decoded record does not reference.
-func (c *Cache) getInvocation(k Key) (*persist.InvocationRecord, source) {
-	rec, stale := c.lookup(k)
+// getInvocation loads the job's cached record, if present and valid, and
+// says where it came from. Records still queued behind the write-behind
+// path are served from memory (and shared, so never modified), so callers
+// never observe the deferral. A record read from disk gets the Result's
+// Workload and Config back from the job. Unreadable or stale records are
+// misses, never failures: the job simply re-runs and overwrites them.
+// Files are read into pooled buffers, which the decoded record does not
+// reference.
+func (c *Cache) getInvocation(j Job) (*persist.InvocationRecord, source) {
+	rec, stale := c.lookup(j.key)
 	if rec != nil {
 		return rec, repeated
 	}
@@ -259,12 +260,16 @@ func (c *Cache) getInvocation(k Key) (*persist.InvocationRecord, source) {
 	}
 	buf := c.bufs.Get().(*[]byte)
 	var err error
-	rec, *buf, err = persist.LoadInvocation(c.invPath(k), *buf)
+	rec, *buf, err = persist.LoadInvocation(c.invPath(j.key), *buf)
 	c.bufs.Put(buf)
-	if err != nil || rec.Key != string(k) {
+	if err != nil || rec.Key != string(j.key) {
 		return nil, missed
 	}
-	return rec, c.served(k)
+	if rec.Result != nil {
+		rec.Result.Workload = j.Desc.Name
+		rec.Result.Config = normalize(j.Cfg)
+	}
+	return rec, c.served(j.key)
 }
 
 // putInvocation queues the record for write-behind persistence. It returns

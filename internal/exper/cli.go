@@ -155,10 +155,12 @@ func (c *CLI) CloseOrWarn(w io.Writer, prefix string) {
 	}
 }
 
-// Summary formats the engine's counters as a one-line run report.
+// Summary formats the engine's counters as a one-line run report: "from
+// cache" counts records that predate the run, "repeated" the jobs the run
+// itself repeats (Stats.Deduped).
 func Summary(s Stats) string {
-	return fmt.Sprintf("%d invocations run, %d from cache (%d OOM, %d failed)",
-		s.Executed, s.CacheHits, s.OOMs, s.Failures)
+	return fmt.Sprintf("%d invocations run, %d from cache, %d repeated (%d OOM, %d failed)",
+		s.Executed, s.CacheHits, s.Deduped, s.OOMs, s.Failures)
 }
 
 // ParseFactors parses the value of the flag called name (heap factors,

@@ -42,15 +42,22 @@ func TestParseFactors(t *testing.T) {
 	}
 }
 
-// cacheWriters counts the live write-behind goroutines of every open Cache.
+// cacheWriters counts the live write-behind goroutines of every open Cache,
+// once two counts 10 ms apart agree: a writer whose Cache another test
+// closed may still be returning, and one OpenCache just started may not yet
+// have run.
 func cacheWriters() int {
-	buf := make([]byte, 1<<20)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "exper.(*Cache).writer(")
+	for n := -1; ; time.Sleep(10 * time.Millisecond) {
+		buf := make([]byte, 1<<20)
+		k := runtime.Stack(buf, true)
+		for ; k == len(buf); k = runtime.Stack(buf, true) {
+			buf = make([]byte, 2*len(buf))
 		}
-		buf = make([]byte, 2*len(buf))
+		m := strings.Count(string(buf[:k]), "exper.(*Cache).writer(")
+		if m == n {
+			return n
+		}
+		n = m
 	}
 }
 
@@ -67,10 +74,6 @@ func TestCLICloseClosesCache(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for cacheWriters() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
 	}
 	if n := cacheWriters(); n != before {
 		t.Fatalf("after Close: %d cache writers, want %d", n, before)

@@ -458,7 +458,7 @@ func (e *Engine) runJob(id jobInfo, base obs.Recorder, work func(rec obs.Recorde
 func (e *Engine) execute(job Job) (*workload.Result, error) {
 	id := job.info()
 	if e.cache != nil {
-		if rec, src := e.cache.getInvocation(id.key); src != missed {
+		if rec, src := e.cache.getInvocation(job); src != missed {
 			e.countHit(src, &e.cacheHits)
 			e.emit(id.event(JobCacheHit))
 			e.recordJob(obs.KindCacheHit, id, 0, 0, nil)
@@ -488,6 +488,9 @@ func (e *Engine) execute(job Job) (*workload.Result, error) {
 		if res, err = e.runFn(job.Desc, cfg); err != nil {
 			return 0, err
 		}
+		// A Result carries no recorder: the run's may be a pooled buffer
+		// the next job reuses, and a Result served from the cache has none.
+		res.Config.Recorder = nil
 		_, cpu := totals(res)
 		return cpu, nil
 	})
@@ -497,7 +500,7 @@ func (e *Engine) execute(job Job) (*workload.Result, error) {
 		if errors.As(err, &oom) {
 			atomic.AddInt64(&e.ooms, 1)
 			if e.cache != nil {
-				e.cache.putInvocation(id.key, e.record(job, nil, true))
+				e.cache.putInvocation(id.key, &persist.InvocationRecord{Key: string(id.key), OOM: true})
 			}
 		} else {
 			atomic.AddInt64(&e.failures, 1)
@@ -507,7 +510,7 @@ func (e *Engine) execute(job Job) (*workload.Result, error) {
 	}
 
 	if e.cache != nil {
-		e.cache.putInvocation(id.key, e.record(job, res, false))
+		e.cache.putInvocation(id.key, &persist.InvocationRecord{Key: string(id.key), Result: res})
 	}
 	ev := id.event(JobFinished)
 	ev.WallNS, ev.CPUNS = totals(res)
@@ -532,16 +535,4 @@ func totals(res *workload.Result) (wall, cpu float64) {
 		cpu += it.CPUNS
 	}
 	return wall, cpu
-}
-
-func (e *Engine) record(job Job, res *workload.Result, oom bool) *persist.InvocationRecord {
-	return &persist.InvocationRecord{
-		Key:       string(job.Key()),
-		Workload:  job.Desc.Name,
-		Collector: job.Cfg.Collector.String(),
-		HeapMB:    job.Cfg.HeapMB,
-		Seed:      job.Cfg.Seed,
-		OOM:       oom,
-		Result:    res,
-	}
 }

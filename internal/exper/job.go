@@ -15,11 +15,11 @@ import (
 // persist's archive schema.
 const schemaVersion = 2
 
-// Key is the canonical content hash of a job: hex SHA-256 over the schema
-// version, the complete workload descriptor and the normalized RunConfig.
-// Hashing the descriptor's content (not just its name) keeps size-scaled
-// variants — which share a name — from colliding, and invalidates cached
-// results whenever a workload model is recalibrated.
+// Key is the canonical content hash of a job: hex SHA-256 over the model
+// digest, the schema version, the complete workload descriptor and the
+// normalized RunConfig. Hashing the descriptor's content (not just its
+// name) keeps size-scaled variants — which share a name — from colliding,
+// and invalidates cached results whenever a workload model is recalibrated.
 type Key string
 
 // Shard returns the two-character directory shard the key files under.
@@ -87,8 +87,9 @@ func minHeapKey(d *workload.Descriptor, p MinHeapParams) (Key, error) {
 
 // normalize applies workload.Run's own defaulting so equivalent configs
 // share a hash: the zero machine is the reference Zen4, iterations are at
-// least 1.
+// least 1. It drops the Recorder, which a cached Result does not carry.
 func normalize(cfg workload.RunConfig) workload.RunConfig {
+	cfg.Recorder = nil
 	if cfg.Machine.Name == "" {
 		cfg.Machine = cpuarch.Zen4
 	}
@@ -98,14 +99,15 @@ func normalize(cfg workload.RunConfig) workload.RunConfig {
 	return cfg
 }
 
-// hashPayload hashes the canonical JSON encoding of v. encoding/json emits
-// struct fields in declaration order and round-trips float64 exactly, which
-// makes the encoding a stable canonical form.
-func hashPayload(v interface{}) (Key, error) {
+// hashPayload hashes workload.ModelDigest, then the canonical JSON encoding
+// of v: encoding/json emits struct fields in declaration order and
+// round-trips float64 exactly, which makes the encoding a stable canonical
+// form. A model change that moves a workload golden moves every key.
+func hashPayload(v any) (Key, error) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(b)
+	sum := sha256.Sum256(append([]byte(workload.ModelDigest), b...))
 	return Key(hex.EncodeToString(sum[:])), nil
 }

@@ -3,7 +3,6 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,60 +16,52 @@ import (
 
 // InvocationRecord is one cached simulator invocation: the complete Result
 // of running a workload under one RunConfig, or the fact that the
-// configuration ran out of memory. Key is the canonical content hash of the
-// (descriptor, RunConfig) pair that produced it, so a record is valid for
-// exactly the job that would reproduce it.
+// configuration ran out of memory — a cacheable outcome (the 1x rows of
+// tight sweeps), distinct from transient errors, which are never cached. A
+// record holds exactly one of the two. Key is the canonical content hash of
+// the (descriptor, RunConfig) pair that produced it, so a record is valid
+// for exactly the job that would reproduce it. That job fixes the Result's
+// Workload and Config, so the record does not store them: they decode as
+// zero values, and the cache restores them from the job it serves.
 type InvocationRecord struct {
-	Key       string  `json:"key"`
-	Workload  string  `json:"workload"`
-	Collector string  `json:"collector"`
-	HeapMB    float64 `json:"heap_mb"`
-	Seed      uint64  `json:"seed"`
-	// OOM records that the invocation failed with OutOfMemory — a cacheable
-	// outcome (the 1x rows of tight sweeps), distinct from transient errors,
-	// which are never cached.
-	OOM    bool             `json:"oom,omitempty"`
-	Result *workload.Result `json:"result,omitempty"`
+	Key    string
+	OOM    bool
+	Result *workload.Result
 }
 
-// An invocation record is a framed binary record, not a JSON archive: the
-// GC log (every GCEvent and STW Pause of the run) and the per-event
-// latencies are nearly all of its bytes, and as fixed-width words they are
-// a fifth the size of indented JSON and tens of times faster to encode and
-// decode. Only the scalars — the record's identity, the run's config and
-// its per-iteration measurements — travel as JSON. All integers are
-// little-endian:
+// An invocation record is a framed binary record of little-endian 8-byte
+// words, floats as their float64 bits. The GC log (every GCEvent and STW
+// Pause of the run) and the per-event latencies are nearly all of its
+// bytes; as fixed-width words they are a fifth the size of indented JSON
+// and tens of times faster to encode and decode.
 //
-//	magic    8 B      "chopinv" and the format version byte (2)
-//	hdrLen   8 B      length of the header
-//	header   hdrLen   compact JSON of the record, Result.Log and
-//	                  Result.Events elided
-//
-// and, only when the record has a Result, its Result.Log:
-//
-//	StallNS  8 B      float64 bits
-//	nEvents  8 B      then 9×8 B per GCEvent: Kind, Start, End, and the
-//	                  float64 bits of PauseNS, CPUNS, Reclaimed, Copied,
-//	                  UsedAfter, LiveAfter
+//	magic    8 B      "chopinv" and the format version byte (3)
+//	keyLen   8 B      then the key's bytes
+//	result   8 B      0: an OOM, and the record ends; 1: a Result follows
+//	scalars  2×8 B    GCCPUNS, MutatorCPUNS
+//	nIter    8 B      then 6×8 B per IterationResult: WallNS, CPUNS,
+//	                  KernelNS, Allocated, StartNS, EndNS
+//	StallNS  8 B      the first word of the Result.Log
+//	nEvents  8 B      then 9×8 B per GCEvent: Kind, Start, End, PauseNS,
+//	                  CPUNS, Reclaimed, Copied, UsedAfter, LiveAfter
 //	nPauses  8 B      then 2×8 B per Pause: Start, End
+//	present  8 B      0 when Result.Events is nil (no latency recorded),
+//	                  and the record ends; else 1, followed by
+//	nLat     8 B      then 2×8 B per Event: Start, End
 //
-// followed by its Result.Events:
-//
-//	present  8 B      0 when Events is nil (no latency recorded), else 1
-//	nLat     8 B      only when present, then 2×8 B per Event: Start, End
-//
-// The encoding is canonical: DecodeInvocation accepts exactly the bytes
-// EncodeInvocation produces, so a decoded record re-encodes to its input.
-// An empty column decodes as an empty, non-nil slice, the way workload.Run
-// builds its log; the presence word keeps a nil Events nil. Version 1
-// records carried Events in the JSON header; they are ErrCorrupt, so a
-// cache re-simulates and overwrites each once.
-var invMagic = [8]byte{'c', 'h', 'o', 'p', 'i', 'n', 'v', 2}
+// With every field a fixed-width word the encoding is canonical:
+// DecodeInvocation accepts exactly the bytes EncodeInvocation produces, so
+// a decoded record re-encodes to its input. An empty column decodes as an
+// empty, non-nil slice, the way workload.Run builds its log; the presence
+// word keeps a nil Events nil. Formats 1 and 2 carried a JSON header; their
+// records are ErrCorrupt, so a cache re-simulates and overwrites each once.
+var invMagic = [8]byte{'c', 'h', 'o', 'p', 'i', 'n', 'v', 3}
 
 const (
-	eventBytes   = 9 * 8
-	pauseBytes   = 2 * 8
-	latencyBytes = 2 * 8
+	iterationBytes = 6 * 8
+	eventBytes     = 9 * 8
+	pauseBytes     = 2 * 8
+	latencyBytes   = 2 * 8
 )
 
 // ErrCorrupt is wrapped by every error DecodeInvocation and LoadInvocation
@@ -138,111 +129,86 @@ func EncodeInvocation(r *InvocationRecord) ([]byte, error) {
 // passes the previous record's buffer back as dst[:0] encodes every record
 // into the same storage. On error dst is returned unchanged.
 func AppendInvocation(dst []byte, r *InvocationRecord) ([]byte, error) {
-	if !r.OOM && r.Result == nil {
-		return dst, fmt.Errorf("persist: invocation record %q with neither result nor OOM", r.Key)
+	res := r.Result
+	if r.OOM == (res != nil) {
+		return dst, fmt.Errorf("persist: invocation record %q needs exactly one of result and OOM", r.Key)
 	}
-	if r.Result != nil && r.Result.Log == nil {
+	if res != nil && res.Log == nil {
 		return dst, fmt.Errorf("persist: invocation record %q: result without GC log", r.Key)
 	}
-	hdr, err := json.Marshal(header(r))
-	if err != nil {
-		return dst, fmt.Errorf("persist: encoding invocation %q: %w", r.Key, err)
+	size := len(invMagic) + 2*8 + len(r.Key)
+	if res != nil {
+		size += 8*8 + len(res.Iterations)*iterationBytes + len(res.Log.Events)*eventBytes +
+			len(res.Log.Pauses)*pauseBytes + len(res.Events)*latencyBytes
 	}
-	size := len(invMagic) + 8 + len(hdr)
-	if r.Result != nil {
-		log := r.Result.Log
-		size += 5*8 + len(log.Events)*eventBytes + len(log.Pauses)*pauseBytes +
-			len(r.Result.Events)*latencyBytes
+	b := append(slices.Grow(dst, size), invMagic[:]...)
+	b = append(appendWords(b, uint64(len(r.Key))), r.Key...)
+	if res == nil {
+		return appendWords(b, 0), nil
 	}
-	b := slices.Grow(dst, size)
-	b = append(b, invMagic[:]...)
-	b = le.AppendUint64(b, uint64(len(hdr)))
-	b = append(b, hdr...)
-	if r.Result == nil {
-		return b, nil
+	f, log := math.Float64bits, res.Log
+	b = appendWords(b, 1, f(res.GCCPUNS), f(res.MutatorCPUNS), uint64(len(res.Iterations)))
+	for _, it := range res.Iterations {
+		b = appendWords(b, f(it.WallNS), f(it.CPUNS), f(it.KernelNS), f(it.Allocated),
+			uint64(it.StartNS), uint64(it.EndNS))
 	}
-	log := r.Result.Log
-	b = le.AppendUint64(b, math.Float64bits(log.StallNS))
-	b = le.AppendUint64(b, uint64(len(log.Events)))
+	b = appendWords(b, f(log.StallNS), uint64(len(log.Events)))
 	for _, e := range log.Events {
-		b = le.AppendUint64(b, uint64(e.Kind))
-		b = le.AppendUint64(b, uint64(e.Start))
-		b = le.AppendUint64(b, uint64(e.End))
-		b = le.AppendUint64(b, math.Float64bits(e.PauseNS))
-		b = le.AppendUint64(b, math.Float64bits(e.CPUNS))
-		b = le.AppendUint64(b, math.Float64bits(e.Reclaimed))
-		b = le.AppendUint64(b, math.Float64bits(e.Copied))
-		b = le.AppendUint64(b, math.Float64bits(e.UsedAfter))
-		b = le.AppendUint64(b, math.Float64bits(e.LiveAfter))
+		b = appendWords(b, uint64(e.Kind), uint64(e.Start), uint64(e.End), f(e.PauseNS), f(e.CPUNS),
+			f(e.Reclaimed), f(e.Copied), f(e.UsedAfter), f(e.LiveAfter))
 	}
-	b = le.AppendUint64(b, uint64(len(log.Pauses)))
+	b = appendWords(b, uint64(len(log.Pauses)))
 	for _, p := range log.Pauses {
-		b = le.AppendUint64(b, uint64(p.Start))
-		b = le.AppendUint64(b, uint64(p.End))
+		b = appendWords(b, uint64(p.Start), uint64(p.End))
 	}
-	if r.Result.Events == nil {
-		return le.AppendUint64(b, 0), nil
+	if res.Events == nil {
+		return appendWords(b, 0), nil
 	}
-	b = le.AppendUint64(b, 1)
-	b = le.AppendUint64(b, uint64(len(r.Result.Events)))
-	for _, e := range r.Result.Events {
-		b = le.AppendUint64(b, uint64(e.Start))
-		b = le.AppendUint64(b, uint64(e.End))
+	b = appendWords(b, 1, uint64(len(res.Events)))
+	for _, e := range res.Events {
+		b = appendWords(b, uint64(e.Start), uint64(e.End))
 	}
 	return b, nil
 }
 
-// header returns the record as its JSON header carries it: every field but
-// Result.Log and Result.Events, which travel in the binary columns.
-func header(r *InvocationRecord) *InvocationRecord {
-	if r.Result == nil {
-		return r
+// appendWords appends each word to b, little-endian.
+func appendWords(b []byte, ws ...uint64) []byte {
+	for _, w := range ws {
+		b = le.AppendUint64(b, w)
 	}
-	h, res := *r, *r.Result
-	res.Log, res.Events = nil, nil
-	h.Result = &res
-	return &h
+	return b
 }
 
 // DecodeInvocation parses a record EncodeInvocation framed. Any input that
-// is not exactly such a record — short, oversized, malformed, non-canonical
-// or carrying neither result nor OOM — yields an error wrapping ErrCorrupt.
-// Counts are checked against the bytes left before anything is allocated
-// from them.
+// is not exactly such a record — short, oversized, malformed or of another
+// format — yields an error wrapping ErrCorrupt. Counts are checked against
+// the bytes left before anything is allocated from them.
 func DecodeInvocation(b []byte) (*InvocationRecord, error) {
 	d := decoder{b: b}
 	if magic, ok := d.next(len(invMagic)); !ok || !bytes.Equal(magic, invMagic[:]) {
-		return nil, fmt.Errorf("%w: not a binary invocation record", ErrCorrupt)
+		return nil, fmt.Errorf("%w: not a format-3 invocation record", ErrCorrupt)
 	}
 	n, ok := d.uint64()
 	if !ok || n > uint64(len(d.b)) {
-		return nil, fmt.Errorf("%w: header length exceeds the %d bytes left", ErrCorrupt, len(d.b))
+		return nil, fmt.Errorf("%w: key length exceeds the %d bytes left", ErrCorrupt, len(d.b))
 	}
-	hdr, _ := d.next(int(n))
-	var r InvocationRecord
-	if err := json.Unmarshal(hdr, &r); err != nil {
-		return nil, fmt.Errorf("%w: header: %w", ErrCorrupt, err)
-	}
-	if canon, err := json.Marshal(header(&r)); err != nil || !bytes.Equal(canon, hdr) {
-		return nil, fmt.Errorf("%w: non-canonical header", ErrCorrupt)
-	}
-	if !r.OOM && r.Result == nil {
-		return nil, fmt.Errorf("%w: neither result nor OOM", ErrCorrupt)
-	}
-	if r.Result != nil {
-		log, err := d.log()
-		if err != nil {
-			return nil, err
-		}
-		r.Result.Log = log
-		if r.Result.Events, err = d.latencies(); err != nil {
+	key, _ := d.next(int(n))
+	r := &InvocationRecord{Key: string(key)}
+	switch w, ok := d.uint64(); {
+	case !ok || w > 1:
+		return nil, fmt.Errorf("%w: torn or invalid result word", ErrCorrupt)
+	case w == 0:
+		r.OOM = true
+	default:
+		var err error
+		if r.Result, err = d.result(); err != nil {
 			return nil, err
 		}
 	}
 	if len(d.b) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b))
 	}
-	return &r, nil
+	return r, nil
 }
 
 // decoder consumes a record front to back; b is what is left.
@@ -276,13 +242,40 @@ func (d *decoder) column(width int, what string) (int, []byte, error) {
 	return int(n), p, nil
 }
 
+// word returns the i-th word of p, and float its float64 bits.
+func word(p []byte, i int) int64    { return int64(le.Uint64(p[8*i:])) }
+func float(p []byte, i int) float64 { return math.Float64frombits(le.Uint64(p[8*i:])) }
+
+// result reads a Result: its scalars, iterations, GC log and latencies.
+func (d *decoder) result() (*workload.Result, error) {
+	p, ok := d.next(2 * 8)
+	if !ok {
+		return nil, fmt.Errorf("%w: torn result scalars", ErrCorrupt)
+	}
+	res := &workload.Result{GCCPUNS: float(p, 0), MutatorCPUNS: float(p, 1)}
+	n, p, err := d.column(iterationBytes, "iteration")
+	if err != nil {
+		return nil, err
+	}
+	res.Iterations = make([]workload.IterationResult, n)
+	for i := range res.Iterations {
+		w := p[i*iterationBytes:]
+		res.Iterations[i] = workload.IterationResult{WallNS: float(w, 0), CPUNS: float(w, 1),
+			KernelNS: float(w, 2), Allocated: float(w, 3), StartNS: word(w, 4), EndNS: word(w, 5)}
+	}
+	if res.Log, err = d.log(); err != nil {
+		return nil, err
+	}
+	res.Events, err = d.latencies()
+	return res, err
+}
+
 func (d *decoder) log() (*trace.Log, error) {
-	stall, ok := d.uint64()
+	stall, ok := d.next(8)
 	if !ok {
 		return nil, fmt.Errorf("%w: torn log section", ErrCorrupt)
 	}
-	log := &trace.Log{StallNS: math.Float64frombits(stall)}
-
+	log := &trace.Log{StallNS: float(stall, 0)}
 	n, p, err := d.column(eventBytes, "event")
 	if err != nil {
 		return nil, err
@@ -290,31 +283,20 @@ func (d *decoder) log() (*trace.Log, error) {
 	log.Events = make([]trace.GCEvent, n)
 	for i := range log.Events {
 		w := p[i*eventBytes:]
-		kind := int64(le.Uint64(w))
+		kind := word(w, 0)
 		if int64(int(kind)) != kind {
 			return nil, fmt.Errorf("%w: event %d kind %d out of range", ErrCorrupt, i, kind)
 		}
-		log.Events[i] = trace.GCEvent{
-			Kind:      trace.GCKind(kind),
-			Start:     int64(le.Uint64(w[8:])),
-			End:       int64(le.Uint64(w[16:])),
-			PauseNS:   math.Float64frombits(le.Uint64(w[24:])),
-			CPUNS:     math.Float64frombits(le.Uint64(w[32:])),
-			Reclaimed: math.Float64frombits(le.Uint64(w[40:])),
-			Copied:    math.Float64frombits(le.Uint64(w[48:])),
-			UsedAfter: math.Float64frombits(le.Uint64(w[56:])),
-			LiveAfter: math.Float64frombits(le.Uint64(w[64:])),
-		}
+		log.Events[i] = trace.GCEvent{Kind: trace.GCKind(kind), Start: word(w, 1), End: word(w, 2),
+			PauseNS: float(w, 3), CPUNS: float(w, 4), Reclaimed: float(w, 5), Copied: float(w, 6),
+			UsedAfter: float(w, 7), LiveAfter: float(w, 8)}
 	}
-
-	n, p, err = d.column(pauseBytes, "pause")
-	if err != nil {
+	if n, p, err = d.column(pauseBytes, "pause"); err != nil {
 		return nil, err
 	}
 	log.Pauses = make([]trace.Pause, n)
 	for i := range log.Pauses {
-		w := p[i*pauseBytes:]
-		log.Pauses[i] = trace.Pause{Start: int64(le.Uint64(w)), End: int64(le.Uint64(w[8:]))}
+		log.Pauses[i] = trace.Pause{Start: word(p, 2*i), End: word(p, 2*i+1)}
 	}
 	return log, nil
 }
@@ -322,14 +304,11 @@ func (d *decoder) log() (*trace.Log, error) {
 // latencies reads the Result.Events column: a presence word, then, when it
 // is 1, the count and the entries.
 func (d *decoder) latencies() ([]workload.Event, error) {
-	present, ok := d.uint64()
-	switch {
-	case !ok:
-		return nil, fmt.Errorf("%w: torn latency column", ErrCorrupt)
+	switch present, ok := d.uint64(); {
+	case !ok || present > 1:
+		return nil, fmt.Errorf("%w: torn or invalid latency presence word", ErrCorrupt)
 	case present == 0:
 		return nil, nil
-	case present != 1:
-		return nil, fmt.Errorf("%w: latency presence word %d", ErrCorrupt, present)
 	}
 	n, p, err := d.column(latencyBytes, "latency")
 	if err != nil {
@@ -337,8 +316,7 @@ func (d *decoder) latencies() ([]workload.Event, error) {
 	}
 	events := make([]workload.Event, n)
 	for i := range events {
-		w := p[i*latencyBytes:]
-		events[i] = workload.Event{Start: int64(le.Uint64(w)), End: int64(le.Uint64(w[8:]))}
+		events[i] = workload.Event{Start: word(p, 2*i), End: word(p, 2*i+1)}
 	}
 	return events, nil
 }

@@ -3,7 +3,6 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -20,17 +19,16 @@ import (
 )
 
 // realRecord runs one small invocation and wraps its result as the engine
-// would cache it.
+// would cache it, less what a record does not store: the Result's Workload
+// and Config, which the job that reads the record fixes.
 func realRecord(t testing.TB, d *workload.Descriptor, cfg workload.RunConfig) *InvocationRecord {
 	t.Helper()
 	res, err := workload.Run(d, cfg)
 	if err != nil {
 		t.Fatalf("%s/%v: %v", d.Name, cfg.Collector, err)
 	}
-	return &InvocationRecord{
-		Key: "0123456789abcdef", Workload: d.Name, Collector: cfg.Collector.String(),
-		HeapMB: cfg.HeapMB, Seed: cfg.Seed, Result: res,
-	}
+	res.Workload, res.Config = "", workload.RunConfig{}
+	return &InvocationRecord{Key: "0123456789abcdef", Result: res}
 }
 
 // bitsEqual reports whether two values hold bit-identical floats wherever
@@ -132,7 +130,7 @@ func TestInvocationExactRoundTrip(t *testing.T) {
 // loop, and for an OOM-only record. Bytes already in dst are kept.
 func TestAppendInvocationMatchesEncode(t *testing.T) {
 	recs := map[string]*InvocationRecord{
-		"oom": {Key: "k", Workload: "fop", Collector: "G1", HeapMB: 3, Seed: 1, OOM: true},
+		"oom": {Key: "k", OOM: true},
 	}
 	for _, kind := range gc.AllKinds {
 		recs[kind.String()+"/closed"] = realRecord(t, workload.Fop, workload.RunConfig{
@@ -182,8 +180,8 @@ func TestLoadInvocationReusesBuffer(t *testing.T) {
 		HeapMB: 2 * workload.Spring.MinHeapMB, Collector: gc.G1, Iterations: 1, Events: 100, Seed: 3,
 		OpenLoop: true, OpenLoopHeadroom: 1.5, RecordLatency: true,
 	})
-	big.Key, big.Workload = "big-record-key", "spring-big"
-	small := &InvocationRecord{Key: "k", Workload: "h2", Collector: "ZGC", HeapMB: 8, Seed: 42, OOM: true}
+	big.Key = "big-record-key"
+	small := &InvocationRecord{Key: "k", OOM: true}
 	bigPath, smallPath := tempPath(t, "big.inv"), tempPath(t, "small.inv")
 	for path, rec := range map[string]*InvocationRecord{bigPath: big, smallPath: small} {
 		if _, err := SaveInvocation(path, rec, nil); err != nil {
@@ -210,10 +208,11 @@ func TestLoadInvocationReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestTraceFieldGuard fails when a field is added to the GC log types or to
-// workload.Event: the invocation codec writes their fields one by one, so a
-// new field would otherwise be dropped from every cached record without a
-// sound.
+// TestTraceFieldGuard fails when a field is added to the GC log types, to
+// workload.Event or to the Result types: the invocation codec writes their
+// fields one by one, so a new field would otherwise be dropped from every
+// cached record without a sound. Result's Workload and Config are the two
+// fields it does not write; the job that reads a record fixes them.
 func TestTraceFieldGuard(t *testing.T) {
 	for _, c := range []struct {
 		typ    reflect.Type
@@ -223,6 +222,8 @@ func TestTraceFieldGuard(t *testing.T) {
 		{reflect.TypeOf(trace.Pause{}), 2},
 		{reflect.TypeOf(trace.Log{}), 3},
 		{reflect.TypeOf(workload.Event{}), 2},
+		{reflect.TypeOf(workload.Result{}), 7},
+		{reflect.TypeOf(workload.IterationResult{}), 6},
 	} {
 		if n := c.typ.NumField(); n != c.fields {
 			t.Errorf("%v has %d fields, the invocation codec writes %d: extend EncodeInvocation, "+
@@ -231,12 +232,12 @@ func TestTraceFieldGuard(t *testing.T) {
 	}
 }
 
-// frame builds a record around an arbitrary header and tail, bypassing the
+// frame builds a record around an arbitrary key and tail, bypassing the
 // encoder's own checks.
-func frame(hdr []byte, tail ...byte) []byte {
+func frame(key string, tail ...byte) []byte {
 	b := append([]byte(nil), invMagic[:]...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(hdr)))
-	return append(append(b, hdr...), tail...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(key)))
+	return append(append(b, key...), tail...)
 }
 
 // words is the little-endian encoding of each word in turn.
@@ -248,109 +249,87 @@ func words(ws ...uint64) []byte {
 	return slices.Clip(b) // so that appends to it never share storage
 }
 
-// v1Frame is rec as format version 1 wrote it: Result.Events in the JSON
-// header, and no latency column after the pauses.
-func v1Frame(t *testing.T, rec *InvocationRecord) []byte {
-	t.Helper()
-	v2, err := EncodeInvocation(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail := v2[16+binary.LittleEndian.Uint64(v2[8:]):]
-	tail = tail[:len(tail)-8-len(rec.Result.Events)*latencyBytes]
-	if rec.Result.Events != nil {
-		tail = tail[:len(tail)-8]
-	}
-	h, res := *rec, *rec.Result
-	res.Log = nil
-	h.Result = &res
-	hdr, err := json.Marshal(&h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := frame(hdr, tail...)
-	b[len(invMagic)-1] = 1
-	return b
-}
-
 // TestDecodeRejectsHostileInput feeds the decoder inputs a corrupted or
 // hostile file could hold. Each must fail with ErrCorrupt, and none may
 // allocate from a count the remaining bytes cannot back.
 func TestDecodeRejectsHostileInput(t *testing.T) {
-	hdr, err := json.Marshal(header(realRecord(t, workload.Fop, workload.RunConfig{
-		HeapMB: 2 * workload.Fop.MinHeapMB, Collector: gc.G1, Iterations: 1, Events: 50, Seed: 1,
-	})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lat := realRecord(t, workload.Spring, workload.RunConfig{
-		HeapMB: 2 * workload.Spring.MinHeapMB, Collector: gc.G1, Iterations: 1, Events: 50, Seed: 1,
-		OpenLoop: true, OpenLoopHeadroom: 1.5, RecordLatency: true,
-	})
-	if len(lat.Result.Events) == 0 {
-		t.Fatal("open-loop run recorded no latencies")
-	}
-	const huge = math.MaxUint64
-	emptyLog := words(0, 0, 0) // StallNS, no events, no pauses
+	const key, huge = "0123456789abcdef", math.MaxUint64
+	// result frames a record whose result word is 1 and whose scalars are
+	// zero, followed by tail: the iteration column onwards.
+	result := func(tail ...byte) []byte { return frame(key, append(words(1, 0, 0), tail...)...) }
+	iters := words(0)              // no iterations
+	log := words(0, 0, 0, 0)       // no iterations, then StallNS, no events, no pauses
+	oom := frame(key, words(0)...) // a valid OOM record
 	cases := map[string][]byte{
-		"empty":            nil,
-		"short magic":      invMagic[:5],
-		"future version":   append(append([]byte("chopinv"), 3), frame(hdr)[8:]...),
-		"v1 frame":         v1Frame(t, lat),
-		"huge header":      append(invMagic[:], words(huge)...),
-		"bad header":       frame([]byte(`{"key":`)),
-		"spaced header":    frame([]byte(`{"key":"k", "workload":"fop","collector":"","heap_mb":0,"seed":0,"oom":true}`)),
-		"no log":           frame(hdr),
-		"torn stall":       frame(hdr, 1, 2, 3),
-		"huge events":      frame(hdr, words(0, huge)...),
-		"events overrun":   frame(hdr, append(words(0, 1), 9)...),
-		"huge pauses":      frame(hdr, words(0, 0, huge)...),
-		"no latency word":  frame(hdr, emptyLog...),
-		"torn presence":    frame(hdr, append(emptyLog, 0, 0, 0)...),
-		"bad presence":     frame(hdr, append(emptyLog, words(2)...)...),
-		"no latency count": frame(hdr, append(emptyLog, words(1)...)...),
-		"huge latencies":   frame(hdr, append(emptyLog, words(1, huge)...)...),
-		"latency overrun":  frame(hdr, append(emptyLog, words(1, 1, 7)...)...),
-		"torn latency":     frame(hdr, append(emptyLog, append(words(1, 2, 7, 8, 9), 0, 0)...)...),
-		"trailing byte":    frame(hdr, append(append(emptyLog, words(0)...), 0)...),
-		"neither":          frame([]byte(`{"key":"k","workload":"fop","collector":"","heap_mb":0,"seed":0}`)),
-		"log in header":    frame([]byte(`{"key":"k","workload":"","collector":"","heap_mb":0,"seed":0,"result":{"Log":{}}}`), make([]byte, 32)...),
-		"events in header": frame([]byte(`{"key":"k","workload":"","collector":"","heap_mb":0,"seed":0,"result":{"Events":[]}}`), make([]byte, 32)...),
-		"pre-binary JSON":  []byte(`{"version":2,"kind":"invocation","invocation":{"key":"k","oom":true}}`),
+		"empty":              nil,
+		"short magic":        invMagic[:5],
+		"format 2":           append([]byte("chopinv\x02"), oom[8:]...),
+		"future version":     append([]byte("chopinv\x04"), oom[8:]...),
+		"huge key":           append(invMagic[:], words(huge)...),
+		"key overrun":        append(append(invMagic[:], words(17)...), key...),
+		"no result word":     frame(key),
+		"torn result word":   frame(key, 0, 0, 0),
+		"result word 2":      frame(key, words(2)...),
+		"oom trailing byte":  append(oom, 0),
+		"torn scalars":       frame(key, append(words(1, 0), 1, 2, 3)...),
+		"no iteration count": result(),
+		"huge iterations":    result(words(huge)...),
+		"iteration overrun":  result(words(1, 7)...),
+		"torn iteration":     result(append(words(1, 1, 2, 3, 4, 5), 0, 0)...),
+		"no log":             result(iters...),
+		"torn stall":         result(append(iters, 1, 2, 3)...),
+		"huge events":        result(words(0, 0, huge)...),
+		"events overrun":     result(append(words(0, 0, 1), 9)...),
+		"huge pauses":        result(words(0, 0, 0, huge)...),
+		"no latency word":    result(log...),
+		"torn presence":      result(append(log, 0, 0, 0)...),
+		"bad presence":       result(append(log, words(2)...)...),
+		"no latency count":   result(append(log, words(1)...)...),
+		"huge latencies":     result(append(log, words(1, huge)...)...),
+		"latency overrun":    result(append(log, words(1, 1, 7)...)...),
+		"torn latency":       result(append(log, append(words(1, 2, 7, 8, 9), 0, 0)...)...),
+		"trailing byte":      result(append(append(log, words(0)...), 0)...),
+		"pre-binary JSON":    []byte(`{"version":2,"kind":"invocation","invocation":{"key":"k","oom":true}}`),
 	}
 	for name, b := range cases {
 		if _, err := DecodeInvocation(b); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
-	// The well-formed records the cases above corrupt do decode: an empty
-	// log without latencies, with an empty latency column, and with two
-	// latencies.
-	for _, tail := range [][]byte{words(0), words(1, 0), words(1, 2, 7, 8, 9, 10)} {
-		if _, err := DecodeInvocation(frame(hdr, append(emptyLog, tail...)...)); err != nil {
-			t.Fatalf("control record %v: %v", tail, err)
+	// The well-formed records the cases above corrupt do decode: an OOM,
+	// an empty log without latencies, with an empty latency column, and
+	// with two latencies, and one iteration with an empty log.
+	controls := [][]byte{
+		oom,
+		result(append(log, words(0)...)...),
+		result(append(log, words(1, 0)...)...),
+		result(append(log, words(1, 2, 7, 8, 9, 10)...)...),
+		result(words(1, 1, 2, 3, 4, 5, 6, 0, 0, 0, 0)...),
+	}
+	for _, b := range controls {
+		if _, err := DecodeInvocation(b); err != nil {
+			t.Fatalf("control record %v: %v", b, err)
 		}
 	}
 }
 
-// TestInvocationWithoutPayloadRejected covers both directions of the
-// result-or-OOM rule: the encoder refuses such a record (and a result
-// without its GC log) and the decoder rejects a hand-framed one.
+// TestInvocationWithoutPayloadRejected covers the result-or-OOM rule: the
+// encoder refuses a record with neither, with both, or with a result
+// without its GC log, and the decoder rejects a hand-framed record whose
+// result word is neither 0 (OOM) nor 1 (a result follows).
 func TestInvocationWithoutPayloadRejected(t *testing.T) {
-	rec := &InvocationRecord{Key: "k", Workload: "fop"}
-	if _, err := SaveInvocation(tempPath(t, "empty.inv"), rec, nil); err == nil {
-		t.Fatal("saving an invocation with neither result nor OOM should error")
-	}
-	noLog := &InvocationRecord{Key: "k", Workload: "fop", Result: &workload.Result{Workload: "fop"}}
-	if _, err := SaveInvocation(tempPath(t, "nolog.inv"), noLog, nil); err == nil {
-		t.Fatal("saving a result without its GC log should error")
-	}
-	hdr, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
+	res := &workload.Result{Log: &trace.Log{}}
+	for name, rec := range map[string]*InvocationRecord{
+		"neither": {Key: "k"},
+		"both":    {Key: "k", OOM: true, Result: res},
+		"no log":  {Key: "k", Result: &workload.Result{}},
+	} {
+		if _, err := SaveInvocation(tempPath(t, "bad.inv"), rec, nil); err == nil {
+			t.Fatalf("saving a record with %s should error", name)
+		}
 	}
 	path := tempPath(t, "empty-inv.inv")
-	os.WriteFile(path, frame(hdr), 0o644)
+	os.WriteFile(path, frame("k", words(2)...), 0o644)
 	if _, _, err := LoadInvocation(path, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("invocation with neither result nor OOM: err = %v, want ErrCorrupt", err)
 	}
@@ -360,8 +339,10 @@ func TestInvocationWithoutPayloadRejected(t *testing.T) {
 // ErrCorrupt or returns a record that re-encodes to exactly the input. The
 // committed corpus (testdata/fuzz/FuzzDecodeInvocation) holds a real G1
 // record, an OOM-only record, a record with per-event latencies in its
-// latency column, a torn record, a format-1 record with its latencies in the
-// JSON header, and a JSON invocation archive of the format before that.
+// latency column, a torn record, and three records of retired formats: a
+// format-2 record (a JSON header, then the same columns), a format-1 record
+// with its latencies in the JSON header, and a JSON invocation archive of
+// the format before that.
 func FuzzDecodeInvocation(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, err := DecodeInvocation(b)
@@ -382,11 +363,20 @@ func FuzzDecodeInvocation(f *testing.F) {
 }
 
 // TestCorpusRecordsDecode: the corpus seeds that stand for records the
-// current code writes still decode. A field added to or removed from the
-// record header turns them into ErrCorrupt seeds without failing the fuzz
-// target, so they are pinned here.
+// current code writes decode, and the seeds of retired formats and the
+// torn record do not. The fuzz target accepts either outcome, so a format
+// change that silently turned a current seed into an ErrCorrupt one would
+// otherwise go unnoticed.
 func TestCorpusRecordsDecode(t *testing.T) {
-	for _, name := range []string{"g1-record", "latency-record", "oom-record"} {
+	for name, valid := range map[string]bool{
+		"g1-record":               true,
+		"latency-record":          true,
+		"oom-record":              true,
+		"torn-record":             false,
+		"v2-latency-record":       false,
+		"v1-latency-record":       false,
+		"pre-binary-json-archive": false,
+	} {
 		data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeInvocation", name))
 		if err != nil {
 			t.Fatal(err)
@@ -396,8 +386,8 @@ func TestCorpusRecordsDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := DecodeInvocation([]byte(b)); err != nil {
-			t.Errorf("%s: %v", name, err)
+		if _, err := DecodeInvocation([]byte(b)); (err == nil) != valid {
+			t.Errorf("%s: err = %v, want a valid record: %v", name, err, valid)
 		}
 	}
 }

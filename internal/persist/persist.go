@@ -7,13 +7,14 @@
 // held a dedicated "minheap" kind; this package stores neither.
 //
 // The engine's invocation records — one simulator run each, keyed by the
-// canonical job hash and carrying the run's full GC log and, when latency
-// was recorded, every event's start and end — are not JSON but a framed
-// binary record (invocation.go): a compact JSON header of scalars, then the
-// log's events and pauses and the latencies as fixed-width columns. Those
-// columns are nearly all of a record's bytes, and as binary words they are
-// a fifth the size of indented JSON and decode without a JSON parser
-// (DESIGN.md §5).
+// canonical job hash and carrying the run's measurements, its full GC log
+// and, when latency was recorded, every event's start and end — are not
+// JSON but a framed binary record of fixed-width words (invocation.go): the
+// key, the result's scalars and iterations, then the log's events and
+// pauses and the latencies as columns. The record stores nothing the job
+// key already fixes (the workload name, the run's config). The columns are
+// nearly all of a record's bytes, and as binary words they are a fifth the
+// size of indented JSON and decode without a JSON parser (DESIGN.md §5).
 package persist
 
 import (

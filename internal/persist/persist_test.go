@@ -63,11 +63,7 @@ func TestLoadErrors(t *testing.T) {
 
 func sampleInvocation() *InvocationRecord {
 	return &InvocationRecord{
-		Key:       "abc123",
-		Workload:  "fop",
-		Collector: "G1",
-		HeapMB:    26,
-		Seed:      42,
+		Key: "abc123",
 		Result: &workload.Result{
 			Workload: "fop",
 			Config:   workload.RunConfig{HeapMB: 26, Collector: gc.G1, Iterations: 2},
@@ -81,6 +77,9 @@ func sampleInvocation() *InvocationRecord {
 	}
 }
 
+// TestInvocationRoundTrip: a record keeps its key and measurements, and
+// stores neither the Result's Workload nor its Config, which the job that
+// reads the record fixes.
 func TestInvocationRoundTrip(t *testing.T) {
 	path := tempPath(t, "inv.inv")
 	rec := sampleInvocation()
@@ -91,23 +90,23 @@ func TestInvocationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Key != rec.Key || got.Workload != "fop" || got.OOM {
+	if got.Key != rec.Key || got.OOM {
 		t.Fatalf("record = %+v", got)
 	}
 	if got.Result == nil || len(got.Result.Iterations) != 2 {
 		t.Fatalf("result lost: %+v", got.Result)
 	}
-	if got.Result.Last().WallNS != 1e9 || got.Result.GCCPUNS != 4e8 {
+	if got.Result.Last() != rec.Result.Last() || got.Result.GCCPUNS != 4e8 {
 		t.Fatalf("result data lost: %+v", got.Result)
 	}
-	if got.Result.Config.Collector != gc.G1 || got.Result.Config.HeapMB != 26 {
-		t.Fatalf("config lost: %+v", got.Result.Config)
+	if got.Result.Workload != "" || !reflect.DeepEqual(got.Result.Config, workload.RunConfig{}) {
+		t.Fatalf("record stored what the job fixes: workload %q, config %+v", got.Result.Workload, got.Result.Config)
 	}
 }
 
 func TestInvocationOOMRoundTrip(t *testing.T) {
 	path := tempPath(t, "oom.inv")
-	rec := &InvocationRecord{Key: "k1", Workload: "h2", Collector: "ZGC", HeapMB: 8, OOM: true}
+	rec := &InvocationRecord{Key: "k1", OOM: true}
 	if _, err := SaveInvocation(path, rec, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func TestInvocationOOMRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.OOM || got.Result != nil || got.HeapMB != 8 {
+	if !reflect.DeepEqual(got, rec) {
 		t.Fatalf("record = %+v", got)
 	}
 }

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"math"
@@ -122,6 +124,32 @@ func TestGoldenDeterminism(t *testing.T) {
 					tc.name, diffHint(got, want))
 			}
 		})
+	}
+}
+
+// TestModelDigest checks ModelDigest against the golden fixtures, so a
+// fixture updated on purpose moves every experiment cache key with it. Run
+// after -update: the failure prints the constant the new fixtures need.
+func TestModelDigest(t *testing.T) {
+	dir := filepath.Join("testdata", "golden")
+	entries, err := os.ReadDir(dir) // sorted by name
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(goldenCases()) {
+		t.Fatalf("%s holds %d files, want one per golden case (%d)", dir, len(entries), len(goldenCases()))
+	}
+	h := sha256.New()
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", e.Name(), len(data))
+		h.Write(data)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != ModelDigest {
+		t.Errorf("the golden fixtures changed: set ModelDigest = %q (internal/workload/workload.go)", got)
 	}
 }
 

@@ -20,6 +20,13 @@ import (
 	"chopin/internal/jit"
 )
 
+// ModelDigest is the SHA-256 of the golden fixtures under testdata/golden,
+// which pin every collector under both request disciplines, the Shenandoah
+// stress case and OOM (TestModelDigest recomputes it). The experiment engine
+// mixes it into every job key, so a model change that moves a golden
+// invalidates every cached result.
+const ModelDigest = "5b6c60f05e6a42670d667f8456d17d19c4855a07bc5a599acced9c7f9e966270"
+
 // Class describes a workload's execution structure.
 type Class int
 
