@@ -137,8 +137,16 @@ type (
 	// SweepOptions.Recorder or EngineOptions.Recorder; NewJSONLRecorder
 	// builds the standard file sink.
 	Recorder = obs.Recorder
-	// TelemetryEvent is one structured telemetry record.
+	// TelemetryEvent is one structured telemetry record. It holds no
+	// pointers: its Run, Benchmark, Collector, Phase and Err fields are
+	// TelemetryNames, handles into a process-wide intern table (String gives
+	// the text, InternTelemetryName makes one), and they marshal to JSON as
+	// the strings they name.
 	TelemetryEvent = obs.Event
+	// TelemetryName is an interned name on a TelemetryEvent. Its numeric
+	// value depends on the order names were interned in, so compare Names
+	// for equality and order them by String, never by number.
+	TelemetryName = obs.Name
 	// TelemetryKind classifies a TelemetryEvent.
 	TelemetryKind = obs.Kind
 	// JSONLRecorder streams telemetry as one JSON object per line — the
@@ -169,6 +177,11 @@ func OpenResultCache(dir string, mode CacheMode) (*ResultCache, error) {
 // NopRecorder is the disabled Recorder: it costs one boolean check on every
 // potential emission and records nothing.
 var NopRecorder = obs.Nop
+
+// InternTelemetryName returns the TelemetryName of s, for setting or
+// matching the name fields of a TelemetryEvent. Names live as long as the
+// process.
+func InternTelemetryName(s string) TelemetryName { return obs.Intern(s) }
 
 // NewJSONLRecorder builds a Recorder that streams events to w as JSON lines.
 // Call Close to write out recorded events and stop its writer goroutine

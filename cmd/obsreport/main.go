@@ -92,7 +92,7 @@ func main() {
 	phases := map[phaseKey]*phaseAgg{}
 	cols := map[string]*collectorAgg{}
 	jobs := jobAgg{}
-	runs := map[string]bool{}
+	runs := map[obs.Name]bool{}
 	var total, skipped, samples int
 	// Span folding needs the whole (filtered) stream in memory; only pay
 	// for it when an export was requested.
@@ -111,15 +111,15 @@ func main() {
 
 	info, err := obs.DecodeStream(in, func(e obs.Event) error {
 		total++
-		if *collectorFilter != "" && e.Collector != *collectorFilter {
+		if *collectorFilter != "" && e.Collector.String() != *collectorFilter {
 			skipped++
 			return nil
 		}
-		if *benchFilter != "" && e.Benchmark != *benchFilter {
+		if *benchFilter != "" && e.Benchmark.String() != *benchFilter {
 			skipped++
 			return nil
 		}
-		if e.Run != "" {
+		if e.Run != 0 {
 			runs[e.Run] = true
 		}
 		if wantSpans {
@@ -127,7 +127,7 @@ func main() {
 		}
 		switch e.Kind {
 		case obs.KindGCPhaseEnd:
-			k := phaseKey{e.Collector, e.Phase}
+			k := phaseKey{e.Collector.String(), e.Phase.String()}
 			p := phases[k]
 			if p == nil {
 				p = &phaseAgg{}
@@ -138,22 +138,22 @@ func main() {
 			p.cpuNS += e.CPUNS
 			p.reclMB += e.Value / (1 << 20)
 		case obs.KindGCPause:
-			c := col(e.Collector)
+			c := col(e.Collector.String())
 			c.pauseNS += e.DurNS
 			c.pauses++
 		case obs.KindPacerStall:
-			c := col(e.Collector)
+			c := col(e.Collector.String())
 			c.stallNS += e.DurNS
 			c.stalls++
 			c.stallHist.Observe(e.DurNS)
 		case obs.KindDegenerateGC:
-			col(e.Collector).degens++
+			col(e.Collector.String()).degens++
 		case obs.KindOOM:
-			col(e.Collector).ooms++
+			col(e.Collector.String()).ooms++
 		case obs.KindJobStart:
 			jobs.started++
 		case obs.KindJobFinish:
-			if e.Err != "" {
+			if e.Err != 0 {
 				jobs.failed++
 			} else {
 				jobs.finished++

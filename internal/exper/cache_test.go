@@ -33,10 +33,7 @@ func keyed(t *testing.T, k Key) Job {
 // completed archives untouched.
 func TestOpenCacheSweepsOrphanedTemps(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenCache(dir, ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := OpenTestCache(t, dir, ReadWrite)
 	k := Key("abcdef0123456789")
 	if err := c.putInvocation(k, testRecord(k)); err != nil {
 		t.Fatal(err)
@@ -60,10 +57,7 @@ func TestOpenCacheSweepsOrphanedTemps(t *testing.T) {
 		}
 	}
 
-	c2, err := OpenCache(dir, ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := OpenTestCache(t, dir, ReadWrite)
 	for _, p := range orphans {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("orphan %s survived reopen", p)
@@ -144,10 +138,7 @@ func tearPoints(whole []byte) map[string]int {
 // the job layer can heal by re-running — never an error, never a bogus hit.
 func TestTruncatedArchiveIsMiss(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenCache(dir, ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := OpenTestCache(t, dir, ReadWrite)
 	oomKey, logKey := Key("0011223344556677"), Key("7766554433221100")
 	for _, rec := range []*persist.InvocationRecord{testRecord(oomKey), logRecord(t, logKey)} {
 		k := Key(rec.Key)
@@ -382,10 +373,7 @@ func TestWriterBufferSharedAcrossRecords(t *testing.T) {
 // must not be served for the key it squats on.
 func TestWrongKeyArchiveIsMiss(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenCache(dir, ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := OpenTestCache(t, dir, ReadWrite)
 	k := Key("8899aabbccddeeff")
 	other := Key("1122334455667788")
 	if _, err := persist.SaveInvocation(c.invPath(k), testRecord(other), nil); err != nil {

@@ -301,10 +301,23 @@ type jobInfo struct {
 	collector string
 	heapMB    float64
 	seed      uint64
+	// names is the identity interned for telemetry, set by runNames on
+	// first use.
+	names obs.RunNames
 }
 
 func (j Job) info() jobInfo {
-	return jobInfo{j.key, j.Desc.Name, j.Cfg.Collector.String(), j.Cfg.HeapMB, j.Cfg.Seed}
+	return jobInfo{key: j.key, benchmark: j.Desc.Name, collector: j.Cfg.Collector.String(),
+		heapMB: j.Cfg.HeapMB, seed: j.Cfg.Seed}
+}
+
+// runNames interns the job's identity once, when its telemetry first needs
+// it, so a job's events share names and an unrecorded job interns nothing.
+func (id *jobInfo) runNames() obs.RunNames {
+	if id.names == (obs.RunNames{}) {
+		id.names = obs.InternRun(string(id.key), id.benchmark, id.collector)
+	}
+	return id.names
 }
 
 func (id jobInfo) event(kind EventKind) Event {
@@ -322,22 +335,20 @@ func (id jobInfo) failed(err error) Event {
 // recordJob emits an engine-level telemetry event stamped with job identity.
 // Engine events carry host wall-clock timestamps (jobs have no shared virtual
 // clock); Value is the job's heap size in MB.
-func (e *Engine) recordJob(kind obs.Kind, id jobInfo, dur, cpu float64, err error) {
+func (e *Engine) recordJob(kind obs.Kind, id *jobInfo, dur, cpu float64, err error) {
 	if !e.rec.Enabled() {
 		return
 	}
 	ev := obs.Event{
-		Kind:      kind,
-		TNS:       time.Now().UnixNano(),
-		Run:       string(id.key),
-		Benchmark: id.benchmark,
-		Collector: id.collector,
-		DurNS:     dur,
-		CPUNS:     cpu,
-		Value:     id.heapMB,
+		Kind:  kind,
+		TNS:   time.Now().UnixNano(),
+		DurNS: dur,
+		CPUNS: cpu,
+		Value: id.heapMB,
 	}
+	id.runNames().Stamp(&ev)
 	if err != nil {
-		ev.Err = err.Error()
+		ev.Err = obs.Intern(err.Error())
 	}
 	e.rec.Record(ev)
 }
@@ -430,12 +441,12 @@ func cacheable(err error) bool {
 // jobRecorder when base consumes telemetry, emits the started and finish
 // points, counts the execution and flushes the buffer to base. work returns
 // the job's task-clock total and error.
-func (e *Engine) runJob(id jobInfo, base obs.Recorder, work func(rec obs.Recorder) (cpu float64, err error)) error {
+func (e *Engine) runJob(id *jobInfo, base obs.Recorder, work func(rec obs.Recorder) (cpu float64, err error)) error {
 	rec := obs.Nop
 	var buf *jobRecorder
 	if base.Enabled() {
 		buf = e.bufs.Get().(*jobRecorder)
-		buf.reset(string(id.key), id.benchmark, id.collector)
+		buf.reset(id.runNames())
 		rec = buf
 	}
 
@@ -461,7 +472,7 @@ func (e *Engine) execute(job Job) (*workload.Result, error) {
 		if rec, src := e.cache.getInvocation(job); src != missed {
 			e.countHit(src, &e.cacheHits)
 			e.emit(id.event(JobCacheHit))
-			e.recordJob(obs.KindCacheHit, id, 0, 0, nil)
+			e.recordJob(obs.KindCacheHit, &id, 0, 0, nil)
 			if rec.OOM {
 				return nil, &workload.ErrOutOfMemory{
 					Workload: job.Desc.Name, HeapMB: job.Cfg.HeapMB, Kind: job.Cfg.Collector,
@@ -469,7 +480,7 @@ func (e *Engine) execute(job Job) (*workload.Result, error) {
 			}
 			return rec.Result, nil
 		}
-		e.recordJob(obs.KindCacheMiss, id, 0, 0, nil)
+		e.recordJob(obs.KindCacheMiss, &id, 0, 0, nil)
 	}
 
 	// A recorder already set on the config, or else the engine's, receives
@@ -479,7 +490,7 @@ func (e *Engine) execute(job Job) (*workload.Result, error) {
 		base = e.rec
 	}
 	var res *workload.Result
-	err := e.runJob(id, base, func(rec obs.Recorder) (float64, error) {
+	err := e.runJob(&id, base, func(rec obs.Recorder) (float64, error) {
 		cfg := job.Cfg
 		if rec.Enabled() {
 			cfg.Recorder = rec

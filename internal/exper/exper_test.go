@@ -216,10 +216,7 @@ func TestEngineCachesResults(t *testing.T) {
 	dir := t.TempDir()
 	d := testBench(t)
 
-	cache, err := OpenCache(dir, ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := OpenTestCache(t, dir, ReadWrite)
 	e1 := New(Options{Workers: 2, Cache: cache})
 	want, err := e1.Run(d, smallCfg())
 	if err != nil {
@@ -231,10 +228,7 @@ func TestEngineCachesResults(t *testing.T) {
 	}
 
 	// A fresh engine over the same cache must not touch the simulator.
-	cache2, err := OpenCache(dir, ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache2 := OpenTestCache(t, dir, ReadWrite)
 	e2 := New(Options{Workers: 2, Cache: cache2})
 	defer e2.Close()
 	got, err := e2.Run(d, smallCfg())
@@ -255,7 +249,7 @@ func TestEngineCachesOOM(t *testing.T) {
 	cfg := smallCfg()
 	cfg.HeapMB = 1 // far below fop's minimum
 
-	cache, _ := OpenCache(dir, ReadWrite)
+	cache := OpenTestCache(t, dir, ReadWrite)
 	e1 := New(Options{Workers: 1, Cache: cache})
 	_, err := e1.Run(d, cfg)
 	var oom *workload.ErrOutOfMemory
@@ -267,7 +261,7 @@ func TestEngineCachesOOM(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 
-	cache2, _ := OpenCache(dir, ReadWrite)
+	cache2 := OpenTestCache(t, dir, ReadWrite)
 	e2 := New(Options{Workers: 1, Cache: cache2})
 	defer e2.Close()
 	_, err = e2.Run(d, cfg)
@@ -288,14 +282,14 @@ func TestWriteOnlyModeForcesColdRun(t *testing.T) {
 	dir := t.TempDir()
 	d := testBench(t)
 
-	cache, _ := OpenCache(dir, ReadWrite)
+	cache := OpenTestCache(t, dir, ReadWrite)
 	e1 := New(Options{Workers: 1, Cache: cache})
 	if _, err := e1.Run(d, smallCfg()); err != nil {
 		t.Fatal(err)
 	}
 	e1.Close()
 
-	cold, _ := OpenCache(dir, WriteOnly)
+	cold := OpenTestCache(t, dir, WriteOnly)
 	e2 := New(Options{Workers: 1, Cache: cold})
 	if _, err := e2.Run(d, smallCfg()); err != nil {
 		t.Fatal(err)
@@ -306,7 +300,7 @@ func TestWriteOnlyModeForcesColdRun(t *testing.T) {
 	}
 
 	// The overwritten record still serves the next warm engine.
-	warm, _ := OpenCache(dir, ReadWrite)
+	warm := OpenTestCache(t, dir, ReadWrite)
 	e3 := New(Options{Workers: 1, Cache: warm})
 	defer e3.Close()
 	if _, err := e3.Run(d, smallCfg()); err != nil {
@@ -373,7 +367,7 @@ func TestEngineMinHeapCached(t *testing.T) {
 	d := testBench(t)
 	p := MinHeapParams{Events: 200, Iterations: 1, Invocations: 2, Seed: 7}
 
-	cache, _ := OpenCache(dir, ReadWrite)
+	cache := OpenTestCache(t, dir, ReadWrite)
 	e1 := New(Options{Workers: 4, Cache: cache})
 	mb1, err := e1.MinHeapMB(d, p)
 	if err != nil {
@@ -396,7 +390,7 @@ func TestEngineMinHeapCached(t *testing.T) {
 	}
 
 	// A fresh engine finds the measurement in the cache: no probes run.
-	cache2, _ := OpenCache(dir, ReadWrite)
+	cache2 := OpenTestCache(t, dir, ReadWrite)
 	e2 := New(Options{Workers: 4, Cache: cache2})
 	defer e2.Close()
 	mb3, err := e2.MinHeapMB(d, p)

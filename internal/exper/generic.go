@@ -62,7 +62,7 @@ func (e *Engine) SubmitGeneric(kind string, payload any, run func(rec obs.Record
 	}
 	id := jobInfo{key: k, benchmark: kind}
 	c := submit(e, &e.generics, id, false, func(err error) bool { return err == nil },
-		func() ([]byte, error) { return e.executeGeneric(id, run) })
+		func() ([]byte, error) { return e.executeGeneric(&id, run) })
 	return &GenericTicket{key: k, c: c}, nil
 }
 
@@ -77,7 +77,7 @@ func (e *Engine) RunGeneric(kind string, payload any, run func(rec obs.Recorder)
 
 // executeGeneric satisfies a generic job from the cache or runs it, on the
 // calling (worker) goroutine.
-func (e *Engine) executeGeneric(id jobInfo, run func(rec obs.Recorder) ([]byte, error)) ([]byte, error) {
+func (e *Engine) executeGeneric(id *jobInfo, run func(rec obs.Recorder) ([]byte, error)) ([]byte, error) {
 	if e.cache != nil {
 		if rec, src := e.cache.getGeneric(id.key); src != missed {
 			e.countHit(src, &e.cacheHits)

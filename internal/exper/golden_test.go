@@ -55,10 +55,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	dir := t.TempDir()
 
 	// Cold, serial, caching as it goes.
-	cache, err := exper.OpenCache(dir, exper.ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := exper.OpenTestCache(t, dir, exper.ReadWrite)
 	serial := exper.New(exper.Options{Workers: 1, Cache: cache})
 	serialBytes, serialMin := gridBytes(t, d, serial)
 	serial.Close()
@@ -67,10 +64,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 
 	// Cold again, wide pool, separate cache: execution order scrambled.
-	cache2, err := exper.OpenCache(t.TempDir(), exper.ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache2 := exper.OpenTestCache(t, t.TempDir(), exper.ReadWrite)
 	parallel := exper.New(exper.Options{Workers: 8, Cache: cache2})
 	parallelBytes, parallelMin := gridBytes(t, d, parallel)
 	parallel.Close()
@@ -84,10 +78,7 @@ func TestGoldenDeterminism(t *testing.T) {
 
 	// Warm: a fresh engine over the serial run's cache must reproduce the
 	// grid byte-for-byte with ZERO simulator invocations.
-	warmCache, err := exper.OpenCache(dir, exper.ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warmCache := exper.OpenTestCache(t, dir, exper.ReadWrite)
 	warm := exper.New(exper.Options{Workers: 8, Cache: warmCache})
 	warmBytes, warmMin := gridBytes(t, d, warm)
 	warm.Close()
@@ -117,10 +108,7 @@ func TestPoolTasksConserved(t *testing.T) {
 	d := goldenBench(t)
 	dir := t.TempDir()
 	for _, pass := range []string{"cold", "warm"} {
-		cache, err := exper.OpenCache(dir, exper.ReadWrite)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cache := exper.OpenTestCache(t, dir, exper.ReadWrite)
 		var buf obs.Buffer
 		eng := exper.New(exper.Options{Workers: 2, Cache: cache, Recorder: &buf})
 		if _, _, err := harness.LBOGrid(d, goldenOpt(eng)); err != nil {
@@ -159,10 +147,7 @@ func TestInterruptedPlanResumes(t *testing.T) {
 	dir := t.TempDir()
 
 	// "Interrupted" first run: only the 1.5x column completes.
-	cache, err := exper.OpenCache(dir, exper.ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := exper.OpenTestCache(t, dir, exper.ReadWrite)
 	partial := exper.New(exper.Options{Workers: 4, Cache: cache})
 	opt := goldenOpt(partial)
 	opt.HeapFactors = []float64{1.5}
@@ -174,10 +159,7 @@ func TestInterruptedPlanResumes(t *testing.T) {
 	// Resumed run over the full plan: the 1.5x column and the min-heap
 	// measurement come from the cache; only the 3x column executes —
 	// 2 collectors x 1 new factor x 2 invocations = 4 jobs.
-	cache2, err := exper.OpenCache(dir, exper.ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache2 := exper.OpenTestCache(t, dir, exper.ReadWrite)
 	resumed := exper.New(exper.Options{Workers: 4, Cache: cache2})
 	grid, _, err := harness.LBOGrid(d, goldenOpt(resumed))
 	if err != nil {
@@ -210,10 +192,7 @@ func TestLatencyEventsSurviveCache(t *testing.T) {
 	dir := t.TempDir()
 
 	run := func() []harness.LatencyResult {
-		cache, err := exper.OpenCache(dir, exper.ReadWrite)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cache := exper.OpenTestCache(t, dir, exper.ReadWrite)
 		eng := exper.New(exper.Options{Workers: 4, Cache: cache})
 		defer eng.Close()
 		res, err := harness.Latency(d, []float64{3}, goldenOpt(eng))

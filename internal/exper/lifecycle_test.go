@@ -68,7 +68,7 @@ func (lc *lifecycle) render(title string) string {
 	}
 	for _, ev := range lc.rec.Events() {
 		fmt.Fprintf(&b, "recorder %s %s bench=%s gc=%s value=%g cpu=%g err=%q\n",
-			ev.Kind, label(ev.Run), ev.Benchmark, ev.Collector, ev.Value, ev.CPUNS, ev.Err)
+			ev.Kind, label(ev.Run.String()), ev.Benchmark, ev.Collector, ev.Value, ev.CPUNS, ev.Err)
 	}
 	return b.String()
 }

@@ -137,10 +137,10 @@ func (e *Engine) minHeap(k Key, d *workload.Descriptor, p MinHeapParams) (float6
 			e.countHit(src, &e.minHeapCacheHits)
 			id.heapMB = mb
 			e.emit(minHeapEvent(MinHeapCacheHit, id))
-			e.recordJob(obs.KindCacheHit, id, 0, 0, nil)
+			e.recordJob(obs.KindCacheHit, &id, 0, 0, nil)
 			return mb, nil
 		}
-		e.recordJob(obs.KindCacheMiss, id, 0, 0, nil)
+		e.recordJob(obs.KindCacheMiss, &id, 0, 0, nil)
 	}
 
 	e.emit(minHeapEvent(MinHeapStarted, id))
@@ -165,7 +165,7 @@ func (e *Engine) minHeap(k Key, d *workload.Descriptor, p MinHeapParams) (float6
 	}
 	id.heapMB = bound
 	e.emit(minHeapEvent(MinHeapFinished, id))
-	e.recordJob(obs.KindMinHeap, id, 0, 0, nil)
+	e.recordJob(obs.KindMinHeap, &id, 0, 0, nil)
 	return bound, nil
 }
 

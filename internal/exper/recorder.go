@@ -14,29 +14,19 @@ import "chopin/internal/obs"
 // Engine.bufs between jobs), so it needs no lock — unlike the shared sinks
 // behind the Recorder contract.
 type jobRecorder struct {
-	run       string
-	benchmark string
-	collector string
-	events    []obs.Event
+	names  obs.RunNames
+	events []obs.Event
 }
 
 // reset prepares a pooled buffer for a new job, retaining its backing array.
-func (b *jobRecorder) reset(run, benchmark, collector string) {
-	b.run, b.benchmark, b.collector = run, benchmark, collector
+func (b *jobRecorder) reset(names obs.RunNames) {
+	b.names = names
 	b.events = b.events[:0]
 }
 
 func (b *jobRecorder) Enabled() bool { return true }
 
 func (b *jobRecorder) Record(e obs.Event) {
-	if e.Run == "" {
-		e.Run = b.run
-	}
-	if e.Benchmark == "" {
-		e.Benchmark = b.benchmark
-	}
-	if e.Collector == "" {
-		e.Collector = b.collector
-	}
+	b.names.Stamp(&e)
 	b.events = append(b.events, e)
 }

@@ -17,10 +17,7 @@ import (
 // second submission could slip past the in-flight map and re-execute.
 func TestColdCacheSingleFlight(t *testing.T) {
 	d := testBench(t)
-	cache, err := OpenCache(t.TempDir(), ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := OpenTestCache(t, t.TempDir(), ReadWrite)
 
 	var executions atomic.Int64
 	release := make(chan struct{})
@@ -87,10 +84,7 @@ func TestColdCacheSingleFlight(t *testing.T) {
 // leaked between the cache check and the job registration.
 func TestConcurrentRunsColdCacheExecuteOnce(t *testing.T) {
 	d := testBench(t)
-	cache, err := OpenCache(t.TempDir(), ReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := OpenTestCache(t, t.TempDir(), ReadWrite)
 
 	var executions atomic.Int64
 	start := make(chan struct{})

@@ -381,18 +381,7 @@ func (fr *fleetRun) run() error {
 				// completion instant) rather than the truncated c.End, so
 				// the retry timer never lands behind the engine clock.
 				retries = append(retries, pendingRetry{t: at, id: c.ID})
-				if fr.rec.Enabled() {
-					fr.rec.Record(obs.Event{
-						Kind:      obs.KindFleetRetry,
-						TNS:       c.End,
-						Benchmark: d.Name,
-						Collector: cfg.Run.Collector.String(),
-						Value:     float64(c.ID),
-						Aux:       float64(depth[c.ID]),
-						DurNS:     lat,
-						Replica:   idx + 1,
-					})
-				}
+				tr.retry(idx, c, depth[c.ID], lat)
 			}
 		}
 	}

@@ -189,25 +189,26 @@ func recordReport(rec obs.Recorder, d *workload.Descriptor, cfg Config, reps []*
 		return
 	}
 	tns := int64(rep.WallNS)
+	bench, col := obs.Intern(d.Name), obs.Intern(rep.Collector)
 	for i, rs := range rep.PerReplica {
 		rec.Record(obs.Event{
 			Kind:      obs.KindFleetReplica,
 			TNS:       tns,
-			Benchmark: d.Name,
-			Collector: rep.Collector,
+			Benchmark: bench,
+			Collector: col,
 			Value:     float64(rs.Index),
 			Aux:       float64(reps[i].Served()),
 			DurNS:     rs.P99NS,
 			CPUNS:     rs.TaskClockNS,
 			HeapUsed:  rs.HeapPeakMB * (1 << 20),
-			Replica:   rs.Index + 1,
+			Replica:   int32(rs.Index) + 1,
 		})
 	}
 	rec.Record(obs.Event{
 		Kind:      obs.KindFleetReport,
 		TNS:       tns,
-		Benchmark: d.Name,
-		Collector: rep.Collector,
+		Benchmark: bench,
+		Collector: col,
 		Value:     float64(rep.Replicas),
 		Aux:       float64(rep.Completions),
 		DurNS:     rep.P99NS,

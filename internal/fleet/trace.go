@@ -73,8 +73,8 @@ type reqState struct {
 // recorder path; every method starts with a nil guard.
 type tracer struct {
 	rec   obs.Recorder
-	bench string
-	col   string
+	bench obs.Name
+	col   obs.Name
 
 	reqs []reqState
 	logs []*trace.Log // per-replica pause logs, shared with the replicas
@@ -83,7 +83,7 @@ type tracer struct {
 	// time zero (every replica engine starts there), flushed lazily before
 	// the first route/completion past each boundary, so window contents are
 	// exact and the stream stays in non-decreasing time order.
-	inFlight []int64
+	inFlight []int32
 	comps    []int64
 	viols    []int64
 	winStart int64
@@ -111,8 +111,8 @@ func grow[T any](s []T, n int) []T {
 func newTracer(rec obs.Recorder, d *workload.Descriptor, cfg Config, reps []*workload.Replica) *tracer {
 	tr := tracerPool.Get().(*tracer)
 	tr.rec = rec
-	tr.bench = d.Name
-	tr.col = cfg.Run.Collector.String()
+	tr.bench = obs.Intern(d.Name)
+	tr.col = obs.Intern(cfg.Run.Collector.String())
 	tr.reqs = grow(tr.reqs, cfg.Requests)
 	tr.logs = grow(tr.logs, len(reps))
 	tr.inFlight = grow(tr.inFlight, len(reps))
@@ -152,12 +152,56 @@ func (tr *tracer) route(tns int64, id int32, dec Decision) {
 		TNS:       tns,
 		Benchmark: tr.bench,
 		Collector: tr.col,
-		Phase:     dec.Reason,
+		Phase:     reasonName(dec.Reason),
 		Value:     float64(id),
 		Aux:       float64(dec.Avoided),
 		Cycle:     int64(tr.reqs[id].attempts),
-		Replica:   dec.Replica + 1,
+		Replica:   int32(dec.Replica) + 1,
 		InFlight:  tr.inFlight[dec.Replica],
+	})
+}
+
+// Each balancer reason's name, interned once.
+var (
+	nameRoundRobin       = obs.Intern(ReasonRoundRobin)
+	nameLeastOutstanding = obs.Intern(ReasonLeastOutstanding)
+	nameGCAware          = obs.Intern(ReasonGCAware)
+	nameGCAwareAvoid     = obs.Intern(ReasonGCAwareAvoid)
+	nameGCAwareFallback  = obs.Intern(ReasonGCAwareFallback)
+)
+
+// reasonName returns the telemetry name of a balancer reason.
+func reasonName(r string) obs.Name {
+	switch r {
+	case ReasonRoundRobin:
+		return nameRoundRobin
+	case ReasonLeastOutstanding:
+		return nameLeastOutstanding
+	case ReasonGCAware:
+		return nameGCAware
+	case ReasonGCAwareAvoid:
+		return nameGCAwareAvoid
+	case ReasonGCAwareFallback:
+		return nameGCAwareFallback
+	}
+	return obs.Intern(r)
+}
+
+// retry records the re-injection of request c.ID, whose attempt on replica
+// idx took lat ns, at retry depth depth.
+func (tr *tracer) retry(idx int, c workload.Completion, depth int32, lat float64) {
+	if tr == nil {
+		return
+	}
+	tr.rec.Record(obs.Event{
+		Kind:      obs.KindFleetRetry,
+		TNS:       c.End,
+		Benchmark: tr.bench,
+		Collector: tr.col,
+		Value:     float64(c.ID),
+		Aux:       float64(depth),
+		DurNS:     lat,
+		Replica:   int32(idx) + 1,
 	})
 }
 
@@ -208,12 +252,12 @@ func (tr *tracer) complete(idx int, c workload.Completion, final bool) {
 		Aux:       float64(st.firstArr),
 		DurNS:     float64(c.End - st.firstArr),
 		Cycle:     int64(st.attempts),
-		Replica:   idx + 1,
+		Replica:   int32(idx) + 1,
 		QueueNS:   queue,
 		GCNS:      ovAD + ovDE,
 		ServiceNS: service,
 		RetryNS:   c.Start - st.firstArr,
-		GCPauses:  int64(nPauses),
+		GCPauses:  int32(nPauses),
 	})
 }
 
@@ -263,7 +307,7 @@ func (tr *tracer) emitWindows(end int64) {
 			DurNS:     float64(end - tr.winStart),
 			Value:     float64(tr.comps[i]),
 			Aux:       float64(tr.viols[i]),
-			Replica:   i + 1,
+			Replica:   int32(i) + 1,
 			InFlight:  tr.inFlight[i],
 			Goodput:   goodput,
 			BurnRate:  burn,

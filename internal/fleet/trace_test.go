@@ -57,7 +57,7 @@ func TestBlameSumsExactly(t *testing.T) {
 					t.Fatalf("%s seed %d: request %v: negative blame component: %+v",
 						pol, seed, e.Value, e)
 				}
-				if e.Replica < 1 || e.Replica > cfg.Replicas {
+				if e.Replica < 1 || int(e.Replica) > cfg.Replicas {
 					t.Fatalf("%s seed %d: request %v on replica %d of %d",
 						pol, seed, e.Value, e.Replica, cfg.Replicas)
 				}
@@ -97,12 +97,12 @@ func TestBlameAccountsGCTime(t *testing.T) {
 			gcTotal += e.GCNS
 		case obs.KindFleetRoute:
 			routes++
-			reasons[e.Phase] = true
+			reasons[e.Phase.String()] = true
 			avoided += int64(e.Aux)
 			if e.Replica < 1 || e.Replica > 2 {
 				t.Fatalf("route to replica %d", e.Replica)
 			}
-			switch e.Phase {
+			switch e.Phase.String() {
 			case ReasonGCAware, ReasonGCAwareAvoid, ReasonGCAwareFallback:
 			default:
 				t.Fatalf("gc-aware fleet produced route reason %q", e.Phase)
@@ -127,7 +127,7 @@ func TestWindowStream(t *testing.T) {
 	cfg := testConfig(2, RoundRobin)
 	events := collectTrace(t, cfg)
 
-	next := map[int]int64{} // replica → expected next window start
+	next := map[int32]int64{} // replica → expected next window start
 	var windows int
 	for _, e := range events {
 		if e.Kind != obs.KindFleetWindow {
@@ -214,7 +214,7 @@ func TestTraceWorkerCountInvariant(t *testing.T) {
 				// worker-count invariant.
 				continue
 			}
-			byRun[e.Run] = append(byRun[e.Run], e)
+			byRun[e.Run.String()] = append(byRun[e.Run.String()], e)
 		}
 		out := make(map[string]string, len(byRun))
 		for run, evs := range byRun {

@@ -254,6 +254,26 @@ func (c *Collector) Params() Params { return c.p }
 // mirror, so per-kind telemetry sums reproduce the log's totals exactly.
 func (c *Collector) SetRecorder(r obs.Recorder) { c.rec = obs.Or(r) }
 
+// phaseNames holds each collection kind's phase name, interned once.
+var phaseNames = [...]obs.Name{
+	trace.GCYoung:      obs.Intern(trace.GCYoung.String()),
+	trace.GCFull:       obs.Intern(trace.GCFull.String()),
+	trace.GCConcurrent: obs.Intern(trace.GCConcurrent.String()),
+	trace.GCDegenerate: obs.Intern(trace.GCDegenerate.String()),
+	trace.GCMixed:      obs.Intern(trace.GCMixed.String()),
+}
+
+// oomName is the Err an OOM event carries.
+var oomName = obs.Intern("oom")
+
+// phaseName returns the telemetry phase name of a collection kind.
+func phaseName(k trace.GCKind) obs.Name {
+	if k >= 0 && int(k) < len(phaseNames) {
+		return phaseNames[k]
+	}
+	return obs.Intern(k.String())
+}
+
 // addEvent records a completed collection phase in the trace log and, when
 // telemetry is live, emits the matching gc-phase-end event, stamped with the
 // collection's cycle ID (and the causing cycle, for degenerate collections).
@@ -266,7 +286,7 @@ func (c *Collector) addEvent(ev trace.GCEvent, id, cause int64) {
 		c.rec.Record(obs.Event{
 			Kind:  obs.KindGCPhaseEnd,
 			TNS:   ev.End,
-			Phase: ev.Kind.String(),
+			Phase: phaseName(ev.Kind),
 			DurNS: ev.PauseNS,
 			CPUNS: ev.CPUNS,
 			Value: ev.Reclaimed,
@@ -289,7 +309,7 @@ func (c *Collector) phaseStart(kind trace.GCKind, cause int64) int64 {
 		c.rec.Record(obs.Event{
 			Kind:  obs.KindGCPhaseStart,
 			TNS:   c.eng.Now(),
-			Phase: kind.String(),
+			Phase: phaseName(kind),
 			Cycle: id,
 			Cause: cause,
 		})
@@ -581,7 +601,7 @@ func (c *Collector) runAllocCont() {
 		c.oom = true
 		c.fastBudget = 0
 		if c.rec.Enabled() {
-			c.rec.Record(obs.Event{Kind: obs.KindOOM, TNS: c.eng.Now(), Value: bytes, Err: "oom"})
+			c.rec.Record(obs.Event{Kind: obs.KindOOM, TNS: c.eng.Now(), Value: bytes, Err: oomName})
 		}
 		done(false)
 	}

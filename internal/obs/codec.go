@@ -27,16 +27,18 @@ type lineEncoder struct {
 	// nonFinite is set when a float field is NaN or ±Inf, which
 	// encoding/json refuses to encode; b is then incomplete.
 	nonFinite bool
+	names     []nameEntry // the intern table, loaded once per event
 }
 
 func (l *lineEncoder) event(e *Event) {
+	l.names = nameTable()
 	l.b = AppendJSONString(append(l.b, `{"kind":`...), e.Kind.String())
 	l.int(`,"seq":`, e.Seq)
 	l.b = strconv.AppendInt(append(l.b, `,"t_ns":`...), e.TNS, 10)
-	l.str(`,"run":`, e.Run)
-	l.str(`,"benchmark":`, e.Benchmark)
-	l.str(`,"collector":`, e.Collector)
-	l.str(`,"phase":`, e.Phase)
+	l.name(`,"run":`, e.Run)
+	l.name(`,"benchmark":`, e.Benchmark)
+	l.name(`,"collector":`, e.Collector)
+	l.name(`,"phase":`, e.Phase)
 	l.float(`,"dur_ns":`, e.DurNS)
 	l.float(`,"cpu_ns":`, e.CPUNS)
 	l.float(`,"value":`, e.Value)
@@ -57,11 +59,11 @@ func (l *lineEncoder) event(e *Event) {
 	l.int(`,"gc_ns":`, e.GCNS)
 	l.int(`,"service_ns":`, e.ServiceNS)
 	l.int(`,"retry_ns":`, e.RetryNS)
-	l.int(`,"gc_pauses":`, e.GCPauses)
-	l.int(`,"in_flight":`, e.InFlight)
+	l.int(`,"gc_pauses":`, int64(e.GCPauses))
+	l.int(`,"in_flight":`, int64(e.InFlight))
 	l.float(`,"goodput":`, e.Goodput)
 	l.float(`,"burn_rate":`, e.BurnRate)
-	l.str(`,"err":`, e.Err)
+	l.name(`,"err":`, e.Err)
 	l.b = append(l.b, "}\n"...)
 }
 
@@ -83,10 +85,10 @@ func (l *lineEncoder) float(key string, v float64) {
 	}
 }
 
-// str appends an omitempty string field.
-func (l *lineEncoder) str(key, s string) {
-	if s != "" {
-		l.b = AppendJSONString(append(l.b, key...), s)
+// name appends an omitempty name field from its cached JSON form.
+func (l *lineEncoder) name(key string, n Name) {
+	if n != 0 {
+		l.b = append(append(l.b, key...), l.names[n].json...)
 	}
 }
 
@@ -133,10 +135,16 @@ func AppendJSONString(b []byte, s string) []byte {
 }
 
 // lineParser decodes canonical JSONL lines. It remembers the last value of
-// each string field, so the run, benchmark and collector names a stream
-// repeats on every line are allocated once, not per event.
+// each name field, so the run, benchmark and collector names a stream
+// repeats on every line are matched without interning them again.
 type lineParser struct {
-	run, benchmark, collector, phase, err string
+	run, benchmark, collector, phase, err lastName
+}
+
+// lastName is one name field's previous value, as bytes and as a Name.
+type lastName struct {
+	s string
+	n Name
 }
 
 // parse fills e from line, which must end in '\n', and reports whether line
@@ -185,13 +193,13 @@ func (p *lineParser) field(e *Event, key, b []byte) ([]byte, bool) {
 	case "t_ns":
 		return parseInt(b, &e.TNS)
 	case "run":
-		return p.string(b, &p.run, &e.Run)
+		return p.run.parse(b, &e.Run)
 	case "benchmark":
-		return p.string(b, &p.benchmark, &e.Benchmark)
+		return p.benchmark.parse(b, &e.Benchmark)
 	case "collector":
-		return p.string(b, &p.collector, &e.Collector)
+		return p.collector.parse(b, &e.Collector)
 	case "phase":
-		return p.string(b, &p.phase, &e.Phase)
+		return p.phase.parse(b, &e.Phase)
 	case "dur_ns":
 		return parseFloat(b, &e.DurNS)
 	case "cpu_ns":
@@ -223,10 +231,7 @@ func (p *lineParser) field(e *Event, key, b []byte) ([]byte, bool) {
 	case "queue_max":
 		return parseFloat(b, &e.QueueMax)
 	case "replica":
-		var v int64
-		b, ok := parseInt(b, &v)
-		e.Replica = int(v)
-		return b, ok && int64(e.Replica) == v
+		return parseInt32(b, &e.Replica)
 	case "queue_ns":
 		return parseInt(b, &e.QueueNS)
 	case "gc_ns":
@@ -236,33 +241,33 @@ func (p *lineParser) field(e *Event, key, b []byte) ([]byte, bool) {
 	case "retry_ns":
 		return parseInt(b, &e.RetryNS)
 	case "gc_pauses":
-		return parseInt(b, &e.GCPauses)
+		return parseInt32(b, &e.GCPauses)
 	case "in_flight":
-		return parseInt(b, &e.InFlight)
+		return parseInt32(b, &e.InFlight)
 	case "goodput":
 		return parseFloat(b, &e.Goodput)
 	case "burn_rate":
 		return parseFloat(b, &e.BurnRate)
 	case "err":
-		return p.string(b, &p.err, &e.Err)
+		return p.err.parse(b, &e.Err)
 	}
 	return b, false
 }
 
-// string parses a plain string at the start of b into *dst. A value equal
-// to *last, the field's previous value, is matched without rescanning and
-// shares its allocation.
-func (p *lineParser) string(b []byte, last, dst *string) ([]byte, bool) {
-	if n := len(*last); len(b) > n+1 && b[0] == '"' && b[n+1] == '"' && string(b[1:n+1]) == *last {
-		*dst = *last
+// parse parses a plain string at the start of b into *dst. A value equal to
+// the field's previous value is matched without rescanning or interning.
+func (last *lastName) parse(b []byte, dst *Name) ([]byte, bool) {
+	if n := len(last.s); len(b) > n+1 && b[0] == '"' && b[n+1] == '"' && string(b[1:n+1]) == last.s {
+		*dst = last.n
 		return b[n+2:], true
 	}
 	s, ok := plainString(b)
 	if !ok {
 		return b, false
 	}
-	*last = string(s)
-	*dst = *last
+	last.n = internBytes(s)
+	last.s = last.n.String()
+	*dst = last.n
 	return b[len(s)+2:], true
 }
 
@@ -318,6 +323,15 @@ func parseInt(b []byte, dst *int64) ([]byte, bool) {
 	}
 	*dst = v
 	return b[n:], true
+}
+
+// parseInt32 is parseInt for an int32 field, failing where the value does
+// not fit, as encoding/json does.
+func parseInt32(b []byte, dst *int32) ([]byte, bool) {
+	var v int64
+	b, ok := parseInt(b, &v)
+	*dst = int32(v)
+	return b, ok && int64(*dst) == v
 }
 
 // parseFloat parses the JSON number at the start of b into *dst, failing

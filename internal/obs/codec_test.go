@@ -43,7 +43,7 @@ func checkLine(t *testing.T, e Event) {
 // edge cases encoding/json formats specially encode to the same bytes.
 func TestAppendEventMatchesEncodingJSON(t *testing.T) {
 	for k := Kind(0); int(k) < len(kindNames); k++ {
-		checkLine(t, Event{Kind: k, Seq: int64(k) + 1, TNS: 1e9, Run: "r", DurNS: 1.5, Replica: 2})
+		checkLine(t, Event{Kind: k, Seq: int64(k) + 1, TNS: 1e9, Run: Intern("r"), DurNS: 1.5, Replica: 2})
 	}
 	checkLine(t, Event{Kind: KindUnknown})
 	checkLine(t, Event{Kind: 40})
@@ -56,13 +56,14 @@ func TestAppendEventMatchesEncodingJSON(t *testing.T) {
 		checkLine(t, Event{Kind: KindSample, DurNS: f, HeapUsed: f, BurnRate: f})
 	}
 	for _, v := range []int64{-1, math.MinInt64, math.MaxInt64, 1e18} {
-		checkLine(t, Event{Seq: v, TNS: v, Cycle: v, QueueNS: v, InFlight: v, Replica: int(v)})
+		checkLine(t, Event{Seq: v, TNS: v, Cycle: v, QueueNS: v, InFlight: int32(v), Replica: int32(v)})
 	}
 	for _, s := range []string{
 		"<>&", `a"b`, `back\slash`, "line\nbreak", "\x01", "\x7f", "tab\t", "é",
 		"  ", "\xff\xfe", "ok-plain ascii", "日本",
 	} {
-		checkLine(t, Event{Kind: KindJobFinish, Run: s, Benchmark: s, Collector: s, Phase: s, Err: s})
+		n := Intern(s)
+		checkLine(t, Event{Kind: KindJobFinish, Run: n, Benchmark: n, Collector: n, Phase: n, Err: n})
 	}
 }
 
@@ -83,16 +84,16 @@ func TestAppendEventRandom(t *testing.T) {
 			switch fv := v.Field(f); fv.Kind() {
 			case reflect.Uint8:
 				fv.SetUint(uint64(rng.Intn(len(kindNames) + 2)))
-			case reflect.Int, reflect.Int64:
+			case reflect.Int32, reflect.Int64:
 				fv.SetInt(rng.Int63() >> rng.Intn(63) * int64(1-2*rng.Intn(2)))
 			case reflect.Float64:
 				fv.SetFloat(randFloat(rng))
-			case reflect.String:
+			case reflect.Uint32: // a Name
 				s := make([]byte, rng.Intn(8))
 				for j := range s {
 					s[j] = alphabet[rng.Intn(len(alphabet))]
 				}
-				fv.SetString(string(s))
+				fv.SetUint(uint64(Intern(string(s))))
 			default:
 				t.Fatalf("field %s: no generator for %v", v.Type().Field(f).Name, fv.Kind())
 			}

@@ -151,7 +151,7 @@ func TestDecodeStreamFallbackNumbering(t *testing.T) {
 	long := `{"kind":"job-finish","seq":1,"t_ns":1,"err":"` + strings.Repeat("x", 100<<10) + `"}` + "\n" +
 		`{"kind":"run_end","seq":2,"t_ns":0,"value":1}` + "\n"
 	got = sameAsReference(t, "overlong line", func() io.Reader { return strings.NewReader(long) })
-	if got.err != nil || len(got.events) != 2 || len(got.events[0].Err) != 100<<10 {
+	if got.err != nil || len(got.events) != 2 || len(got.events[0].Err.String()) != 100<<10 {
 		t.Fatalf("overlong line: %d events, error %v", len(got.events), got.err)
 	}
 }

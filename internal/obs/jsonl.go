@@ -28,7 +28,7 @@ type JSONL struct {
 	closed bool
 
 	batches chan jsonlBatch // to the writer, in stream order
-	free    chan []Event    // spent batches, back from the writer
+	free    chan []Event    // empty batches, back from the writer
 	count   chan int64      // the writer's answer to a counting batch
 	done    chan struct{}   // closed when the writer exits
 
@@ -44,6 +44,13 @@ type JSONL struct {
 // the writer goroutine.
 const jsonlBatchLen = 512
 
+// jsonlQueued is how many full batches may wait for the writer. A sink owns
+// jsonlQueued+3 batches, allocated when it is made: the queued ones, the one
+// the writer is writing, the one Record is filling and one Record has just
+// filled and is waiting to queue. So Record never allocates one, and never
+// waits for an empty batch without first waiting for room in the queue.
+const jsonlQueued = 4
+
 // jsonlBatch is one hand-over to the writer. When count is set, the writer
 // answers on JSONL.count with its event count once evs are written.
 type jsonlBatch struct {
@@ -57,15 +64,19 @@ type jsonlBatch struct {
 // method (*os.File does), Close also syncs it, so a completed stream
 // survives a host crash immediately after the run.
 func NewJSONL(w io.Writer) *JSONL {
-	const queued = 4 // full batches waiting for the writer
+	const owned = jsonlQueued + 3
 	j := &JSONL{
-		batch:   make([]Event, 0, jsonlBatchLen),
-		batches: make(chan jsonlBatch, queued),
-		free:    make(chan []Event, queued+2),
+		batches: make(chan jsonlBatch, jsonlQueued),
+		free:    make(chan []Event, owned),
 		count:   make(chan int64),
 		done:    make(chan struct{}),
 		bw:      bufio.NewWriterSize(w, 64<<10),
 	}
+	all := make([]Event, owned*jsonlBatchLen)
+	for i := 1; i < owned; i++ {
+		j.free <- all[i*jsonlBatchLen : i*jsonlBatchLen : (i+1)*jsonlBatchLen]
+	}
+	j.batch = all[:0:jsonlBatchLen]
 	if s, ok := w.(interface{ Sync() error }); ok {
 		j.sync = s.Sync
 	}
@@ -112,24 +123,20 @@ func (j *JSONL) RecordBatch(evs []Event) {
 	}
 }
 
-// handOver sends the current batch to the writer and starts a new one,
-// reusing a spent batch when the writer has returned one. j.mu is held, so
-// batches reach the writer in the order their events were recorded.
+// handOver sends the current batch to the writer and starts filling an
+// empty one. j.mu is held, so batches reach the writer in the order their
+// events were recorded.
 func (j *JSONL) handOver(count bool) {
 	b := jsonlBatch{count: count}
 	if len(j.batch) > 0 {
 		b.evs = j.batch
-		select {
-		case j.batch = <-j.free:
-		default:
-			j.batch = make([]Event, 0, jsonlBatchLen)
-		}
+		j.batch = <-j.free
 	}
 	j.batches <- b
 }
 
 // write is the writer goroutine: it writes each batch's events in order,
-// answers counting batches and recycles spent batches, until Close closes
+// answers counting batches and returns spent batches, until Close closes
 // j.batches.
 func (j *JSONL) write() {
 	defer close(j.done)
@@ -141,10 +148,7 @@ func (j *JSONL) write() {
 			j.count <- j.seen
 		}
 		if b.evs != nil {
-			select {
-			case j.free <- b.evs[:0]:
-			default:
-			}
+			j.free <- b.evs[:0] // never blocks: free holds every batch
 		}
 	}
 }

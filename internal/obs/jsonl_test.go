@@ -72,7 +72,7 @@ func TestJSONLWriteErrorInBatch(t *testing.T) {
 	const fail = jsonlBatchLen + 40
 	w := &lineWriter{fail: fail}
 	j := NewJSONL(w)
-	big := strings.Repeat("x", 64<<10)
+	big := Intern(strings.Repeat("x", 64<<10))
 	for i := 0; i < 2*jsonlBatchLen; i++ {
 		j.Record(Event{Kind: KindJobFinish, TNS: int64(i + 1), Err: big})
 	}
@@ -169,7 +169,7 @@ func TestJSONLRecordAndBatchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			run := fmt.Sprintf("w%d", w)
+			run := Intern(fmt.Sprintf("w%d", w))
 			var tns int64
 			for r := 0; r < rounds; r++ {
 				if r%2 == 0 {
@@ -197,8 +197,8 @@ func TestJSONLRecordAndBatchConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seq int64
-	last := map[string]int64{}
-	var batchRun string
+	last := map[Name]int64{}
+	var batchRun Name
 	var batchCycle int64
 	var batchNext float64
 	if err := DecodeJSONL(&buf, func(e Event) error {

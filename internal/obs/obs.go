@@ -21,9 +21,11 @@
 //     emission with Enabled(), so the disabled cost is one boolean method
 //     call — components on per-event paths (the simulator engine) cache the
 //     boolean once instead;
-//   - Event is a flat value struct: constructing and passing one does not
-//     allocate; all allocation (JSON encoding, buffering) happens inside
-//     enabled sinks.
+//   - Event is a flat value struct without pointers (its names are
+//     interned, see Name): constructing and passing one does not allocate,
+//     and a slice of events is neither zeroed on growth nor scanned by the
+//     garbage collector; all allocation (JSON encoding, buffering) happens
+//     inside enabled sinks.
 package obs
 
 import (
@@ -190,7 +192,9 @@ func (k *Kind) UnmarshalText(b []byte) error {
 }
 
 // Event is one telemetry record. It is a flat value struct so constructing
-// one on an enabled path allocates nothing; unused fields marshal away.
+// one on an enabled path allocates nothing; unused fields marshal away. It
+// holds no pointers: Run, Benchmark, Collector, Phase and Err are interned
+// Names, which marshal as the strings they name.
 type Event struct {
 	Kind Kind `json:"kind"`
 	// Seq is the event's position in its stream, assigned by the JSONL sink
@@ -205,12 +209,12 @@ type Event struct {
 	// Run identifies the invocation the event belongs to — the engine job
 	// key when the run executes as an engine job. Streams from concurrent
 	// runs interleave; Run is what obsreport groups by.
-	Run       string `json:"run,omitempty"`
-	Benchmark string `json:"benchmark,omitempty"`
-	Collector string `json:"collector,omitempty"`
+	Run       Name `json:"run,omitempty"`
+	Benchmark Name `json:"benchmark,omitempty"`
+	Collector Name `json:"collector,omitempty"`
 	// Phase names the GC phase for phase events (young, full, concurrent,
 	// mixed, degenerate).
-	Phase string `json:"phase,omitempty"`
+	Phase Name `json:"phase,omitempty"`
 	// DurNS is the event's duration: STW wall time for gc-phase-end, stall
 	// length for pacer-stall, whole-run wall for job-finish.
 	DurNS float64 `json:"dur_ns,omitempty"`
@@ -253,7 +257,7 @@ type Event struct {
 	// fleet-request / fleet-window events. The span builder partitions by it
 	// so per-replica cycle IDs (each collector counts 1, 2, 3, …) never
 	// collide across a merged fleet stream.
-	Replica int `json:"replica,omitempty"`
+	Replica int32 `json:"replica,omitempty"`
 	// Blame fields (KindFleetRequest): the exact integer decomposition of
 	// the request's end-to-end latency. QueueNS is time between the final
 	// attempt's arrival and its dispatch to a worker, net of STW pauses;
@@ -268,15 +272,15 @@ type Event struct {
 	ServiceNS int64 `json:"service_ns,omitempty"`
 	RetryNS   int64 `json:"retry_ns,omitempty"`
 	// GCPauses counts the distinct STW pauses overlapping the final attempt.
-	GCPauses int64 `json:"gc_pauses,omitempty"`
+	GCPauses int32 `json:"gc_pauses,omitempty"`
 	// Windowed fleet fields (KindFleetWindow, and InFlight on
 	// KindFleetRoute): instantaneous in-flight requests, SLO-meeting
 	// completions per second, and SLO budget burn rate over the window.
-	InFlight int64   `json:"in_flight,omitempty"`
+	InFlight int32   `json:"in_flight,omitempty"`
 	Goodput  float64 `json:"goodput,omitempty"`
 	BurnRate float64 `json:"burn_rate,omitempty"`
 	// Err is the failure message on job-finish of a failed job, or "oom".
-	Err string `json:"err,omitempty"`
+	Err Name `json:"err,omitempty"`
 }
 
 // Recorder receives telemetry. Implementations must be safe for concurrent
@@ -308,14 +312,36 @@ func Or(r Recorder) Recorder {
 	return r
 }
 
+// RunNames is the run identity stamped onto a run's events: the names
+// interned once per run, not per event.
+type RunNames struct {
+	Run, Benchmark, Collector Name
+}
+
+// InternRun interns a run's identity.
+func InternRun(run, benchmark, collector string) RunNames {
+	return RunNames{Intern(run), Intern(benchmark), Intern(collector)}
+}
+
+// Stamp sets each of e's run identity fields that is not already set.
+func (n RunNames) Stamp(e *Event) {
+	if e.Run == 0 {
+		e.Run = n.Run
+	}
+	if e.Benchmark == 0 {
+		e.Benchmark = n.Benchmark
+	}
+	if e.Collector == 0 {
+		e.Collector = n.Collector
+	}
+}
+
 // runStamp wraps a Recorder, stamping run identity onto every event that
 // does not already carry one. The engine wraps its recorder per job so
 // events from concurrently executing invocations stay attributable.
 type runStamp struct {
-	r         Recorder
-	run       string
-	benchmark string
-	collector string
+	r     Recorder
+	names RunNames
 }
 
 // WithRun returns a Recorder that stamps run, benchmark and collector onto
@@ -326,21 +352,13 @@ func WithRun(r Recorder, run, benchmark, collector string) Recorder {
 	if !r.Enabled() {
 		return r
 	}
-	return &runStamp{r: r, run: run, benchmark: benchmark, collector: collector}
+	return &runStamp{r: r, names: InternRun(run, benchmark, collector)}
 }
 
 func (s *runStamp) Enabled() bool { return true }
 
 func (s *runStamp) Record(e Event) {
-	if e.Run == "" {
-		e.Run = s.run
-	}
-	if e.Benchmark == "" {
-		e.Benchmark = s.benchmark
-	}
-	if e.Collector == "" {
-		e.Collector = s.collector
-	}
+	s.names.Stamp(&e)
 	s.r.Record(e)
 }
 
@@ -350,7 +368,7 @@ func (s *runStamp) Record(e Event) {
 // a replica's engine stays attributable after the streams merge.
 type replicaStamp struct {
 	r       Recorder
-	replica int // 1-based, as stored on Event.Replica
+	replica int32 // 1-based, as stored on Event.Replica
 }
 
 // WithReplica returns a Recorder that stamps fleet replica idx (0-based, as
@@ -361,7 +379,7 @@ func WithReplica(r Recorder, idx int) Recorder {
 	if !r.Enabled() {
 		return r
 	}
-	return &replicaStamp{r: r, replica: idx + 1}
+	return &replicaStamp{r: r, replica: int32(idx) + 1}
 }
 
 func (s *replicaStamp) Enabled() bool { return true }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestKindRoundTrip(t *testing.T) {
@@ -40,10 +42,10 @@ func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJSONL(&buf)
 	want := []Event{
-		{Kind: KindGCPhaseStart, TNS: 100, Run: "k1", Phase: "young"},
-		{Kind: KindGCPhaseEnd, TNS: 250, Run: "k1", Phase: "young", DurNS: 150, CPUNS: 900, Value: 1 << 20},
-		{Kind: KindPacerStall, TNS: 300, Run: "k1", DurNS: 5e5},
-		{Kind: KindJobFinish, TNS: 400, Run: "k1", Benchmark: "lusearch", Collector: "Shenandoah", DurNS: 1e9, CPUNS: 4e9},
+		{Kind: KindGCPhaseStart, TNS: 100, Run: Intern("k1"), Phase: Intern("young")},
+		{Kind: KindGCPhaseEnd, TNS: 250, Run: Intern("k1"), Phase: Intern("young"), DurNS: 150, CPUNS: 900, Value: 1 << 20},
+		{Kind: KindPacerStall, TNS: 300, Run: Intern("k1"), DurNS: 5e5},
+		{Kind: KindJobFinish, TNS: 400, Run: Intern("k1"), Benchmark: Intern("lusearch"), Collector: Intern("Shenandoah"), DurNS: 1e9, CPUNS: 4e9},
 	}
 	for _, e := range want {
 		j.Record(e)
@@ -182,7 +184,7 @@ func TestJSONLConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				j.Record(Event{Kind: KindJobFinish, TNS: int64(i), Run: fmt.Sprintf("r%d", w)})
+				j.Record(Event{Kind: KindJobFinish, TNS: int64(i), Run: Intern(fmt.Sprintf("r%d", w))})
 			}
 		}(w)
 	}
@@ -214,8 +216,8 @@ func TestWithRunStamps(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJSONL(&buf)
 	r := WithRun(j, "key123", "h2", "G1")
-	r.Record(Event{Kind: KindGCPhaseEnd, Phase: "young"})
-	r.Record(Event{Kind: KindGCPhaseEnd, Run: "other", Benchmark: "kafka", Collector: "ZGC"})
+	r.Record(Event{Kind: KindGCPhaseEnd, Phase: Intern("young")})
+	r.Record(Event{Kind: KindGCPhaseEnd, Run: Intern("other"), Benchmark: Intern("kafka"), Collector: Intern("ZGC")})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +225,10 @@ func TestWithRunStamps(t *testing.T) {
 	if err := DecodeJSONL(&buf, func(e Event) error { got = append(got, e); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if got[0].Run != "key123" || got[0].Benchmark != "h2" || got[0].Collector != "G1" {
+	if got[0].Run != Intern("key123") || got[0].Benchmark != Intern("h2") || got[0].Collector != Intern("G1") {
 		t.Errorf("stamp missing: %+v", got[0])
 	}
-	if got[1].Run != "other" || got[1].Benchmark != "kafka" || got[1].Collector != "ZGC" {
+	if got[1].Run != Intern("other") || got[1].Benchmark != Intern("kafka") || got[1].Collector != Intern("ZGC") {
 		t.Errorf("stamp overwrote explicit identity: %+v", got[1])
 	}
 	if r := WithRun(Nop, "k", "b", "c"); r.Enabled() {
@@ -279,5 +281,75 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if h.Total() != 4000 {
 		t.Fatalf("total = %d, want 4000", h.Total())
+	}
+}
+
+// TestEventLayout pins what makes slices of events cheap: no field of Event
+// can hold a pointer, so the allocator need not zero a grown slice before
+// copying into it and the garbage collector never scans one, and the
+// struct is at most 232 bytes.
+func TestEventLayout(t *testing.T) {
+	typ := reflect.TypeOf(Event{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); holdsPointer(f.Type) {
+			t.Errorf("Event.%s is a %v, which can hold a pointer", f.Name, f.Type)
+		}
+	}
+	if n := unsafe.Sizeof(Event{}); n > 232 {
+		t.Errorf("sizeof(Event) = %d bytes, want at most 232", n)
+	}
+}
+
+// holdsPointer reports whether a value of type t can hold a pointer.
+func holdsPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.String, reflect.Pointer, reflect.UnsafePointer, reflect.Slice,
+		reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointer(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestInternConcurrent interns and reads names from many goroutines at
+// once; under the race detector it checks that String takes no lock yet
+// sees every name interned before the handle reached it.
+func TestInternConcurrent(t *testing.T) {
+	const workers, per = 8, 500
+	var wg sync.WaitGroup
+	handles := make(chan Name, workers*per)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				s := fmt.Sprintf("concurrent-%d", (w*per+i)%(per*3/2))
+				n := Intern(s)
+				if got := n.String(); got != s {
+					t.Errorf("Intern(%q).String() = %q", s, got)
+					return
+				}
+				handles <- n
+				select {
+				case h := <-handles:
+					_ = h.String()
+				default:
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if Intern("") != 0 || Name(0).String() != "" {
+		t.Error(`Intern("") is not the zero Name`)
+	}
+	if a, b := Intern("concurrent-1"), Intern(string([]byte("concurrent-1"))); a != b {
+		t.Errorf("one string interned as %d and %d", a, b)
 	}
 }

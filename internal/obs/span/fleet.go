@@ -89,10 +89,19 @@ type FleetTrace struct {
 
 // fleetAsm accumulates one run's fleet trace while streaming events.
 type fleetAsm struct {
-	ft      FleetTrace
-	reps    map[int]*ReplicaTrack // by 0-based index
-	sub     map[int]*builder      // per-replica span builders
-	isFleet bool                  // run carries fleet-layer events
+	ft  FleetTrace
+	run obs.Name
+	// bench and coll become ft.Benchmark and ft.Collector when the trace
+	// is finished.
+	bench, coll obs.Name
+	reps        map[int]*ReplicaTrack // by 0-based index
+	sub         map[int]*builder      // per-replica span builders
+	isFleet     bool                  // run carries fleet-layer events
+	// The counts of the run's routes, requests and retries, and of each
+	// replica's windows and samples (by 1-based replica), taken before the
+	// events are folded in.
+	routes, requests, retries int
+	windows, samples          map[int32]int
 	// benchFleet marks that Benchmark came from a fleet-layer event, which
 	// carries the workload name; engine job events carry the literal job
 	// kind ("fleet") and must not win.
@@ -104,19 +113,23 @@ type fleetAsm struct {
 func (a *fleetAsm) ident(e *obs.Event) {
 	a.isFleet = true
 	a.see(e.TNS)
-	if !a.benchFleet && e.Benchmark != "" {
-		a.ft.Benchmark = e.Benchmark
+	if !a.benchFleet && e.Benchmark != 0 {
+		a.bench = e.Benchmark
 		a.benchFleet = true
 	}
 }
 
-// replica returns (creating on demand) the track for 0-based index i.
-func (a *fleetAsm) replica(run string, i int) *ReplicaTrack {
+// replica returns (creating on demand) the track for the 1-based replica
+// an event carries.
+func (a *fleetAsm) replica(replica int32) *ReplicaTrack {
+	i := int(replica) - 1
 	rt := a.reps[i]
 	if rt == nil {
-		rt = &ReplicaTrack{Index: i}
+		rt = &ReplicaTrack{Index: i, Windows: sized[FleetWindow](a.windows[replica])}
 		a.reps[i] = rt
-		a.sub[i] = newBuilder(run, i+1)
+		b := newBuilder(a.run, i+1)
+		b.tree.Samples = sized[obs.Event](a.samples[replica])
+		a.sub[i] = b
 	}
 	return rt
 }
@@ -129,34 +142,56 @@ func (a *fleetAsm) see(tns int64) {
 
 // BuildFleet folds a telemetry stream into one FleetTrace per fleet run,
 // sorted by run key: the order runs first appear in is the order the
-// engine's cells finished, which varies from run to run. Runs with no fleet-layer events (ordinary
+// engine's cells finished, which varies from run to run, and a run's Name
+// depends on interning order. Runs with no fleet-layer events (ordinary
 // single-process invocations) are skipped — render those with Build. Like
 // Build, events from different runs may interleave; within a run they must
 // be in emission order.
 func BuildFleet(events []obs.Event) []*FleetTrace {
-	asms := map[string]*fleetAsm{}
-	var order []string
-	for i := range events {
-		e := &events[i]
-		a := asms[e.Run]
-		if a == nil {
-			a = &fleetAsm{
-				ft:   FleetTrace{Run: e.Run},
-				reps: map[int]*ReplicaTrack{},
-				sub:  map[int]*builder{},
-			}
-			asms[e.Run] = a
-			order = append(order, e.Run)
+	asms := map[obs.Name]*fleetAsm{}
+	var order []*fleetAsm
+	var last *fleetAsm
+	// lookup returns the assembler of run, making it on first sight. Runs
+	// arrive in long stretches, so the last one usually matches.
+	lookup := func(run obs.Name) *fleetAsm {
+		if last != nil && last.run == run {
+			return last
 		}
-		a.event(e)
+		last = asms[run]
+		if last == nil {
+			last = &fleetAsm{
+				ft:      FleetTrace{Run: run.String()},
+				run:     run,
+				reps:    map[int]*ReplicaTrack{},
+				sub:     map[int]*builder{},
+				windows: map[int32]int{},
+				samples: map[int32]int{},
+			}
+			asms[run] = last
+			order = append(order, last)
+		}
+		return last
 	}
-	sort.Strings(order)
+	// Count first, so each run's and each replica's slices are allocated
+	// once at their final size instead of grown event by event.
+	for i := range events {
+		lookup(events[i].Run).count(&events[i])
+	}
+	for _, a := range order {
+		a.ft.Routes = sized[FleetRoute](a.routes)
+		a.ft.Requests = sized[FleetRequest](a.requests)
+		a.ft.Retries = sized[FleetRetry](a.retries)
+	}
+	for i := range events {
+		lookup(events[i].Run).event(&events[i])
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i].ft.Run < order[j].ft.Run })
 	var out []*FleetTrace
-	for _, run := range order {
-		a := asms[run]
+	for _, a := range order {
 		if !a.isFleet {
 			continue
 		}
+		a.ft.Benchmark, a.ft.Collector = a.bench.String(), a.coll.String()
 		idxs := make([]int, 0, len(a.reps))
 		for i := range a.reps {
 			idxs = append(idxs, i)
@@ -175,35 +210,59 @@ func BuildFleet(events []obs.Event) []*FleetTrace {
 	return out
 }
 
-func (a *fleetAsm) event(e *obs.Event) {
-	if a.ft.Benchmark == "" {
-		a.ft.Benchmark = e.Benchmark
+// sized returns an empty slice with room for n elements, nil when n is 0.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
 	}
-	if a.ft.Collector == "" && e.Collector != "" {
-		a.ft.Collector = e.Collector
+	return make([]T, 0, n)
+}
+
+// count tallies e into the sizes of the slices its run will hold.
+func (a *fleetAsm) count(e *obs.Event) {
+	switch e.Kind {
+	case obs.KindFleetRoute:
+		a.routes++
+	case obs.KindFleetRequest:
+		a.requests++
+	case obs.KindFleetRetry:
+		a.retries++
+	case obs.KindFleetWindow:
+		a.windows[e.Replica]++
+	case obs.KindSample:
+		a.samples[e.Replica]++
+	}
+}
+
+func (a *fleetAsm) event(e *obs.Event) {
+	if a.bench == 0 {
+		a.bench = e.Benchmark
+	}
+	if a.coll == 0 {
+		a.coll = e.Collector
 	}
 	switch e.Kind {
 	case obs.KindFleetRoute:
 		a.ident(e)
-		a.replica(a.ft.Run, e.Replica-1)
+		a.replica(e.Replica)
 		a.ft.Routes = append(a.ft.Routes, FleetRoute{
-			TNS: e.TNS, ID: int64(e.Value), Replica: e.Replica - 1,
-			Reason: e.Phase, Avoided: int(e.Aux), Attempt: int(e.Cycle),
-			InFlight: e.InFlight,
+			TNS: e.TNS, ID: int64(e.Value), Replica: int(e.Replica) - 1,
+			Reason: e.Phase.String(), Avoided: int(e.Aux), Attempt: int(e.Cycle),
+			InFlight: int64(e.InFlight),
 		})
 	case obs.KindFleetRequest:
 		a.ident(e)
-		a.replica(a.ft.Run, e.Replica-1)
+		a.replica(e.Replica)
 		a.ft.Requests = append(a.ft.Requests, FleetRequest{
-			ID: int64(e.Value), Replica: e.Replica - 1,
+			ID: int64(e.Value), Replica: int(e.Replica) - 1,
 			Start: int64(e.Aux), End: e.TNS, E2ENS: int64(e.DurNS),
 			Attempts: int(e.Cycle),
 			QueueNS:  e.QueueNS, GCNS: e.GCNS, ServNS: e.ServiceNS,
-			RetryNS: e.RetryNS, GCPauses: e.GCPauses,
+			RetryNS: e.RetryNS, GCPauses: int64(e.GCPauses),
 		})
 	case obs.KindFleetRetry:
 		a.ident(e)
-		rep := e.Replica - 1
+		rep := int(e.Replica) - 1
 		if e.Replica == 0 {
 			rep = -1 // pre-PR-9 streams carried no replica on retries
 		}
@@ -213,11 +272,11 @@ func (a *fleetAsm) event(e *obs.Event) {
 		})
 	case obs.KindFleetWindow:
 		a.ident(e)
-		rt := a.replica(a.ft.Run, e.Replica-1)
+		rt := a.replica(e.Replica)
 		rt.Windows = append(rt.Windows, FleetWindow{
-			EndNS: e.TNS, DurNS: int64(e.DurNS), Replica: e.Replica - 1,
+			EndNS: e.TNS, DurNS: int64(e.DurNS), Replica: rt.Index,
 			Completions: int64(e.Value), Violations: int64(e.Aux),
-			InFlight: e.InFlight, Goodput: e.Goodput, BurnRate: e.BurnRate,
+			InFlight: int64(e.InFlight), Goodput: e.Goodput, BurnRate: e.BurnRate,
 		})
 	case obs.KindFleetReplica, obs.KindFleetReport:
 		a.ident(e)
@@ -225,7 +284,7 @@ func (a *fleetAsm) event(e *obs.Event) {
 		// Replica-stamped engine telemetry feeds that replica's span tree;
 		// unstamped events (engine job bookkeeping) carry no fleet structure.
 		if e.Replica > 0 {
-			a.sub[a.replica(a.ft.Run, e.Replica-1).Index].event(e)
+			a.sub[a.replica(e.Replica).Index].event(e)
 		}
 	}
 }

@@ -128,8 +128,11 @@ func (t *Tree) Span(id int64) *Span {
 
 // builder accumulates one run's tree while streaming events.
 type builder struct {
-	tree   Tree
-	nextID int64
+	tree Tree
+	// bench and coll are the first benchmark and collector the run's
+	// events name; finish writes them into the tree.
+	bench, coll obs.Name
+	nextID      int64
 	// openCycle maps a collection ID to the index (in tree.Spans) of its
 	// still-open cycle span; cycleSpan keeps the mapping after close so
 	// late pauses and stalls can still resolve their parent.
@@ -137,9 +140,9 @@ type builder struct {
 	cycleSpan map[int64]int64 // collection ID -> span ID
 }
 
-func newBuilder(run string, replica int) *builder {
+func newBuilder(run obs.Name, replica int) *builder {
 	return &builder{
-		tree:      Tree{Run: run, Replica: replica},
+		tree:      Tree{Run: run.String(), Replica: replica},
 		openCycle: map[int64]int{},
 		cycleSpan: map[int64]int64{},
 	}
@@ -159,17 +162,17 @@ func (b *builder) see(tns int64) {
 }
 
 func (b *builder) event(e *obs.Event) {
-	if b.tree.Benchmark == "" {
-		b.tree.Benchmark = e.Benchmark
+	if b.bench == 0 {
+		b.bench = e.Benchmark
 	}
-	if b.tree.Collector == "" {
-		b.tree.Collector = e.Collector
+	if b.coll == 0 {
+		b.coll = e.Collector
 	}
 	switch e.Kind {
 	case obs.KindGCPhaseStart:
 		b.see(e.TNS)
 		i := b.add(Span{
-			Track: TrackGC, Name: e.Phase,
+			Track: TrackGC, Name: e.Phase.String(),
 			Start: e.TNS, End: e.TNS,
 			Cycle: e.Cycle, Cause: e.Cause, Open: true,
 		})
@@ -182,7 +185,7 @@ func (b *builder) event(e *obs.Event) {
 			// Start event lost (stream began mid-run): reconstruct from the
 			// pause duration, the only extent the end event knows.
 			i = b.add(Span{
-				Track: TrackGC, Name: e.Phase,
+				Track: TrackGC, Name: e.Phase.String(),
 				Start: e.TNS - int64(e.DurNS), Cycle: e.Cycle, Cause: e.Cause,
 			})
 			b.cycleSpan[e.Cycle] = b.tree.Spans[i].ID
@@ -193,10 +196,10 @@ func (b *builder) event(e *obs.Event) {
 		s.Open = false
 		s.CPUNS = e.CPUNS
 		s.Value = e.Value
-		if e.Phase != "" {
+		if e.Phase != 0 {
 			// The closing kind wins: a G1 cycle starts "concurrent" and
 			// ends "mixed".
-			s.Name = e.Phase
+			s.Name = e.Phase.String()
 		}
 	case obs.KindGCPause:
 		b.see(e.TNS)
@@ -232,6 +235,7 @@ func (b *builder) event(e *obs.Event) {
 }
 
 func (b *builder) finish() *Tree {
+	b.tree.Benchmark, b.tree.Collector = b.bench.String(), b.coll.String()
 	// Clip spans whose end never arrived to the run's horizon.
 	for _, i := range sortedValues(b.openCycle) {
 		s := &b.tree.Spans[i]
@@ -269,8 +273,8 @@ func sortedValues(m map[int64]int) []int {
 // guarantees.
 func Build(events []obs.Event) []*Tree {
 	type groupKey struct {
-		run     string
-		replica int
+		run     obs.Name
+		replica int32
 	}
 	builders := map[groupKey]*builder{}
 	var order []groupKey
@@ -279,7 +283,7 @@ func Build(events []obs.Event) []*Tree {
 		k := groupKey{e.Run, e.Replica}
 		bb := builders[k]
 		if bb == nil {
-			bb = newBuilder(e.Run, e.Replica)
+			bb = newBuilder(e.Run, int(e.Replica))
 			builders[k] = bb
 			order = append(order, k)
 		}

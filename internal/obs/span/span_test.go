@@ -28,17 +28,17 @@ func (r *sliceRecorder) Record(e obs.Event) {
 // orphaned phase-end.
 func TestBuildSynthetic(t *testing.T) {
 	events := []obs.Event{
-		{Kind: obs.KindGCPhaseStart, TNS: 100, Run: "r", Phase: "concurrent", Cycle: 1},
-		{Kind: obs.KindGCPause, TNS: 120, Run: "r", DurNS: 20, Cycle: 1},
-		{Kind: obs.KindPacerStall, TNS: 150, Run: "r", DurNS: 30, Cause: 1},
-		{Kind: obs.KindDegenerateGC, TNS: 200, Run: "r", Cause: 1},
-		{Kind: obs.KindGCPhaseEnd, TNS: 200, Run: "r", Phase: "concurrent", Cycle: 1, CPUNS: 55},
-		{Kind: obs.KindGCPhaseStart, TNS: 200, Run: "r", Phase: "degenerate", Cycle: 2, Cause: 1},
-		{Kind: obs.KindGCPause, TNS: 260, Run: "r", DurNS: 60, Cycle: 2},
-		{Kind: obs.KindGCPhaseEnd, TNS: 260, Run: "r", Phase: "degenerate", Cycle: 2, DurNS: 60, Value: 4096},
+		{Kind: obs.KindGCPhaseStart, TNS: 100, Run: obs.Intern("r"), Phase: obs.Intern("concurrent"), Cycle: 1},
+		{Kind: obs.KindGCPause, TNS: 120, Run: obs.Intern("r"), DurNS: 20, Cycle: 1},
+		{Kind: obs.KindPacerStall, TNS: 150, Run: obs.Intern("r"), DurNS: 30, Cause: 1},
+		{Kind: obs.KindDegenerateGC, TNS: 200, Run: obs.Intern("r"), Cause: 1},
+		{Kind: obs.KindGCPhaseEnd, TNS: 200, Run: obs.Intern("r"), Phase: obs.Intern("concurrent"), Cycle: 1, CPUNS: 55},
+		{Kind: obs.KindGCPhaseStart, TNS: 200, Run: obs.Intern("r"), Phase: obs.Intern("degenerate"), Cycle: 2, Cause: 1},
+		{Kind: obs.KindGCPause, TNS: 260, Run: obs.Intern("r"), DurNS: 60, Cycle: 2},
+		{Kind: obs.KindGCPhaseEnd, TNS: 260, Run: obs.Intern("r"), Phase: obs.Intern("degenerate"), Cycle: 2, DurNS: 60, Value: 4096},
 		// Orphaned end: its start was lost to truncation upstream.
-		{Kind: obs.KindGCPhaseEnd, TNS: 400, Run: "r", Phase: "young", Cycle: 3, DurNS: 40},
-		{Kind: obs.KindQuiescent, TNS: 500, Run: "r", DurNS: 500, Value: 12},
+		{Kind: obs.KindGCPhaseEnd, TNS: 400, Run: obs.Intern("r"), Phase: obs.Intern("young"), Cycle: 3, DurNS: 40},
+		{Kind: obs.KindQuiescent, TNS: 500, Run: obs.Intern("r"), DurNS: 500, Value: 12},
 	}
 	trees := span.Build(events)
 	if len(trees) != 1 {
@@ -95,8 +95,8 @@ func TestBuildSynthetic(t *testing.T) {
 // Open span clipped to the run horizon instead of a zero-length artifact.
 func TestBuildClipsTruncatedStream(t *testing.T) {
 	trees := span.Build([]obs.Event{
-		{Kind: obs.KindGCPhaseStart, TNS: 100, Run: "r", Phase: "concurrent", Cycle: 1},
-		{Kind: obs.KindGCPause, TNS: 300, Run: "r", DurNS: 10, Cycle: 1},
+		{Kind: obs.KindGCPhaseStart, TNS: 100, Run: obs.Intern("r"), Phase: obs.Intern("concurrent"), Cycle: 1},
+		{Kind: obs.KindGCPause, TNS: 300, Run: obs.Intern("r"), DurNS: 10, Cycle: 1},
 	})
 	s := trees[0].Spans[0]
 	if !s.Open || s.Start != 100 || s.End != 300 {
@@ -108,10 +108,10 @@ func TestBuildClipsTruncatedStream(t *testing.T) {
 // jobs (one shared sink) separate cleanly by Run.
 func TestBuildGroupsInterleavedRuns(t *testing.T) {
 	trees := span.Build([]obs.Event{
-		{Kind: obs.KindGCPhaseStart, TNS: 10, Run: "a", Phase: "young", Cycle: 1},
-		{Kind: obs.KindGCPhaseStart, TNS: 10, Run: "b", Phase: "full", Cycle: 1},
-		{Kind: obs.KindGCPhaseEnd, TNS: 20, Run: "a", Phase: "young", Cycle: 1},
-		{Kind: obs.KindGCPhaseEnd, TNS: 30, Run: "b", Phase: "full", Cycle: 1},
+		{Kind: obs.KindGCPhaseStart, TNS: 10, Run: obs.Intern("a"), Phase: obs.Intern("young"), Cycle: 1},
+		{Kind: obs.KindGCPhaseStart, TNS: 10, Run: obs.Intern("b"), Phase: obs.Intern("full"), Cycle: 1},
+		{Kind: obs.KindGCPhaseEnd, TNS: 20, Run: obs.Intern("a"), Phase: obs.Intern("young"), Cycle: 1},
+		{Kind: obs.KindGCPhaseEnd, TNS: 30, Run: obs.Intern("b"), Phase: obs.Intern("full"), Cycle: 1},
 	})
 	if len(trees) != 2 || trees[0].Run != "a" || trees[1].Run != "b" {
 		t.Fatalf("runs not separated: %+v", trees)

@@ -23,32 +23,32 @@ func fixtureEvents() []obs.Event {
 	ms := int64(1e6)
 	return []obs.Event{
 		// Replica 0 engine telemetry (1-based stamp = 1).
-		{Kind: obs.KindGCPhaseStart, TNS: 2 * ms, Run: "cell-a", Benchmark: "lusearch", Collector: "G1", Phase: "young", Cycle: 1, Replica: 1},
-		{Kind: obs.KindGCPause, TNS: 4 * ms, Run: "cell-a", DurNS: float64(2 * ms), Cycle: 1, Replica: 1},
-		{Kind: obs.KindGCPhaseEnd, TNS: 4 * ms, Run: "cell-a", Phase: "young", Cycle: 1, DurNS: float64(2 * ms), CPUNS: 1e6, Value: 2048, Replica: 1},
-		{Kind: obs.KindSample, TNS: 5 * ms, Run: "cell-a", HeapUsed: 32 << 20, LiveEst: 16 << 20, Replica: 1},
+		{Kind: obs.KindGCPhaseStart, TNS: 2 * ms, Run: obs.Intern("cell-a"), Benchmark: obs.Intern("lusearch"), Collector: obs.Intern("G1"), Phase: obs.Intern("young"), Cycle: 1, Replica: 1},
+		{Kind: obs.KindGCPause, TNS: 4 * ms, Run: obs.Intern("cell-a"), DurNS: float64(2 * ms), Cycle: 1, Replica: 1},
+		{Kind: obs.KindGCPhaseEnd, TNS: 4 * ms, Run: obs.Intern("cell-a"), Phase: obs.Intern("young"), Cycle: 1, DurNS: float64(2 * ms), CPUNS: 1e6, Value: 2048, Replica: 1},
+		{Kind: obs.KindSample, TNS: 5 * ms, Run: obs.Intern("cell-a"), HeapUsed: 32 << 20, LiveEst: 16 << 20, Replica: 1},
 		// Replica 1 engine telemetry: same cycle ID as replica 0 — the
 		// (run, replica) partition must keep them apart.
-		{Kind: obs.KindGCPhaseStart, TNS: 11 * ms, Run: "cell-a", Benchmark: "lusearch", Collector: "G1", Phase: "young", Cycle: 1, Replica: 2},
-		{Kind: obs.KindGCPause, TNS: 14 * ms, Run: "cell-a", DurNS: float64(3 * ms), Cycle: 1, Replica: 2},
-		{Kind: obs.KindGCPhaseEnd, TNS: 14 * ms, Run: "cell-a", Phase: "young", Cycle: 1, DurNS: float64(3 * ms), Value: 1024, Replica: 2},
+		{Kind: obs.KindGCPhaseStart, TNS: 11 * ms, Run: obs.Intern("cell-a"), Benchmark: obs.Intern("lusearch"), Collector: obs.Intern("G1"), Phase: obs.Intern("young"), Cycle: 1, Replica: 2},
+		{Kind: obs.KindGCPause, TNS: 14 * ms, Run: obs.Intern("cell-a"), DurNS: float64(3 * ms), Cycle: 1, Replica: 2},
+		{Kind: obs.KindGCPhaseEnd, TNS: 14 * ms, Run: obs.Intern("cell-a"), Phase: obs.Intern("young"), Cycle: 1, DurNS: float64(3 * ms), Value: 1024, Replica: 2},
 		// The interleaved ordinary run: no fleet events, must not surface.
-		{Kind: obs.KindGCPhaseStart, TNS: 100, Run: "solo", Benchmark: "avrora", Collector: "Serial", Phase: "full", Cycle: 1},
-		{Kind: obs.KindGCPhaseEnd, TNS: 200, Run: "solo", Phase: "full", Cycle: 1, DurNS: 100},
+		{Kind: obs.KindGCPhaseStart, TNS: 100, Run: obs.Intern("solo"), Benchmark: obs.Intern("avrora"), Collector: obs.Intern("Serial"), Phase: obs.Intern("full"), Cycle: 1},
+		{Kind: obs.KindGCPhaseEnd, TNS: 200, Run: obs.Intern("solo"), Phase: obs.Intern("full"), Cycle: 1, DurNS: 100},
 		// Fleet layer: routes, one retry, blame-decomposed requests.
-		{Kind: obs.KindFleetRoute, TNS: 0, Run: "cell-a", Benchmark: "lusearch", Value: 1, Cycle: 1, Replica: 1, Phase: "gc-aware", InFlight: 1},
-		{Kind: obs.KindFleetRoute, TNS: 1 * ms, Run: "cell-a", Value: 2, Cycle: 1, Replica: 2, Phase: "gc-aware-avoid", Aux: 1, InFlight: 1},
-		{Kind: obs.KindFleetRequest, TNS: 8 * ms, Run: "cell-a", Value: 1, Aux: 0, Cycle: 1, Replica: 1,
+		{Kind: obs.KindFleetRoute, TNS: 0, Run: obs.Intern("cell-a"), Benchmark: obs.Intern("lusearch"), Value: 1, Cycle: 1, Replica: 1, Phase: obs.Intern("gc-aware"), InFlight: 1},
+		{Kind: obs.KindFleetRoute, TNS: 1 * ms, Run: obs.Intern("cell-a"), Value: 2, Cycle: 1, Replica: 2, Phase: obs.Intern("gc-aware-avoid"), Aux: 1, InFlight: 1},
+		{Kind: obs.KindFleetRequest, TNS: 8 * ms, Run: obs.Intern("cell-a"), Value: 1, Aux: 0, Cycle: 1, Replica: 1,
 			DurNS: float64(8 * ms), QueueNS: 1 * ms, GCNS: 2 * ms, ServiceNS: 5 * ms, GCPauses: 1},
-		{Kind: obs.KindFleetRetry, TNS: 13 * ms, Run: "cell-a", Value: 2, Aux: 1, DurNS: float64(12 * ms), Replica: 2},
-		{Kind: obs.KindFleetRoute, TNS: 13 * ms, Run: "cell-a", Value: 2, Cycle: 2, Replica: 1, Phase: "gc-aware", InFlight: 1},
-		{Kind: obs.KindFleetRequest, TNS: 19 * ms, Run: "cell-a", Value: 2, Aux: float64(1 * ms), Cycle: 2, Replica: 1,
+		{Kind: obs.KindFleetRetry, TNS: 13 * ms, Run: obs.Intern("cell-a"), Value: 2, Aux: 1, DurNS: float64(12 * ms), Replica: 2},
+		{Kind: obs.KindFleetRoute, TNS: 13 * ms, Run: obs.Intern("cell-a"), Value: 2, Cycle: 2, Replica: 1, Phase: obs.Intern("gc-aware"), InFlight: 1},
+		{Kind: obs.KindFleetRequest, TNS: 19 * ms, Run: obs.Intern("cell-a"), Value: 2, Aux: float64(1 * ms), Cycle: 2, Replica: 1,
 			DurNS: float64(18 * ms), QueueNS: 1 * ms, GCNS: 0, ServiceNS: 5 * ms, RetryNS: 12 * ms},
 		// Metric windows: both replicas on the shared 10ms grid.
-		{Kind: obs.KindFleetWindow, TNS: 10 * ms, Run: "cell-a", DurNS: float64(10 * ms), Replica: 1, Value: 1, InFlight: 0, Goodput: 100},
-		{Kind: obs.KindFleetWindow, TNS: 10 * ms, Run: "cell-a", DurNS: float64(10 * ms), Replica: 2, Value: 0, InFlight: 1},
-		{Kind: obs.KindFleetWindow, TNS: 20 * ms, Run: "cell-a", DurNS: float64(10 * ms), Replica: 1, Value: 1, Aux: 1, InFlight: 0, Goodput: 100, BurnRate: 50},
-		{Kind: obs.KindFleetWindow, TNS: 20 * ms, Run: "cell-a", DurNS: float64(10 * ms), Replica: 2, Value: 0, InFlight: 0},
+		{Kind: obs.KindFleetWindow, TNS: 10 * ms, Run: obs.Intern("cell-a"), DurNS: float64(10 * ms), Replica: 1, Value: 1, InFlight: 0, Goodput: 100},
+		{Kind: obs.KindFleetWindow, TNS: 10 * ms, Run: obs.Intern("cell-a"), DurNS: float64(10 * ms), Replica: 2, Value: 0, InFlight: 1},
+		{Kind: obs.KindFleetWindow, TNS: 20 * ms, Run: obs.Intern("cell-a"), DurNS: float64(10 * ms), Replica: 1, Value: 1, Aux: 1, InFlight: 0, Goodput: 100, BurnRate: 50},
+		{Kind: obs.KindFleetWindow, TNS: 20 * ms, Run: obs.Intern("cell-a"), DurNS: float64(10 * ms), Replica: 2, Value: 0, InFlight: 0},
 	}
 }
 
@@ -234,8 +234,8 @@ func TestFleetRenderIndependentOfRunOrder(t *testing.T) {
 	batches := make([][]obs.Event, len(runs))
 	for i, run := range runs {
 		for _, e := range fixtureEvents() {
-			if e.Run == "cell-a" {
-				e.Run = run
+			if e.Run == obs.Intern("cell-a") {
+				e.Run = obs.Intern(run)
 				e.TNS += int64(i) * 1e6 // distinct runs render distinct bytes
 				batches[i] = append(batches[i], e)
 			}

@@ -20,22 +20,22 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // runs.
 func fixtureTrees() []*span.Tree {
 	return span.Build([]obs.Event{
-		{Kind: obs.KindGCPhaseStart, TNS: 100, Run: "job-a", Benchmark: "lusearch", Collector: "Shenandoah", Phase: "concurrent", Cycle: 1},
-		{Kind: obs.KindGCPause, TNS: 120, Run: "job-a", DurNS: 20, Cycle: 1},
-		{Kind: obs.KindPacerStall, TNS: 150, Run: "job-a", DurNS: 30, Cause: 1},
-		{Kind: obs.KindSample, TNS: 160, Run: "job-a", HeapUsed: 48 << 20, LiveEst: 24 << 20, MutFrac: 0.625, GCFrac: 0.25, StallFrac: 0.125},
-		{Kind: obs.KindGCPhaseStart, TNS: 60, Run: "job-b", Benchmark: "avrora", Collector: "G1", Phase: "young", Cycle: 1},
-		{Kind: obs.KindGCPhaseEnd, TNS: 90, Run: "job-b", Phase: "young", Cycle: 1, DurNS: 30, CPUNS: 120, Value: 2048},
-		{Kind: obs.KindGCPause, TNS: 90, Run: "job-b", DurNS: 30, Cycle: 1},
-		{Kind: obs.KindDegenerateGC, TNS: 200, Run: "job-a", Cause: 1},
-		{Kind: obs.KindGCPhaseEnd, TNS: 200, Run: "job-a", Phase: "concurrent", Cycle: 1, CPUNS: 5.5e6},
-		{Kind: obs.KindGCPhaseStart, TNS: 200, Run: "job-a", Phase: "degenerate", Cycle: 2, Cause: 1},
-		{Kind: obs.KindGCPause, TNS: 260, Run: "job-a", DurNS: 60, Cycle: 2},
-		{Kind: obs.KindGCPhaseEnd, TNS: 260, Run: "job-a", Phase: "degenerate", Cycle: 2, DurNS: 60, Value: 4096},
-		{Kind: obs.KindQuiescent, TNS: 500, Run: "job-a", DurNS: 500, Value: 12},
+		{Kind: obs.KindGCPhaseStart, TNS: 100, Run: obs.Intern("job-a"), Benchmark: obs.Intern("lusearch"), Collector: obs.Intern("Shenandoah"), Phase: obs.Intern("concurrent"), Cycle: 1},
+		{Kind: obs.KindGCPause, TNS: 120, Run: obs.Intern("job-a"), DurNS: 20, Cycle: 1},
+		{Kind: obs.KindPacerStall, TNS: 150, Run: obs.Intern("job-a"), DurNS: 30, Cause: 1},
+		{Kind: obs.KindSample, TNS: 160, Run: obs.Intern("job-a"), HeapUsed: 48 << 20, LiveEst: 24 << 20, MutFrac: 0.625, GCFrac: 0.25, StallFrac: 0.125},
+		{Kind: obs.KindGCPhaseStart, TNS: 60, Run: obs.Intern("job-b"), Benchmark: obs.Intern("avrora"), Collector: obs.Intern("G1"), Phase: obs.Intern("young"), Cycle: 1},
+		{Kind: obs.KindGCPhaseEnd, TNS: 90, Run: obs.Intern("job-b"), Phase: obs.Intern("young"), Cycle: 1, DurNS: 30, CPUNS: 120, Value: 2048},
+		{Kind: obs.KindGCPause, TNS: 90, Run: obs.Intern("job-b"), DurNS: 30, Cycle: 1},
+		{Kind: obs.KindDegenerateGC, TNS: 200, Run: obs.Intern("job-a"), Cause: 1},
+		{Kind: obs.KindGCPhaseEnd, TNS: 200, Run: obs.Intern("job-a"), Phase: obs.Intern("concurrent"), Cycle: 1, CPUNS: 5.5e6},
+		{Kind: obs.KindGCPhaseStart, TNS: 200, Run: obs.Intern("job-a"), Phase: obs.Intern("degenerate"), Cycle: 2, Cause: 1},
+		{Kind: obs.KindGCPause, TNS: 260, Run: obs.Intern("job-a"), DurNS: 60, Cycle: 2},
+		{Kind: obs.KindGCPhaseEnd, TNS: 260, Run: obs.Intern("job-a"), Phase: obs.Intern("degenerate"), Cycle: 2, DurNS: 60, Value: 4096},
+		{Kind: obs.KindQuiescent, TNS: 500, Run: obs.Intern("job-a"), DurNS: 500, Value: 12},
 		// job-b truncates: this start never sees its end.
-		{Kind: obs.KindGCPhaseStart, TNS: 120, Run: "job-b", Phase: "concurrent", Cycle: 2},
-		{Kind: obs.KindQuiescent, TNS: 300, Run: "job-b", DurNS: 300, Value: 4},
+		{Kind: obs.KindGCPhaseStart, TNS: 120, Run: obs.Intern("job-b"), Phase: obs.Intern("concurrent"), Cycle: 2},
+		{Kind: obs.KindQuiescent, TNS: 300, Run: obs.Intern("job-b"), DurNS: 300, Value: 4},
 	})
 }
 

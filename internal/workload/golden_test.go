@@ -249,7 +249,7 @@ func serializeLog(b *bytes.Buffer, log *trace.Log) {
 
 func serializeTelemetry(b *bytes.Buffer, i int, e obs.Event) {
 	fmt.Fprintf(b, "telemetry[%d]: kind=%s t=%d", i, e.Kind, e.TNS)
-	if e.Phase != "" {
+	if e.Phase != 0 {
 		fmt.Fprintf(b, " phase=%s", e.Phase)
 	}
 	if e.DurNS != 0 {
@@ -274,7 +274,7 @@ func serializeTelemetry(b *bytes.Buffer, i int, e obs.Event) {
 		fmt.Fprintf(b, " heap=%s live=%s mut=%s gc=%s stallfrac=%s",
 			f(e.HeapUsed), f(e.LiveEst), fm(e.MutFrac), f(e.GCFrac), f(e.StallFrac))
 	}
-	if e.Err != "" {
+	if e.Err != 0 {
 		fmt.Fprintf(b, " err=%s", e.Err)
 	}
 	fmt.Fprintf(b, "\n")
