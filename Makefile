@@ -11,7 +11,9 @@
 # the experiment engine (internal/exper) or any file of cmd/fleet importing
 # the span builder or the trace renderer: per-job and fleet timelines come
 # from -telemetry through obsreport -trace-out, not from the engine or the
-# fleet command. The benchmark module
+# fleet command. So does a non-test file of internal/harness importing
+# internal/obs: a sweep's telemetry enters its jobs only through the
+# engine's recorder, never through the harness. The benchmark module
 # (perfbench/, its own Go module, so ./... never reaches it) is built and
 # vetted, so an engine API change that breaks the benchmark fails tier 1;
 # its tests are not run here. The smoke steps drive the CLIs end to end: a
@@ -36,6 +38,7 @@ tier1-race:
 		-- 'internal/exper/*.go' ':!*_test.go'
 	! git grep -n -F -e chopin/internal/obs/span -e chopin/internal/obs/traceview \
 		-- 'cmd/fleet/*.go'
+	! git grep -n -F -e '"chopin/internal/obs"' -- 'internal/harness/*.go' ':!*_test.go'
 	go build ./...
 	go vet ./...
 	cd perfbench && go vet ./...

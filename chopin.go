@@ -108,7 +108,8 @@ type (
 	// persistent result caching for incremental, resumable sweeps. Pass one
 	// via SweepOptions.Engine to share it across experiments.
 	Engine = exper.Engine
-	// EngineOptions configures an Engine (workers, cache, observer).
+	// EngineOptions configures an Engine (workers, cache, observer,
+	// recorder).
 	EngineOptions = exper.Options
 	// EngineStats is a snapshot of an engine's execution counters.
 	EngineStats = exper.Stats
@@ -133,9 +134,11 @@ type (
 	// CacheMode selects how an engine uses its ResultCache.
 	CacheMode = exper.CacheMode
 	// Recorder receives structured run telemetry (GC phases, pacer stalls,
-	// job lifecycle, cache accounting). Set one on RunConfig.Recorder,
-	// SweepOptions.Recorder or EngineOptions.Recorder; NewJSONLRecorder
-	// builds the standard file sink.
+	// job lifecycle, cache accounting). A sweep records through its
+	// engine: set EngineOptions.Recorder and pass the engine as
+	// SweepOptions.Engine. RunConfig.Recorder serves a direct Run only; an
+	// engine refuses a job that carries one. NewJSONLRecorder builds the
+	// standard file sink.
 	Recorder = obs.Recorder
 	// TelemetryEvent is one structured telemetry record. It holds no
 	// pointers: its Run, Benchmark, Collector, Phase and Err fields are
@@ -199,13 +202,6 @@ func DecodeTelemetry(r io.Reader, fn func(TelemetryEvent) error) error {
 // crash-truncated capture is distinguishable from a short run.
 func DecodeTelemetryStream(r io.Reader, fn func(TelemetryEvent) error) (TelemetryStreamInfo, error) {
 	return obs.DecodeStream(r, fn)
-}
-
-// WithRecorder returns opt with the telemetry recorder attached — the
-// public-API way to observe every run a sweep launches.
-func WithRecorder(opt SweepOptions, r Recorder) SweepOptions {
-	opt.Recorder = r
-	return opt
 }
 
 // RandomizedSetups draws n experimental environments — measuring across them
@@ -308,8 +304,9 @@ func MeasureLBO(b *Benchmark, opt SweepOptions) (*LBOGrid, float64, error) {
 	return harness.LBOGrid(b, opt)
 }
 
-// SuiteLBO measures LBO grids for the given benchmarks (nil = whole suite)
-// and the cross-suite geometric-mean curves of Figure 1.
+// SuiteLBO measures LBO grids for the given benchmarks (nil = whole suite;
+// an empty list is an error) and the cross-suite geometric-mean curves of
+// Figure 1.
 func SuiteLBO(bs []*Benchmark, opt SweepOptions) ([]*LBOGrid, []GeomeanPoint, error) {
 	return harness.SuiteLBO(bs, opt)
 }
@@ -324,7 +321,8 @@ func SubmitLBO(b *Benchmark, opt SweepOptions) *PendingLBO {
 }
 
 // SubmitSuiteLBO registers the whole suite's LBO plan (nil = every
-// benchmark) as one up-front batch of job DAGs.
+// benchmark; an empty list is an error from Wait) as one up-front batch of
+// job DAGs.
 func SubmitSuiteLBO(bs []*Benchmark, opt SweepOptions) *PendingSuiteLBO {
 	return harness.SubmitSuiteLBO(bs, opt)
 }

@@ -129,9 +129,6 @@ func sweepTemps(dir string) {
 	})
 }
 
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // path is where the JSON record of a generic or min-heap job lives.
 func (c *Cache) path(k Key) string {
 	return filepath.Join(c.dir, k.Shard(), string(k)+".json")

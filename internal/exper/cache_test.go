@@ -395,7 +395,7 @@ func TestGenericWriteErrorLatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	k, err := GenericKey("probe", 1)
+	k, err := genericKey("probe", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,9 +404,13 @@ func TestGenericWriteErrorLatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(Options{Workers: 1, Cache: c})
-	data, err := e.RunGeneric("probe", 1, func(obs.Recorder) ([]byte, error) { return []byte("1"), nil })
+	tk, err := e.SubmitGeneric("probe", 1, func(obs.Recorder) ([]byte, error) { return []byte("1"), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := tk.Wait()
 	if err != nil || string(data) != "1" {
-		t.Fatalf("RunGeneric = %q, %v; want the payload despite the failed write", data, err)
+		t.Fatalf("generic job = %q, %v; want the payload despite the failed write", data, err)
 	}
 	err = e.Close()
 	if want := "exper: caching " + string(k) + ": "; err == nil || !strings.HasPrefix(err.Error(), want) {

@@ -15,25 +15,23 @@
 // and grid cells are submitted, in grid order, the moment their anchor's
 // final bound resolves.
 //
-// Three layers make plans incremental and resumable:
+// Two layers make plans incremental and resumable:
 //
 //   - deduplication: submissions of a job identical to one already in
 //     flight coalesce onto the single execution, from the moment it is
 //     submitted to the moment its outcome resolves (min-heap probes shared
 //     by several sweeps run once, as an upstream job in the plan's graph);
-//   - memoization: an optional in-process memo returns completed outcomes
-//     without re-execution;
 //   - the content-addressed result cache (Cache, layered on
 //     internal/persist schema v2): completed invocations survive process
 //     death, so a killed or re-invoked plan skips straight to its first
 //     unfinished job, and figures re-render offline from cached results.
 //
 // Concurrency layout: each job kind (invocation, generic, min-heap) has one
-// single-flight table mapping a key to its call, which is in flight until
-// it resolves and, when kept, the memo after; each table and the pool's task
-// queue sit behind one mutex apiece. Jobs take milliseconds and a suite plan
-// submits a few hundred a second, so those locks are held for a vanishing
-// share of the time. Each executing job's telemetry is buffered in a
+// single-flight table mapping a key to its call while it is in flight (a
+// min-heap table also keeps its resolved bounds); each table and the pool's
+// task queue sit behind one mutex apiece. Jobs take milliseconds and a suite
+// plan submits a few hundred a second, so those locks are held for a
+// vanishing share of the time. Each executing job's telemetry is buffered in a
 // worker-owned buffer flushed to the shared sink in one batch at the job
 // boundary, and cache writes are handed to a write-behind goroutine, so no
 // per-event path takes an engine-wide lock.
@@ -64,16 +62,14 @@ type Options struct {
 	// Cache is the persistent result store; nil disables persistence
 	// (in-flight deduplication still applies).
 	Cache *Cache
-	// Memoize keeps completed outcomes in memory, so repeated identical
-	// jobs within one process return instantly even without a Cache. Off
-	// by default: a full-suite sweep holds gigabytes of event logs.
-	Memoize bool
 	// Observer receives progress events; it must be safe for concurrent
 	// use (Progress is). nil disables events.
 	Observer func(Event)
 	// Recorder receives structured telemetry (job lifecycle, cache
 	// accounting, and — injected per job — the run's GC and scheduler
-	// events, stamped with the job key). nil disables telemetry.
+	// events, stamped with the job key). It is the one route telemetry
+	// enters jobs: a RunConfig submitted with its own Recorder is refused.
+	// nil disables telemetry.
 	Recorder obs.Recorder
 
 	// runFn replaces the simulator entry point in tests (execution
@@ -102,44 +98,31 @@ func (c *call[T]) wait() (T, error) {
 	return c.val, c.err
 }
 
-// joined says how a submission joined its key's single flight.
-type joined int
-
-const (
-	lead   joined = iota // a new call: the submitter runs it and settles it
-	shared               // an in-flight call the submitter waits on
-	memo                 // a resolved call kept in the table
-)
-
-// table is one job kind's single-flight state: each key maps to its call,
-// which is in flight until settled and, if kept, the memo after.
+// table is one job kind's single-flight state: each key maps to its call
+// while it is in flight, and after it settles only if kept.
 type table[T any] struct {
 	mu    sync.Mutex
 	calls map[Key]*call[T]
 }
 
-// join returns k's call and how the submission joined it.
-func (t *table[T]) join(k Key) (*call[T], joined) {
+// join returns k's call and whether the submission leads it: a new call
+// the submitter runs and settles. Otherwise the call is in flight or kept.
+func (t *table[T]) join(k Key) (c *call[T], lead bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if c, ok := t.calls[k]; ok {
-		select {
-		case <-c.done:
-			return c, memo
-		default:
-			return c, shared
-		}
+		return c, false
 	}
 	if t.calls == nil {
 		t.calls = map[Key]*call[T]{}
 	}
-	c := &call[T]{done: make(chan struct{})}
+	c = &call[T]{done: make(chan struct{})}
 	t.calls[k] = c
-	return c, lead
+	return c, true
 }
 
 // settle resolves k's call under the table lock, so a later join sees it
-// either in flight or resolved, and keeps it as the memo or drops it.
+// either in flight or resolved, and keeps it in the table or drops it.
 func (t *table[T]) settle(k Key, c *call[T], val T, err error, keep bool) {
 	t.mu.Lock()
 	c.val, c.err = val, err
@@ -155,7 +138,6 @@ func (t *table[T]) settle(k Key, c *call[T], val T, err error, keep bool) {
 type Engine struct {
 	pool    *pool
 	cache   *Cache
-	memoize bool
 	obs     func(Event)
 	rec     obs.Recorder
 	closing atomic.Bool // set before the pool closes; gates cancellation
@@ -169,7 +151,6 @@ type Engine struct {
 
 	executed         int64
 	cacheHits        int64
-	memoHits         int64
 	deduped          int64
 	ooms             int64
 	failures         int64
@@ -183,13 +164,14 @@ type Stats struct {
 	// cache exists to drive to zero on a warm re-run.
 	Executed int64
 	// CacheHits counts jobs satisfied from a persistent cache record that
-	// predates the run; MemoHits from the in-process memo; Deduped jobs
-	// that repeat one the run already ran or served, whether coalesced onto
-	// its in-flight execution or served its record. Each is a function of
-	// the plan, not of which submitter wins a race.
+	// predates the run; Deduped jobs that repeat one the run already ran or
+	// served, whether coalesced onto its in-flight execution or served its
+	// record. Each is a function of the plan, not of which submitter wins a
+	// race.
 	CacheHits int64
-	MemoHits  int64
-	Deduped   int64
+	// Deprecated: always 0; a repeated job counts as Deduped.
+	MemoHits int64
+	Deduped  int64
 	// OOMs counts invocations that ran out of memory (a cacheable,
 	// expected outcome at tight heaps); Failures counts other errors.
 	OOMs     int64
@@ -219,12 +201,11 @@ func New(opt Options) *Engine {
 		opt.Workers = runtime.NumCPU()
 	}
 	e := &Engine{
-		pool:    newPool(opt.Workers),
-		cache:   opt.Cache,
-		memoize: opt.Memoize,
-		obs:     opt.Observer,
-		rec:     obs.Or(opt.Recorder),
-		runFn:   opt.runFn,
+		pool:  newPool(opt.Workers),
+		cache: opt.Cache,
+		obs:   opt.Observer,
+		rec:   obs.Or(opt.Recorder),
+		runFn: opt.runFn,
 	}
 	if e.runFn == nil {
 		e.runFn = workload.Run
@@ -277,7 +258,6 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Executed:         atomic.LoadInt64(&e.executed),
 		CacheHits:        atomic.LoadInt64(&e.cacheHits),
-		MemoHits:         atomic.LoadInt64(&e.memoHits),
 		Deduped:          atomic.LoadInt64(&e.deduped),
 		OOMs:             atomic.LoadInt64(&e.ooms),
 		Failures:         atomic.LoadInt64(&e.failures),
@@ -357,9 +337,10 @@ func (e *Engine) recordJob(kind obs.Kind, id *jobInfo, dur, cpu float64, err err
 // job and returns immediately with a ticket for its outcome. The job is
 // deduplicated against identical in-flight submissions (single-flight: a
 // second Submit for the same key shares the first's execution, from
-// submission to resolution), satisfied from the in-process memo when warm,
-// and otherwise enqueued on the shared worker pool, where the executing
-// worker checks the persistent cache before touching the simulator.
+// submission to resolution), and otherwise enqueued on the shared worker
+// pool, where the executing worker checks the persistent cache before
+// touching the simulator. A cfg carrying its own Recorder is refused:
+// telemetry enters jobs only through Options.Recorder.
 // Submit whole sweeps up front and Wait in output order: the pool sees the
 // entire batch at once, and merged results are deterministic because
 // collection order is the caller's, not the scheduler's.
@@ -386,28 +367,25 @@ func (e *Engine) Run(d *workload.Descriptor, cfg workload.RunConfig) (*workload.
 // probe: refused by a closing pool, it resolves with ErrEngineClosed
 // instead of executing inline.
 func (e *Engine) submitJob(job Job, cancelOnClose bool) *Ticket {
-	c := submit(e, &e.invocations, job.info(), cancelOnClose, cacheable,
+	c := submit(e, &e.invocations, job.info(), cancelOnClose,
 		func() (*workload.Result, error) { return e.execute(job) })
 	return &Ticket{job: job, c: c}
 }
 
-// submit joins id's single flight in t. A memo hit or an in-flight call is
-// shared as is; a leading submission queues exec on the pool and settles
-// its outcome, kept as the memo when memoizing and keep accepts the error.
-func submit[T any](e *Engine, t *table[T], id jobInfo, cancelOnClose bool, keep func(error) bool, exec func() (T, error)) *call[T] {
-	c, j := t.join(id.key)
-	switch j {
-	case memo:
-		atomic.AddInt64(&e.memoHits, 1)
-		return c
-	case shared:
+// submit joins id's single flight in t. An in-flight call is shared as is;
+// a leading submission queues exec on the pool and settles its outcome,
+// which leaves the table: a later repeat is a new call, served by the
+// cache when the engine has one.
+func submit[T any](e *Engine, t *table[T], id jobInfo, cancelOnClose bool, exec func() (T, error)) *call[T] {
+	c, lead := t.join(id.key)
+	if !lead {
 		atomic.AddInt64(&e.deduped, 1)
 		return c
 	}
 	e.emit(id.event(JobQueued))
 	run := func() {
 		val, err := exec()
-		t.settle(id.key, c, val, err, e.memoize && keep(err))
+		t.settle(id.key, c, val, err, false)
 	}
 	if !e.pool.submit(run) {
 		if cancelOnClose && e.closing.Load() {
@@ -426,25 +404,15 @@ func submit[T any](e *Engine, t *table[T], id jobInfo, cancelOnClose bool, keep 
 	return c
 }
 
-// cacheable reports whether err leaves a stable property of the job
-// (success or OOM) rather than a transient failure.
-func cacheable(err error) bool {
-	if err == nil {
-		return true
-	}
-	var oom *workload.ErrOutOfMemory
-	return errors.As(err, &oom)
-}
-
 // runJob is the bracket around one executed job's work, on the worker (or
 // inline in the submitter after Close): it lends the work a pooled
-// jobRecorder when base consumes telemetry, emits the started and finish
-// points, counts the execution and flushes the buffer to base. work returns
-// the job's task-clock total and error.
-func (e *Engine) runJob(id *jobInfo, base obs.Recorder, work func(rec obs.Recorder) (cpu float64, err error)) error {
+// jobRecorder when the engine records telemetry, emits the started and
+// finish points, counts the execution and flushes the buffer to the
+// engine's recorder. work returns the job's task-clock total and error.
+func (e *Engine) runJob(id *jobInfo, work func(rec obs.Recorder) (cpu float64, err error)) error {
 	rec := obs.Nop
 	var buf *jobRecorder
-	if base.Enabled() {
+	if e.rec.Enabled() {
 		buf = e.bufs.Get().(*jobRecorder)
 		buf.reset(id.runNames())
 		rec = buf
@@ -457,7 +425,7 @@ func (e *Engine) runJob(id *jobInfo, base obs.Recorder, work func(rec obs.Record
 	atomic.AddInt64(&e.executed, 1)
 
 	if buf != nil {
-		obs.RecordAll(base, buf.events)
+		obs.RecordAll(e.rec, buf.events)
 		e.bufs.Put(buf)
 	}
 	e.recordJob(obs.KindJobFinish, id, float64(time.Since(hostStart)), cpu, err)
@@ -483,14 +451,8 @@ func (e *Engine) execute(job Job) (*workload.Result, error) {
 		e.recordJob(obs.KindCacheMiss, &id, 0, 0, nil)
 	}
 
-	// A recorder already set on the config, or else the engine's, receives
-	// the run's events.
-	base := obs.Or(job.Cfg.Recorder)
-	if !base.Enabled() {
-		base = e.rec
-	}
 	var res *workload.Result
-	err := e.runJob(&id, base, func(rec obs.Recorder) (float64, error) {
+	err := e.runJob(&id, func(rec obs.Recorder) (float64, error) {
 		cfg := job.Cfg
 		if rec.Enabled() {
 			cfg.Recorder = rec

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -160,30 +161,11 @@ func TestPoolRunsEverything(t *testing.T) {
 	}
 }
 
-func TestEngineMemoize(t *testing.T) {
-	e := New(Options{Workers: 2, Memoize: true})
-	defer e.Close()
-	d := testBench(t)
-
-	r1, err := e.Run(d, smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := e.Run(d, smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Fatal("memoized run returned a different result pointer")
-	}
-	s := e.Stats()
-	if s.Executed != 1 || s.MemoHits != 1 {
-		t.Fatalf("stats = %+v, want 1 executed / 1 memo hit", s)
-	}
-}
-
+// TestEngineDedupsConcurrentIdenticalJobs: concurrent identical jobs run
+// once; every other submission is Deduped, whether it met the job in flight
+// or its record in the cache.
 func TestEngineDedupsConcurrentIdenticalJobs(t *testing.T) {
-	e := New(Options{Workers: 4, Memoize: true})
+	e := New(Options{Workers: 4, Cache: OpenTestCache(t, t.TempDir(), ReadWrite)})
 	defer e.Close()
 	d := testBench(t)
 
@@ -207,8 +189,28 @@ func TestEngineDedupsConcurrentIdenticalJobs(t *testing.T) {
 	if s.Executed != 1 {
 		t.Fatalf("identical concurrent jobs executed %d times", s.Executed)
 	}
-	if s.Deduped+s.MemoHits != n-1 {
-		t.Fatalf("stats = %+v, want %d deduped+memo hits", s, n-1)
+	if s.Deduped != n-1 || s.CacheHits != 0 || s.MemoHits != 0 {
+		t.Fatalf("stats = %+v, want %d deduped", s, n-1)
+	}
+}
+
+// TestNewJobRefusesRecorder: telemetry enters jobs only through
+// Options.Recorder, so a RunConfig carrying its own recorder is refused
+// rather than silently recording a subset of the engine's jobs.
+func TestNewJobRefusesRecorder(t *testing.T) {
+	d := testBench(t)
+	cfg := smallCfg()
+	cfg.Recorder = &obs.Buffer{}
+	if _, err := NewJob(d, cfg); err == nil || !strings.Contains(err.Error(), "Options.Recorder") {
+		t.Fatalf("NewJob with a recorder: err = %v, want one naming Options.Recorder", err)
+	}
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	if _, err := e.Submit(d, cfg); err == nil {
+		t.Fatal("Submit accepted a config with a recorder")
+	}
+	if s := e.Stats(); s.Executed != 0 {
+		t.Fatalf("refused job executed: %+v", s)
 	}
 }
 
@@ -336,9 +338,13 @@ func TestWriteOnlyServesItsOwnWrites(t *testing.T) {
 
 	g := New(Options{Workers: 1, Cache: cache})
 	for i := 0; i < 2; i++ {
-		if _, err := g.RunGeneric("writeonly", 1, func(obs.Recorder) ([]byte, error) {
+		tk, err := g.SubmitGeneric("writeonly", 1, func(obs.Recorder) ([]byte, error) {
 			return []byte("1"), nil
-		}); err != nil {
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,7 +353,7 @@ func TestWriteOnlyServesItsOwnWrites(t *testing.T) {
 		t.Fatalf("repeated generic job: stats = %+v, want Executed: 1, Deduped: 1", s)
 	}
 
-	// The min-heap table memoizes within an engine, so the repeat that
+	// The min-heap table keeps resolved bounds within an engine, so the repeat that
 	// reaches the cache is a second engine's.
 	p := MinHeapParams{Events: 200, Iterations: 1, Invocations: 1, Seed: 7}
 	for i, want := range []int64{1, 0} {
@@ -376,14 +382,14 @@ func TestEngineMinHeapCached(t *testing.T) {
 	if mb1 <= 0 {
 		t.Fatalf("min heap = %v", mb1)
 	}
-	// Second call in-process comes from the memo, not a new search.
+	// Second call in-process comes from the kept bound, not a new search.
 	mb2, err := e1.MinHeapMB(d, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e1.Close()
 	if mb2 != mb1 {
-		t.Fatalf("memoized min heap %v != %v", mb2, mb1)
+		t.Fatalf("repeated min heap %v != %v", mb2, mb1)
 	}
 	if s := e1.Stats(); s.MinHeapSearches != 1 {
 		t.Fatalf("stats = %+v, want one search", s)

@@ -11,8 +11,8 @@ import (
 // Generic jobs: arbitrary cacheable computations under the engine's
 // machinery. Subsystems above workload.Run — fleet sweep cells, future
 // composite experiments — need the same single-flight deduplication,
-// in-process memoization, persistent caching and pooled execution the
-// invocation path has, but their results are not workload.Results. A generic
+// persistent caching, pooled execution and telemetry the invocation path
+// has, but their results are not workload.Results. A generic
 // job is keyed by the content hash of a caller-supplied parameter payload
 // and resolves to an opaque JSON blob the caller owns both sides of.
 //
@@ -35,11 +35,11 @@ func (t *GenericTicket) Wait() ([]byte, error) { return t.c.wait() }
 // Key returns the job's canonical content hash.
 func (t *GenericTicket) Key() Key { return t.key }
 
-// GenericKey computes the canonical content hash of a generic job: the
+// genericKey computes the canonical content hash of a generic job: the
 // schema version, the namespaced job kind, and the caller's parameter
 // payload in canonical JSON. Payloads must marshal deterministically (no
 // maps with more than one key ordering — struct types do).
-func GenericKey(kind string, payload any) (Key, error) {
+func genericKey(kind string, payload any) (Key, error) {
 	return hashPayload(struct {
 		Schema  int    `json:"schema"`
 		Kind    string `json:"kind"`
@@ -53,26 +53,15 @@ func GenericKey(kind string, payload any) (Key, error) {
 // parameter set; run computes the result, receiving a Recorder that buffers
 // the job's telemetry for batch flush at the job boundary exactly like an
 // invocation job's. Identical in-flight submissions coalesce onto one
-// execution, completed ones are satisfied from the in-process memo (when
-// enabled) or the persistent cache.
+// execution; completed ones are satisfied from the persistent cache.
 func (e *Engine) SubmitGeneric(kind string, payload any, run func(rec obs.Recorder) ([]byte, error)) (*GenericTicket, error) {
-	k, err := GenericKey(kind, payload)
+	k, err := genericKey(kind, payload)
 	if err != nil {
 		return nil, err
 	}
 	id := jobInfo{key: k, benchmark: kind}
-	c := submit(e, &e.generics, id, false, func(err error) bool { return err == nil },
-		func() ([]byte, error) { return e.executeGeneric(&id, run) })
+	c := submit(e, &e.generics, id, false, func() ([]byte, error) { return e.executeGeneric(&id, run) })
 	return &GenericTicket{key: k, c: c}, nil
-}
-
-// RunGeneric executes one generic job synchronously: SubmitGeneric + Wait.
-func (e *Engine) RunGeneric(kind string, payload any, run func(rec obs.Recorder) ([]byte, error)) ([]byte, error) {
-	t, err := e.SubmitGeneric(kind, payload, run)
-	if err != nil {
-		return nil, err
-	}
-	return t.Wait()
 }
 
 // executeGeneric satisfies a generic job from the cache or runs it, on the
@@ -89,7 +78,7 @@ func (e *Engine) executeGeneric(id *jobInfo, run func(rec obs.Recorder) ([]byte,
 	}
 
 	var data []byte
-	err := e.runJob(id, e.rec, func(rec obs.Recorder) (float64, error) {
+	err := e.runJob(id, func(rec obs.Recorder) (float64, error) {
 		var err error
 		data, err = run(rec)
 		return 0, err

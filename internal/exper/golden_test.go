@@ -102,7 +102,7 @@ func TestGoldenDeterminism(t *testing.T) {
 // counters on real runs, cold and then warm over the same cache: every task
 // a pool worker executes is one job that either ran the simulator or was
 // served from the cache, so the sched-worker events' task counts must sum
-// to Executed + CacheHits. Memo hits, deduplicated submissions and min-heap
+// to Executed + CacheHits. In-flight deduplicated submissions and min-heap
 // cache hits never reach the pool and appear on neither side.
 func TestPoolTasksConserved(t *testing.T) {
 	d := goldenBench(t)

@@ -41,8 +41,13 @@ type Job struct {
 
 // NewJob builds a job and its canonical key. The config is normalized the
 // same way workload.Run normalizes it (default machine, minimum iteration
-// count), so spellings that execute identically hash identically.
+// count), so spellings that execute identically hash identically. A config
+// carrying a Recorder is refused: a job's telemetry goes to the engine's
+// Options.Recorder, which also sees its cache hits and min-heap probes.
 func NewJob(d *workload.Descriptor, cfg workload.RunConfig) (Job, error) {
+	if cfg.Recorder != nil {
+		return Job{}, fmt.Errorf("exper: %s job: RunConfig.Recorder is set; record engine jobs through Options.Recorder", d.Name)
+	}
 	j := Job{Desc: d, Cfg: cfg}
 	key, err := hashPayload(struct {
 		Schema     int                  `json:"schema"`
@@ -87,9 +92,8 @@ func minHeapKey(d *workload.Descriptor, p MinHeapParams) (Key, error) {
 
 // normalize applies workload.Run's own defaulting so equivalent configs
 // share a hash: the zero machine is the reference Zen4, iterations are at
-// least 1. It drops the Recorder, which a cached Result does not carry.
+// least 1.
 func normalize(cfg workload.RunConfig) workload.RunConfig {
-	cfg.Recorder = nil
 	if cfg.Machine.Name == "" {
 		cfg.Machine = cpuarch.Zen4
 	}

@@ -14,7 +14,7 @@ import (
 // referenceMinHeapMB is the differential oracle for the engine's min-heap
 // measurement: the same exponential-then-bisection search and serial
 // 3%-growth seed validation, run straight on workload.Run — no engine, no
-// pool, no single-flight, no memo, no cache.
+// pool, no single-flight, no cache.
 func referenceMinHeapMB(d *workload.Descriptor, p MinHeapParams) (float64, error) {
 	if p.Invocations < 1 {
 		p.Invocations = 1
@@ -71,7 +71,7 @@ func TestMinHeapMatchesReference(t *testing.T) {
 	if testing.Short() {
 		tuples = tuples[:len(tuples)/8]
 	}
-	e := New(Options{Workers: 4, Memoize: true})
+	e := New(Options{Workers: 4})
 	defer e.Close()
 	for _, tc := range tuples {
 		d, err := workload.ByName(tc.bench)
@@ -124,7 +124,7 @@ func TestCloseDuringMinHeapCancelsCleanly(t *testing.T) {
 		}
 
 		select {
-		case <-tk.Done():
+		case <-tk.c.done:
 		case <-time.After(30 * time.Second):
 			t.Fatalf("iter %d: ticket never resolved after Close", i)
 		}

@@ -146,9 +146,17 @@ func TestJobLifecycleStreams(t *testing.T) {
 		var lc lifecycle
 		e := lc.engine(Options{Cache: lifecycleCache(t, t.TempDir())})
 		type payload struct{ N int }
-		e.RunGeneric("lifecycle", payload{1}, lifecycleGeneric(false))
-		e.RunGeneric("lifecycle", payload{1}, lifecycleGeneric(false))
-		if _, err := e.RunGeneric("lifecycle", payload{2}, lifecycleGeneric(true)); err == nil {
+		run := func(p payload, fail bool) error {
+			tk, err := e.SubmitGeneric("lifecycle", p, lifecycleGeneric(fail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = tk.Wait()
+			return err
+		}
+		run(payload{1}, false)
+		run(payload{1}, false)
+		if err := run(payload{2}, true); err == nil {
 			t.Fatal("failing generic job succeeded")
 		}
 		if err := e.Close(); err != nil {

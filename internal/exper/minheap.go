@@ -35,9 +35,6 @@ type MinHeapTicket struct {
 // Wait blocks until the measurement completes and returns the bound in MB.
 func (t *MinHeapTicket) Wait() (float64, error) { return t.c.wait() }
 
-// Done is closed when the measurement completes.
-func (t *MinHeapTicket) Done() <-chan struct{} { return t.c.done }
-
 // Key returns the canonical content hash of the measurement.
 func (t *MinHeapTicket) Key() Key { return t.key }
 
@@ -47,7 +44,7 @@ func (t *MinHeapTicket) Key() Key { return t.key }
 // ordinary content-addressed engine job — always have workers to land on.
 // Measurements are content-addressed,
 // single-flighted (concurrent submissions for the same key share one
-// search), memoized in-process and persisted in the cache.
+// search), kept in the engine once resolved and persisted in the cache.
 func (e *Engine) SubmitMinHeap(d *workload.Descriptor, p MinHeapParams) (*MinHeapTicket, error) {
 	if p.Invocations < 1 {
 		p.Invocations = 1
@@ -60,8 +57,8 @@ func (e *Engine) SubmitMinHeap(d *workload.Descriptor, p MinHeapParams) (*MinHea
 		return nil, err
 	}
 
-	c, j := e.minHeaps.join(k)
-	if j == lead {
+	c, lead := e.minHeaps.join(k)
+	if lead {
 		go func() {
 			mb, err := e.minHeap(k, d, p)
 			e.minHeaps.settle(k, c, mb, err, err == nil)

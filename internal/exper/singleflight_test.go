@@ -11,7 +11,7 @@ import (
 
 // TestColdCacheSingleFlight pins the single-flight guarantee at its
 // narrowest: many concurrent submissions of one key against a cold cache
-// and no memoization must funnel into exactly one simulator execution. The
+// must funnel into exactly one simulator execution. The
 // runFn seam holds the first execution open until every submission has
 // registered, so the test deterministically covers the window where a
 // second submission could slip past the in-flight map and re-execute.
@@ -79,7 +79,7 @@ func TestColdCacheSingleFlight(t *testing.T) {
 
 // TestConcurrentRunsColdCacheExecuteOnce is the unstaged form of the
 // single-flight regression: real goroutines racing Run for one key, cold
-// cache, no memo. However the submissions interleave, the execution count
+// cache. However the submissions interleave, the execution count
 // must be exactly one — a second execution means the in-flight window
 // leaked between the cache check and the job registration.
 func TestConcurrentRunsColdCacheExecuteOnce(t *testing.T) {

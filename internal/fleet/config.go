@@ -51,6 +51,9 @@ func (cfg Config) Validate() error {
 	if !finite(cfg.Run.OpenLoopHeadroom) || cfg.Run.OpenLoopHeadroom < 0 {
 		return &ConfigError{"run.open_loop_headroom", fmt.Sprintf("must be a finite non-negative factor (got %v)", cfg.Run.OpenLoopHeadroom)}
 	}
+	if cfg.Run.Recorder != nil {
+		return &ConfigError{"run.recorder", "must be nil: fleet telemetry goes to Run's recorder, or to the engine's Options.Recorder for a sweep"}
+	}
 	return nil
 }
 

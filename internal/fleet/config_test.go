@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chopin/internal/exper"
+	"chopin/internal/obs"
 	"chopin/internal/workload"
 )
 
@@ -27,6 +28,7 @@ func TestConfigValidate(t *testing.T) {
 		{"max_retries", func(c *Config) { c.MaxRetries = -2 }},
 		{"host_cores", func(c *Config) { c.HostCores = -8 }},
 		{"run.open_loop_headroom", func(c *Config) { c.Run.OpenLoopHeadroom = math.NaN() }},
+		{"run.recorder", func(c *Config) { c.Run.Recorder = &obs.Buffer{} }},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -60,7 +60,8 @@ type Config struct {
 	// OpenLoopHeadroom stretches the fleet's mean inter-arrival interval
 	// exactly as it stretches the standalone runner's. Seed is the fleet
 	// seed: replica i simulates at Seed + i*1000003, and the arrival
-	// process draws from its own stream derived from Seed.
+	// process draws from its own stream derived from Seed. Its Recorder
+	// must be nil: replicas record through Run's recorder.
 	Run workload.RunConfig `json:"run"`
 	// RetryAfterNS re-injects a request whose latency exceeded this bound —
 	// the client-side timeout-and-retry that turns a GC pause into a retry
@@ -245,7 +246,7 @@ func newFleetRun(d *workload.Descriptor, cfg Config, rec obs.Recorder) (*fleetRu
 	for i := range fr.reps {
 		rcfg := cfg.Run
 		rcfg.Seed += uint64(i) * replicaSeedStride
-		if rec.Enabled() && rcfg.Recorder == nil {
+		if rec.Enabled() {
 			// Give each replica engine its own stamped recorder, so GC and
 			// sampling telemetry emitted from inside the replica merges into
 			// the fleet stream attributed to its replica (the timeline's STW

@@ -115,7 +115,6 @@ func RunSweep(eng *exper.Engine, d *workload.Descriptor, sw Sweep) (*Result, err
 					cfg.Policy = p
 					cfg.Run.Collector = c
 					cfg.Run.OpenLoopHeadroom = rate
-					cfg.Run.Recorder = nil // cells record through the engine's per-job buffer
 					t, err := submitCell(eng, d, cfg)
 					if err != nil {
 						return nil, err

@@ -21,6 +21,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -28,7 +29,6 @@ import (
 	"chopin/internal/gc"
 	"chopin/internal/latency"
 	"chopin/internal/lbo"
-	"chopin/internal/obs"
 	"chopin/internal/stats"
 	"chopin/internal/trace"
 	"chopin/internal/workload"
@@ -53,14 +53,9 @@ type Options struct {
 	// Seed perturbs all invocations deterministically.
 	Seed uint64
 	// Engine executes the sweep's jobs. nil uses a shared default engine
-	// (no cache, NumCPU workers); commands that want caching, progress
-	// events or resumability pass their own.
+	// (no cache, no telemetry, NumCPU workers); commands that want caching,
+	// progress events, telemetry or resumability pass their own.
 	Engine *exper.Engine
-	// Recorder receives run telemetry for every invocation the sweep
-	// launches; the engine stamps events with each job's key. nil disables
-	// telemetry. Sweeps sharing the default engine still get per-run events
-	// because the recorder travels on the RunConfig, not the engine.
-	Recorder obs.Recorder
 }
 
 // DefaultHeapFactors mirrors the paper's sweep: dense at small heaps.
@@ -138,7 +133,7 @@ type invocationSet struct {
 // ticket per invocation, in seed order.
 type pendingSet struct {
 	tickets []*exper.Ticket
-	err     error // submission error; the set collects as incomplete
+	err     error // submission error, returned when the set is collected
 }
 
 // submitSet registers opt.Invocations runs of one configuration as engine
@@ -150,7 +145,6 @@ func submitSet(eng *exper.Engine, d *workload.Descriptor, cfg workload.RunConfig
 	for i := 0; i < opt.Invocations; i++ {
 		c := cfg
 		c.Seed = opt.Seed + uint64(i)*1_000_003 + 17
-		c.Recorder = opt.Recorder
 		t, err := eng.Submit(d, c)
 		if err != nil {
 			ps.err = err
@@ -164,19 +158,23 @@ func submitSet(eng *exper.Engine, d *workload.Descriptor, cfg workload.RunConfig
 // collectSet waits for a pending set's invocations in seed order and
 // aggregates them. A configuration counts as completed only if every
 // invocation completes — matching the paper's all-or-nothing plotting rule.
-// Collection order is fixed by submission, not by the scheduler, so the
-// aggregate (including float reduction order) is deterministic at any
-// worker count.
-func collectSet(ps *pendingSet) *invocationSet {
-	set := &invocationSet{completed: ps.err == nil}
-	if !set.completed {
-		return set
+// Only running out of memory leaves a configuration incomplete; any other
+// error is returned. Collection order is fixed by submission, not by the
+// scheduler, so the aggregate (including float reduction order) is
+// deterministic at any worker count.
+func collectSet(ps *pendingSet) (*invocationSet, error) {
+	if ps.err != nil {
+		return nil, ps.err
 	}
+	set := &invocationSet{completed: true}
 	for _, t := range ps.tickets {
 		r, err := t.Wait()
-		if err != nil {
+		if outOfMemory(err) {
 			set.completed = false
-			return set
+			return set, nil
+		}
+		if err != nil {
+			return nil, err
 		}
 		last := r.Last()
 		set.wall = append(set.wall, last.WallNS)
@@ -191,7 +189,19 @@ func collectSet(ps *pendingSet) *invocationSet {
 		set.stwWall = append(set.stwWall, r.Log.TotalPauseNS())
 		set.gcCPU = append(set.gcCPU, r.GCCPUNS)
 	}
-	return set
+	return set, nil
+}
+
+// outOfMemory reports whether err is an out-of-memory outcome: the one
+// failure that makes a cell incomplete rather than failing its sweep.
+func outOfMemory(err error) bool {
+	var oom *workload.ErrOutOfMemory
+	return errors.As(err, &oom)
+}
+
+// cellError attributes a failed cell's error to its benchmark and coordinate.
+func cellError(d *workload.Descriptor, c gridCell, err error) error {
+	return fmt.Errorf("harness: %s %s at %gx: %w", d.Name, c.kind, c.f, err)
 }
 
 // gridCell is one (collector, heap factor) coordinate of a sweep, in the
@@ -255,14 +265,14 @@ func SubmitLBOGrid(d *workload.Descriptor, opt Options) *PendingGrid {
 			return
 		}
 		p.minMB = minMB
-		p.grid = collectGrid(eng, d, opt, minMB)
+		p.grid, p.err = collectGrid(eng, d, opt, minMB)
 	}()
 	return p
 }
 
 // collectGrid submits every cell of the benchmark's grid as one batch of
 // engine jobs, then collects and merges them in the same fixed grid order.
-func collectGrid(eng *exper.Engine, d *workload.Descriptor, opt Options, minMB float64) *lbo.Grid {
+func collectGrid(eng *exper.Engine, d *workload.Descriptor, opt Options, minMB float64) (*lbo.Grid, error) {
 	cells := gridCells(opt.Collectors, opt.HeapFactors)
 	pending := make([]*pendingSet, len(cells))
 	for i, c := range cells {
@@ -276,7 +286,10 @@ func collectGrid(eng *exper.Engine, d *workload.Descriptor, opt Options, minMB f
 
 	grid := &lbo.Grid{Benchmark: d.Name}
 	for i, c := range cells {
-		set := collectSet(pending[i])
+		set, err := collectSet(pending[i])
+		if err != nil {
+			return nil, cellError(d, c, err)
+		}
 		m := lbo.Measurement{
 			Collector:  c.kind.String(),
 			HeapFactor: c.f,
@@ -295,7 +308,7 @@ func collectGrid(eng *exper.Engine, d *workload.Descriptor, opt Options, minMB f
 		}
 		grid.Add(m)
 	}
-	return grid
+	return grid, nil
 }
 
 // LBOGrid sweeps collectors and heap factors for one benchmark and returns
@@ -312,16 +325,21 @@ type PendingSuite struct {
 	ds      []*workload.Descriptor
 	opt     Options
 	pending []*PendingGrid
+	err     error // a plan that could not be submitted
 }
 
 // SubmitSuiteLBO registers the whole suite's LBO plan (nil ds = every
 // workload) as one job DAG and returns immediately: every benchmark's
 // min-heap anchor is submitted now, and each benchmark's grid batch follows
 // the moment its anchor resolves — the engine's pool sees the full plan at
-// once and stays saturated until the last cell drains.
+// once and stays saturated until the last cell drains. An empty, non-nil ds
+// is a plan with no geometric mean; its Wait returns an error.
 func SubmitSuiteLBO(ds []*workload.Descriptor, opt Options) *PendingSuite {
 	if ds == nil {
 		ds = workload.All()
+	}
+	if len(ds) == 0 {
+		return &PendingSuite{err: errors.New("harness: suite LBO of no benchmarks (nil selects the whole suite)")}
 	}
 	ps := &PendingSuite{ds: ds, opt: opt, pending: make([]*PendingGrid, len(ds))}
 	for i, d := range ds {
@@ -333,6 +351,9 @@ func SubmitSuiteLBO(ds []*workload.Descriptor, opt Options) *PendingSuite {
 // Wait blocks until the plan completes and returns per-benchmark grids in
 // input order plus the cross-suite geometric means of Figure 1.
 func (ps *PendingSuite) Wait() ([]*lbo.Grid, []lbo.GeomeanPoint, error) {
+	if ps.err != nil {
+		return nil, nil, ps.err
+	}
 	grids := make([]*lbo.Grid, len(ps.pending))
 	for i, p := range ps.pending {
 		grid, _, err := p.Wait()
@@ -458,7 +479,6 @@ func submitLatency(d *workload.Descriptor, factors []float64, opt Options,
 				RecordLatency:    true,
 				OpenLoop:         openLoop,
 				OpenLoopHeadroom: headroom,
-				Recorder:         opt.Recorder,
 			})
 			if err != nil {
 				p.err = err
@@ -472,6 +492,10 @@ func submitLatency(d *workload.Descriptor, factors []float64, opt Options,
 				HeapFactor: c.f, HeapMB: minMB * c.f,
 			}
 			res, err := tickets[i].Wait()
+			if err != nil && !outOfMemory(err) {
+				p.err = cellError(d, c, err)
+				return
+			}
 			if err == nil {
 				events := make([]latency.Event, len(res.Events))
 				for j, e := range res.Events {
@@ -516,7 +540,6 @@ func HeapTimeline(d *workload.Descriptor, opt Options) ([]HeapSample, error) {
 		Iterations: opt.Iterations,
 		Events:     opt.Events,
 		Seed:       opt.Seed,
-		Recorder:   opt.Recorder,
 	})
 	if err != nil {
 		return nil, err

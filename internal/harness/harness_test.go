@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"errors"
+	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"chopin/internal/gc"
@@ -239,5 +242,41 @@ func TestLatencyOpenLoop(t *testing.T) {
 	if uniform < len(starts)*9/10 {
 		t.Fatalf("only %d of %d arrival gaps near the schedule interval %v",
 			uniform, len(starts)-1, interval)
+	}
+}
+
+// TestOnlyOOMLeavesCellIncomplete: a cell that runs out of memory is
+// recorded as incomplete, but a cell that fails for any other reason fails
+// the sweep, so a misconfigured cell never passes for an OOM one.
+func TestOnlyOOMLeavesCellIncomplete(t *testing.T) {
+	opt := Options{Collectors: []gc.Kind{gc.G1}, Invocations: 1, Iterations: 1, Events: 200}
+
+	// A negative headroom is a degenerate open-loop schedule.
+	res, err := LatencyOpenLoop(workload.Fop, []float64{2}, -1, opt)
+	var cfgErr *workload.ErrOpenLoopConfig
+	if !errors.As(err, &cfgErr) {
+		t.Fatalf("open-loop latency at headroom -1 = %+v, %v; want *workload.ErrOpenLoopConfig", res, err)
+	}
+
+	// A negative heap factor is an invalid heap, rejected at the run.
+	opt.HeapFactors = []float64{2, -1}
+	if grid, _, err := LBOGrid(workload.Fop, opt); err == nil || !strings.Contains(err.Error(), "invalid") {
+		t.Fatalf("LBO grid with a -1x cell = %+v, %v; want the invalid-heap error", grid, err)
+	}
+	// A NaN heap factor cannot be hashed into a job key.
+	opt.HeapFactors = []float64{2, math.NaN()}
+	if grid, _, err := LBOGrid(workload.Fop, opt); err == nil {
+		t.Fatalf("LBO grid with a NaN cell = %+v, nil error", grid)
+	}
+}
+
+// TestEmptySuiteRefused: a nil benchmark list selects the whole suite, but
+// an empty one has no geometric mean and is an error, not a panic.
+func TestEmptySuiteRefused(t *testing.T) {
+	if _, _, err := SuiteLBO([]*workload.Descriptor{}, Options{}); err == nil {
+		t.Fatal("SuiteLBO of no benchmarks succeeded")
+	}
+	if _, _, err := SubmitSuiteLBO([]*workload.Descriptor{}, Options{}).Wait(); err == nil {
+		t.Fatal("SubmitSuiteLBO of no benchmarks succeeded")
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Histogram is a fixed-bucket histogram: bucket i counts observations
-// v <= Bounds[i], with one overflow bucket above the last bound. Bounds are
-// fixed at construction, so Observe is a binary search plus one atomic add —
+// v <= bounds[i], with one overflow bucket above the last bound. The bounds
+// are fixed at construction, so Observe is a binary search plus one atomic add —
 // no allocation, safe for concurrent use.
 type Histogram struct {
 	bounds []float64
@@ -61,9 +61,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Bounds returns the histogram's bucket bounds.
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
 // Counts returns a snapshot of the per-bucket counts; the last entry is the
 // overflow bucket.

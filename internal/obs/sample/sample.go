@@ -16,12 +16,12 @@
 //
 // A fixed cadence over an unbounded run is an unbounded stream. The sampler
 // bounds it by stride doubling: every time the emitted-sample count reaches
-// a multiple of MaxSamples, the emission stride doubles, so a run of any
-// length emits O(MaxSamples · log(duration)) samples — early behaviour at
-// full resolution, the long tail progressively coarser. Utilization
-// fractions are computed over the interval since the previous *emitted*
-// sample, so coarsening widens the averaging window instead of dropping
-// CPU time.
+// a multiple of DefaultMaxSamples, the emission stride doubles, so a run of
+// any length emits O(DefaultMaxSamples · log(duration)) samples — early
+// behaviour at full resolution, the long tail progressively coarser.
+// Utilization fractions are computed over the interval since the previous
+// *emitted* sample, so coarsening widens the averaging window instead of
+// dropping CPU time.
 package sample
 
 import (
@@ -44,20 +44,11 @@ type Gauges struct {
 	StallNS func() float64
 }
 
-// Config tunes the sampling cadence.
-type Config struct {
-	// IntervalNS is the base sampling interval in virtual nanoseconds
-	// (default 10ms).
-	IntervalNS float64
-	// MaxSamples is the emitted-count multiple at which the stride doubles
-	// (default 2048).
-	MaxSamples int
-}
-
 // DefaultInterval is the base sampling cadence: 10ms of virtual time.
 const DefaultInterval = 10 * sim.Millisecond
 
-// DefaultMaxSamples bounds full-resolution emission before stride doubling.
+// DefaultMaxSamples is the emitted-count multiple at which the stride
+// doubles: it bounds full-resolution emission.
 const DefaultMaxSamples = 2048
 
 // Sampler emits KindSample telemetry events at fixed virtual intervals.
@@ -85,17 +76,11 @@ type oobs interface {
 	Record(obs.Event)
 }
 
-// New builds a sampler recording through rec. The caller is responsible for
-// only attaching samplers whose recorder is enabled — the sampler itself
-// does not re-check on the hot path.
-func New(cfg Config, rec obs.Recorder, g Gauges) *Sampler {
-	if cfg.IntervalNS <= 0 {
-		cfg.IntervalNS = DefaultInterval
-	}
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = DefaultMaxSamples
-	}
-	return &Sampler{rec: rec, g: g, stride: 1, max: cfg.MaxSamples, interval: cfg.IntervalNS}
+// New builds a sampler recording through rec every DefaultInterval. The
+// caller is responsible for only attaching samplers whose recorder is
+// enabled — the sampler itself does not re-check on the hot path.
+func New(rec obs.Recorder, g Gauges) *Sampler {
+	return &Sampler{rec: rec, g: g, stride: 1, max: DefaultMaxSamples, interval: DefaultInterval}
 }
 
 // Attach registers the sampler with the engine, baselining cumulative

@@ -39,12 +39,13 @@ func TestSamplerEmitsSeries(t *testing.T) {
 	e := sim.NewEngine(2, nil)
 	rec := &sliceRec{}
 	var cpu float64
-	s := New(Config{IntervalNS: 1000}, rec, Gauges{
+	s := New(rec, Gauges{
 		HeapUsed:     func() float64 { return 42 },
 		LiveEst:      func() float64 { return 17 },
 		MutatorCPUNS: func() float64 { cpu = e.TaskClock(); return cpu },
 		GCCPUNS:      func() float64 { return 0 },
 	})
+	s.interval = 1000
 	s.Attach(e)
 	spin(e, 10_000)
 	if err := e.Run(); err != nil {
@@ -76,13 +77,14 @@ func TestSamplerEmitsSeries(t *testing.T) {
 	}
 }
 
-// TestSamplerDownsamples locks the stride-doubling rule: after MaxSamples
-// emissions the cadence halves, so N ticks emit ~MaxSamples·log2 samples
-// rather than N.
+// TestSamplerDownsamples locks the stride-doubling rule: after max
+// emissions the cadence halves, so N ticks emit ~max·log2 samples rather
+// than N.
 func TestSamplerDownsamples(t *testing.T) {
 	e := sim.NewEngine(1, nil)
 	rec := &sliceRec{}
-	s := New(Config{IntervalNS: 100, MaxSamples: 8}, rec, Gauges{})
+	s := New(rec, Gauges{})
+	s.interval, s.max = 100, 8
 	s.Attach(e)
 	spin(e, 100*1024) // 1024 ticks
 	if err := e.Run(); err != nil {
@@ -115,9 +117,10 @@ func TestSamplerDownsamples(t *testing.T) {
 func TestSamplerFractionsCoverCoarsenedWindow(t *testing.T) {
 	e := sim.NewEngine(1, nil)
 	rec := &sliceRec{}
-	s := New(Config{IntervalNS: 100, MaxSamples: 4}, rec, Gauges{
+	s := New(rec, Gauges{
 		MutatorCPUNS: e.TaskClock,
 	})
+	s.interval, s.max = 100, 4
 	s.Attach(e)
 	spin(e, 100*64)
 	if err := e.Run(); err != nil {

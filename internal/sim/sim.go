@@ -220,13 +220,11 @@ func (e *Engine) HWThreads() int { return e.hw }
 // Events returns the number of scheduling events processed so far.
 func (e *Engine) Events() int64 { return e.events }
 
-// TimerFires returns the number of timer callbacks dispatched so far.
-func (e *Engine) TimerFires() int64 { return e.timerFires }
-
 // SetRecorder attaches a telemetry Recorder (nil restores the no-op). The
 // engine emits one quiescent-point event per Run drain; heavier per-event
 // telemetry would tax the stepper, so scheduler detail stays in counters
-// (Events, TimerFires) that the recorder snapshots at quiescent points.
+// (events processed, timer callbacks fired) that the recorder snapshots at
+// quiescent points.
 func (e *Engine) SetRecorder(r obs.Recorder) {
 	e.rec = obs.Or(r)
 	e.recOn = e.rec.Enabled()

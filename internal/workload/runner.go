@@ -69,7 +69,10 @@ type RunConfig struct {
 	OpenLoop bool
 	// Recorder receives the run's telemetry (GC phases, pacer stalls,
 	// scheduler quiescent points); nil disables recording. Excluded from JSON
-	// so it never participates in job hashing or result persistence.
+	// so it never participates in job hashing or result persistence. Only a
+	// direct Run (or a fleet replica) may set it: the experiment engine
+	// refuses a job that carries one and lends each executed job its own
+	// buffer, flushed to the engine's recorder.
 	Recorder obs.Recorder `json:"-"`
 }
 
@@ -399,7 +402,7 @@ func newRunner(d *Descriptor, cfg RunConfig, s *Scratch) (*runner, error) {
 		// heap occupancy, declared live set, the mutator/GC CPU split and
 		// pacer throttling, at a fixed virtual cadence with stride-doubling
 		// decimation (see internal/obs/sample).
-		sample.New(sample.Config{}, rec, sample.Gauges{
+		sample.New(rec, sample.Gauges{
 			HeapUsed:     h.Used,
 			LiveEst:      h.TargetLive,
 			GCCPUNS:      col.GCCPU,
